@@ -1,12 +1,28 @@
 """Gröbner bases for submodules of free modules, with lift coefficients
 and Schreyer syzygies.
 
-Module terms (position, monomial) are ordered position-over-term: earlier
-positions dominate, ties broken by the ring's monomial order.  Reduced
-bases are canonical, so normal forms decide membership and equality.
+Module terms (position, monomial) are ordered position-over-term (POT):
+earlier positions dominate, ties broken by the ring's monomial order.
+Reduced bases are canonical, so normal forms decide membership and
+equality.
+
+Buchberger's loop keeps its S-pairs -- pairs of work vectors whose leads
+share a position -- in a heap and takes the pair with the smallest POT lcm
+of the two leads first, ties broken by the indices (i, j) of the pair.  A
+pair is skipped, without being reduced, by either criterion:
+
+- chain: some third work vector k has its lead in the same position, its
+  lead monomial divides the lcm, and the pairs (i, k) and (j, k) have
+  already been taken off the queue (Cox-Little-O'Shea, IVA 2.10).  A
+  skipped pair counts as taken.
+- product: the lead monomials are coprime.  Only for rank 1: in a module
+  the other coordinates survive, e.g. (x, 1) and (y, 0) have the S-vector
+  (0, y), which is a new basis element.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .errors import StructuralError
 from .rings import (
@@ -15,6 +31,7 @@ from .rings import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
 )
 
 Vector = tuple  # tuple of Poly, one per ambient coordinate
@@ -86,15 +103,15 @@ def _pot_key(ring: PolyRing, pos: int, mon):
 # reduction
 
 
-def _reduce_full(v: Vector, basis: list, ring: PolyRing):
-    """Full normal form of v against basis elements (list of Vectors).
+def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
+    """Full normal form of v against nonzero basis vectors, whose leads
+    (vec_lead of each) the caller passes in.
 
     Returns (remainder, quotients) with v = remainder + sum(q_t * basis_t)
     exactly; no remainder term is divisible by a basis lead.
     """
     fld = ring.field
     rank = len(v)
-    leads = [vec_lead(b, ring) for b in basis]
     quots = [ring.zero() for _ in basis]
     rem = list(zero_vector(ring, rank))
     cur = list(v)
@@ -113,7 +130,7 @@ def _reduce_full(v: Vector, basis: list, ring: PolyRing):
         pos, mon, coeff = lt
         hit = None
         for t, bl in enumerate(leads):
-            if bl is not None and bl[0] == pos and monomial_divides(bl[1], mon):
+            if bl[0] == pos and monomial_divides(bl[1], mon):
                 hit = t
                 break
         if hit is None:
@@ -158,20 +175,23 @@ class FreeSubmodule:
         self.ring = ring
         self.rank = rank
         self.gens = tuple(gens)
-        self._basis = None      # reduced GB vectors
-        self._basis_rep = None  # each basis vector as combination of gens
-        self._gens_lift = None  # each generator as combination of basis
+        # (basis, reps, lifts, leads), published in one assignment:
+        #   basis  reduced GB vectors, monic, in descending lead order
+        #   reps   each basis vector as combination of gens
+        #   lifts  each generator as combination of basis
+        #   leads  vec_lead of each basis vector
+        self._gb = None
         self._syzygies = None
 
     # -- Buchberger ------------------------------------------------------
     def groebner(self) -> "FreeSubmodule":
-        if self._basis is None:
+        if self._gb is None:
             self._compute_basis()
         return self
 
     def basis(self):
         self.groebner()
-        return self._basis
+        return self._gb[0]
 
     def _compute_basis(self):
         ring = self.ring
@@ -183,125 +203,136 @@ class FreeSubmodule:
                 ring.one() if j == i else ring.zero() for j in range(ngens)
             )
 
-        work = []  # list of [vector, rep]
+        work = []   # list of [vector, rep]; entries never change in the loop
+        leads = []  # leads[t] = vec_lead(work[t][0])
         for i, g in enumerate(self.gens):
             if not vec_is_zero(g):
                 work.append([g, unit_rep(i)])
+                leads.append(vec_lead(g, ring))
 
-        pairs = []
+        queue = []    # heap of (POT key of the lcm, i, j, lcm) with i < j
+        done = set()  # pairs taken off the queue, reduced or skipped
 
         def add_pairs(new_idx):
-            lt_new = vec_lead(work[new_idx][0], ring)
+            pos, mon, _ = leads[new_idx]
             for t in range(new_idx):
-                lt = vec_lead(work[t][0], ring)
-                if lt is not None and lt[0] == lt_new[0]:
-                    pairs.append((t, new_idx))
+                if leads[t][0] == pos:
+                    lcm = monomial_lcm(leads[t][1], mon)
+                    heapq.heappush(
+                        queue, (_pot_key(ring, pos, lcm), t, new_idx, lcm)
+                    )
 
         for idx in range(len(work)):
             add_pairs(idx)
 
-        def pair_key(pr):
-            i, j = pr
-            li = vec_lead(work[i][0], ring)
-            lj = vec_lead(work[j][0], ring)
-            lcm = monomial_lcm(li[1], lj[1])
-            return (_pot_key(ring, li[0], lcm), i, j)
-
-        while pairs:
-            pairs.sort(key=pair_key)
-            i, j = pairs.pop(0)
+        while queue:
+            _, i, j, lcm = heapq.heappop(queue)
+            done.add((i, j))
+            pos, mon_i, c_i = leads[i]
+            _, mon_j, c_j = leads[j]
+            if self.rank == 1 and lcm == monomial_mul(mon_i, mon_j):
+                continue  # product criterion
+            if any(
+                k != i
+                and k != j
+                and lk[0] == pos
+                and monomial_divides(lk[1], lcm)
+                and (min(i, k), max(i, k)) in done
+                and (min(j, k), max(j, k)) in done
+                for k, lk in enumerate(leads)
+            ):
+                continue  # chain criterion
             vi, ri = work[i]
             vj, rj = work[j]
-            li = vec_lead(vi, ring)
-            lj = vec_lead(vj, ring)
-            lcm = monomial_lcm(li[1], lj[1])
-            mi, ci = monomial_div(lcm, li[1]), fld.inv(li[2])
-            mj, cj = monomial_div(lcm, lj[1]), fld.inv(lj[2])
+            mi, ci = monomial_div(lcm, mon_i), fld.inv(c_i)
+            mj, cj = monomial_div(lcm, mon_j), fld.inv(c_j)
             s_vec = vec_sub(vec_mul_term(ci, mi, vi), vec_mul_term(cj, mj, vj))
             s_rep = vec_sub(vec_mul_term(ci, mi, ri), vec_mul_term(cj, mj, rj))
-            rem, quots = _reduce_full(s_vec, [w[0] for w in work], ring)
+            rem, quots = _reduce_full(s_vec, [w[0] for w in work], leads, ring)
             if not vec_is_zero(rem):
                 rep = s_rep
                 for t, q in enumerate(quots):
                     if not q.is_zero():
                         rep = vec_sub(rep, vec_scale(q, work[t][1]))
                 work.append([rem, rep])
+                leads.append(vec_lead(rem, ring))
                 add_pairs(len(work) - 1)
 
         # minimalize: drop elements whose lead is divisible by another lead
         order = sorted(
-            range(len(work)),
-            key=lambda t: _pot_key(ring, *vec_lead(work[t][0], ring)[:2]),
+            range(len(work)), key=lambda t: _pot_key(ring, *leads[t][:2])
         )
         kept = []
         for t in order:
-            lt = vec_lead(work[t][0], ring)
+            lt = leads[t]
             redundant = False
             for u in kept:
-                lu = vec_lead(work[u][0], ring)
+                lu = leads[u]
                 if lu[0] == lt[0] and monomial_divides(lu[1], lt[1]):
                     redundant = True
                     break
             if not redundant:
                 kept.append(t)
         work = [work[t] for t in kept]
+        # no kept lead divides another, so tail reduction keeps every lead
+        leads = [leads[t] for t in kept]
 
         # tail-reduce until stable, keeping combinations in sync
         changed = True
         while changed:
             changed = False
             for t in range(len(work)):
-                others = [work[u][0] for u in range(len(work)) if u != t]
-                rem, quots = _reduce_full(work[t][0], others, ring)
+                u_list = [u for u in range(len(work)) if u != t]
+                rem, quots = _reduce_full(
+                    work[t][0],
+                    [work[u][0] for u in u_list],
+                    [leads[u] for u in u_list],
+                    ring,
+                )
                 if vec_key(rem) != vec_key(work[t][0]):
                     rep = work[t][1]
-                    u_list = [u for u in range(len(work)) if u != t]
                     for pos_q, q in enumerate(quots):
                         if not q.is_zero():
                             rep = vec_sub(rep, vec_scale(q, work[u_list[pos_q]][1]))
                     work[t] = [rem, rep]
                     changed = True
 
-        # monic, canonical order (descending leads)
-        final = []
-        for vec, rep in work:
-            lt = vec_lead(vec, ring)
-            c = fld.inv(lt[2])
-            final.append((vec_scale_coeff(c, vec), vec_scale_coeff(c, rep)))
-        final.sort(
-            key=lambda br: _pot_key(ring, *vec_lead(br[0], ring)[:2]), reverse=True
-        )
-
-        basis = [b for b, _ in final]
-        reps = [r for _, r in final]
+        # monic, canonical order (descending leads; work is ascending)
+        basis, reps, basis_leads = [], [], []
+        for (vec, rep), (pos, mon, coeff) in zip(reversed(work), reversed(leads)):
+            c = fld.inv(coeff)
+            basis.append(vec_scale_coeff(c, vec))
+            reps.append(vec_scale_coeff(c, rep))
+            basis_leads.append((pos, mon, fld.one))
 
         # express each original generator in the basis
         lifts = []
         for g in self.gens:
-            rem, quots = _reduce_full(g, basis, ring)
+            rem, quots = _reduce_full(g, basis, basis_leads, ring)
             if not vec_is_zero(rem):
                 raise StructuralError("generator does not reduce to zero (bug)")
             lifts.append(tuple(quots))
 
-        self._basis = tuple(basis)
-        self._basis_rep = tuple(reps)
-        self._gens_lift = tuple(lifts)
+        # one assignment, so a concurrent reader sees all of it or none
+        self._gb = (tuple(basis), tuple(reps), tuple(lifts), tuple(basis_leads))
 
     # -- normal forms ----------------------------------------------------
     def normal_form(self, v) -> Vector:
         self.groebner()
-        rem, _ = _reduce_full(tuple(v), list(self._basis), self.ring)
+        basis, _, _, leads = self._gb
+        rem, _ = _reduce_full(tuple(v), basis, leads, self.ring)
         return rem
 
     def normal_form_lift(self, v):
         """(remainder, lift) with v = remainder + sum(lift_i * gens_i)."""
         self.groebner()
-        rem, quots = _reduce_full(tuple(v), list(self._basis), self.ring)
+        basis, reps, _, leads = self._gb
+        rem, quots = _reduce_full(tuple(v), basis, leads, self.ring)
         ngens = len(self.gens)
         lift = [self.ring.zero() for _ in range(ngens)]
         for t, q in enumerate(quots):
             if not q.is_zero():
-                rep = self._basis_rep[t]
+                rep = reps[t]
                 for i in range(ngens):
                     if not rep[i].is_zero():
                         lift[i] = lift[i] + q * rep[i]
@@ -331,7 +362,7 @@ class FreeSubmodule:
         self.groebner()
         ring = self.ring
         fld = ring.field
-        basis = list(self._basis)
+        basis, reps, gens_lift, leads = self._gb
         s = len(basis)
         r = len(self.gens)
 
@@ -339,8 +370,7 @@ class FreeSubmodule:
         basis_syz = []
         for i in range(s):
             for j in range(i + 1, s):
-                li = vec_lead(basis[i], ring)
-                lj = vec_lead(basis[j], ring)
+                li, lj = leads[i], leads[j]
                 if li[0] != lj[0]:
                     continue
                 lcm = monomial_lcm(li[1], lj[1])
@@ -349,7 +379,7 @@ class FreeSubmodule:
                 s_vec = vec_sub(
                     vec_mul_term(ci, mi, basis[i]), vec_mul_term(cj, mj, basis[j])
                 )
-                rem, quots = _reduce_full(s_vec, basis, ring)
+                rem, quots = _reduce_full(s_vec, basis, leads, ring)
                 if not vec_is_zero(rem):
                     raise StructuralError("S-pair of a Gröbner basis not zero (bug)")
                 syz = [ring.zero() for _ in range(s)]
@@ -373,12 +403,11 @@ class FreeSubmodule:
                 seen.add(k)
                 out.append(vec)
 
-        reps = self._basis_rep
         for jg in range(r):
             row = [
                 ring.one() if i == jg else ring.zero() for i in range(r)
             ]
-            for t, q in enumerate(self._gens_lift[jg]):
+            for t, q in enumerate(gens_lift[jg]):
                 if not q.is_zero():
                     rep = reps[t]
                     for i in range(r):

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from deligne_kit import groebner
 from deligne_kit.errors import StructuralError
 from deligne_kit.groebner import (
     FreeSubmodule,
@@ -11,9 +13,10 @@ from deligne_kit.groebner import (
     syzygies,
     vec_dot,
     vec_is_zero,
+    vec_lead,
     vec_sub,
 )
-from deligne_kit.rings import QQ, PolyRing
+from deligne_kit.rings import GF, QQ, PolyRing
 
 from oracles import (
     degreewise_syzygies,
@@ -172,3 +175,109 @@ def test_zero_generators_have_unit_syzygies(R):
 def test_generator_length_mismatch(R):
     with pytest.raises(StructuralError):
         FreeSubmodule(R, 2, [(R.one(),)])
+
+
+# ---------------------------------------------------------------------------
+# Buchberger pair criteria
+
+
+def test_module_pair_not_skipped_by_product_criterion(R):
+    # coprime leads x and y in the same position, but the S-vector (0, y)
+    # is not zero: the product criterion does not hold for modules
+    x, y = R.gens()
+    S = FreeSubmodule(R, 2, [(x, R.one()), (y, R.zero())])
+    assert S.contains((R.zero(), y))
+    assert len(S.basis()) == 3
+
+
+def test_rank1_coprime_leads_basis_is_generators(R):
+    x, y = R.gens()
+    S = FreeSubmodule(R, 1, [(x**2,), (y**3,)])
+    assert S.basis() == ((y**3,), (x**2,))
+
+
+def _random_homogeneous_vector(ring, rng, rank, degree):
+    mons = [
+        m for m in itertools.product(range(degree + 1), repeat=ring.nvars)
+        if sum(m) == degree
+    ]
+    out = []
+    for _ in range(rank):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            terms[mons[rng.randrange(len(mons))]] = rng.randint(-3, 3)
+        out.append(ring.poly(terms))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_criteria_give_groebner_basis_oracle(field, rank):
+    # Seeded random homogeneous generators.  syzygies() reduces every
+    # same-position S-pair of the basis with no criteria and raises its
+    # "(bug)" error on a nonzero remainder; the degreewise spans of basis
+    # and generators are compared by linear algebra up to the top basis
+    # degree.
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(f"criteria:{field.name}:{rank}")
+    for _ in range(8):
+        gens = [
+            _random_homogeneous_vector(ring, rng, rank, rng.randint(1, 3))
+            for _ in range(rng.randint(2, 5))
+        ]
+        gens = [g for g in gens if not vec_is_zero(g)]
+        S = FreeSubmodule(ring, rank, gens)
+        S.syzygies()
+        basis = list(S.basis())
+        gdegs = [vector_degree(g) for g in gens]
+        bdegs = [vector_degree(b) for b in basis]
+        for d in range(max(bdegs, default=0) + 1):
+            assert span_dimension(basis, ring, d, gen_degrees=bdegs) == (
+                span_dimension(gens, ring, d, gen_degrees=gdegs)
+            )
+
+
+def _same_position_pairs(vectors, ring):
+    positions = [vec_lead(v, ring)[0] for v in vectors]
+    return sum(1 for a, b in itertools.combinations(positions, 2) if a == b)
+
+
+def _coprime_quadrics():
+    # a regular sequence whose leads a^2, ..., f^2 are pairwise coprime:
+    # the product criterion skips all 15 pairs, the chain criterion none
+    ring = PolyRing(QQ, tuple("abcdefgh"))
+    v = ring.gens()
+    return ring, 1, [(v[i] ** 2 + v[i + 1] * v[i + 2],) for i in range(6)]
+
+
+def _module_with_square():
+    # the relation columns of coker [[x*y - z*w, 0, z^2],
+    # [0, y*z, x^2 - w^2]] plus (x, y, z, w)^2 R^2: the chain criterion
+    # skips most pairs, the product criterion does not apply
+    ring = PolyRing(QQ, ("x", "y", "z", "w"))
+    x, y, z, w = ring.gens()
+    zero = ring.zero()
+    square = [a * b for a, b in itertools.combinations_with_replacement(
+        (x, y, z, w), 2)]
+    gens = [(x * y - z * w, zero), (zero, y * z), (z**2, x**2 - w**2)]
+    gens += [(m, zero) for m in square] + [(zero, m) for m in square]
+    return ring, 2, gens
+
+
+@pytest.mark.parametrize("make", [_coprime_quadrics, _module_with_square],
+                         ids=["product", "chain"])
+def test_pair_criteria_stay_on(monkeypatch, make):
+    # Without criteria every same-position pair of the generators is
+    # reduced, and each generator is lifted once more at the end, so the
+    # count of full reductions could not fall below the pair count.
+    ring, rank, gens = make()
+    calls = [0]
+    reduce_full = groebner._reduce_full
+
+    def counting(*args):
+        calls[0] += 1
+        return reduce_full(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_full", counting)
+    FreeSubmodule(ring, rank, gens).groebner()
+    assert calls[0] < _same_position_pairs(gens, ring)
