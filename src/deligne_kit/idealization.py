@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructuralError
-from .rings import QQ, Poly, PolyRing
+from .rings import QQ, Poly, PolyRing, power
 
 
 class IdealizationRing:
@@ -157,10 +157,9 @@ class SElement:
         return s_mul(self, other)
 
     def __pow__(self, n: int):
-        out = self.ring.s_from_const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n < 0:
+            raise StructuralError("negative power in S")
+        return power(self, n, self.ring.s_from_const(1))
 
     def __eq__(self, other):
         return (

@@ -380,12 +380,11 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, n: int):
+        """``self**n`` by square-and-multiply (see ``power``); ``p**0`` is
+        the ring's one, for the zero polynomial too."""
         if n < 0:
             raise StructuralError("negative polynomial power")
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(self, n, self.ring.one())
 
     def scale(self, coeff) -> "Poly":
         fld = self.ring.field
@@ -468,6 +467,22 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def power(base, n: int, one):
+    """base**n for n >= 0 in a commutative ring with identity ``one``, by
+    square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3): multiply the result
+    by the base when the low bit of n is set, then square the base and
+    shift n right.  That is at most 2*n.bit_length() products instead of
+    n."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def poly_divmod(f: Poly, divisors) -> tuple[list[Poly], Poly]:

@@ -525,11 +525,30 @@ def run_idealization(task: IdealizationTask, session: Session) -> dict:
 
 def replay_idealization(record: dict, task: IdealizationTask,
                         session: Session) -> bool:
+    """Re-check the witnesses against the task: one target per declared
+    pole, in order; stages exactly 1..cap; and at each stage the
+    effective stage max(n, pole), the probe e_(effective - 1) and the
+    required value x^(effective - pole) of the target 1/x^pole."""
     ring = IdealizationRing(session.ring.field)
-    for target in record["certificate"]["targets"]:
-        for st in target["stages"]:
-            required = ring.s(de_poly(ring.R, st["required_r"]))
-            probe = ring.s(ring.R.zero(), ring.e(st["probe_index"]))
+    if record["bounds"] != {"cap": task.cap, "poles": list(task.poles)}:
+        return False
+    targets = record["certificate"]["targets"]
+    if [t["pole"] for t in targets] != list(task.poles):
+        return False
+    stages = list(range(1, task.cap + 1))
+    for pole, target in zip(task.poles, targets):
+        if [st["stage"] for st in target["stages"]] != stages:
+            return False
+        for n, st in zip(stages, target["stages"]):
+            n_eff = max(n, pole)
+            if (st["effective_stage"] != n_eff
+                    or st["probe_index"] != n_eff - 1):
+                return False
+            required_r = de_poly(ring.R, st["required_r"])
+            if required_r != ring.x ** (n_eff - pole):
+                return False
+            required = ring.s(required_r)
+            probe = ring.s(ring.R.zero(), ring.e(n_eff - 1))
             pairing = probe * required
             claimed = {
                 int(i): de_coeff(ring.field, c)
@@ -540,7 +559,7 @@ def replay_idealization(record: dict, task: IdealizationTask,
             if pairing.is_zero():
                 return False
             # probe must annihilate the stage generator
-            xn = ring.x_power(st["effective_stage"])
+            xn = ring.x_power(n_eff)
             if not (xn * probe).is_zero():
                 return False
     return record["outcome"] == "obstruction"

@@ -149,6 +149,75 @@ def test_replay_rejects_wrong_session(report):
         replay_report(other, session, rep)
 
 
+def _forge_idealization(rep, mutate):
+    """A copy of the report whose idealization record is changed by
+    ``mutate`` and re-digested, so only the certificate check can catch it."""
+    forged = json.loads(json.dumps(rep))
+    rec = forged["records"][4]
+    assert rec["kind"] == "idealization"
+    mutate(rec)
+    rec["digest"] = record_digest(rec)
+    return forged
+
+
+def _one_fake_stage(rec):
+    for target in rec["certificate"]["targets"]:
+        target["stages"] = [{
+            "stage": 99, "effective_stage": 1, "probe_index": 0,
+            "required_r": "1", "pairing": {"0": "1"},
+        }]
+
+
+def _set_pole(rec):
+    rec["certificate"]["targets"][1]["pole"] = 2
+
+
+def _set_effective_stage(rec):
+    # stage 1 of the pole-3 target: effective stage 3 claimed as 4
+    rec["certificate"]["targets"][1]["stages"][0]["effective_stage"] = 4
+
+
+def _set_probe_index(rec):
+    rec["certificate"]["targets"][0]["stages"][1]["probe_index"] = 0
+
+
+def _set_required_r(rec):
+    # x^2 + x^5 pairs with the probe e_2 exactly as x^2 does
+    rec["certificate"]["targets"][0]["stages"][2]["required_r"] = "x^5 + x^2"
+
+
+def _drop_stage(rec):
+    del rec["certificate"]["targets"][0]["stages"][-1]
+
+
+def _set_cap(rec):
+    rec["bounds"]["cap"] = 5
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_one_fake_stage, _set_pole, _set_effective_stage, _set_probe_index,
+     _set_required_r, _drop_stage, _set_cap],
+    ids=["one-fake-stage", "pole", "effective-stage", "probe-index",
+         "required-r", "dropped-stage", "cap"],
+)
+def test_replay_rejects_forged_idealization(report, mutate):
+    rep, session = report
+    out = replay_report(GOOD, session, _forge_idealization(rep, mutate))
+    assert out["ok"] is False
+    assert [r["verified"] for r in out["results"]] == [True] * 4 + [False]
+
+
+def test_main_replay_rejects_forged_idealization(report, tmp_path, capsys):
+    rep, _ = report
+    f = tmp_path / "s.dk"
+    f.write_text(GOOD)
+    out = tmp_path / "forged.json"
+    out.write_text(json.dumps(_forge_idealization(rep, _one_fake_stage)))
+    assert main(["run", str(f), "--replay", str(out)]) == 1
+    capsys.readouterr()
+
+
 def test_jobs_parallel_matches_serial():
     session = parse_session(GOOD)
     serial = build_report(GOOD, session)

@@ -190,3 +190,15 @@ def test_prime_field_backend():
     assert h1_transition_witness(S5, 3, 1).verify()
     for w in rho_obstruction(S5, S5.R.one(), 1, cap=3):
         assert w.verify()
+
+
+def test_s_pow_matches_repeated_multiplication(S):
+    rng = random.Random(23)
+    for _ in range(8):
+        s = rand_s(S, rng)
+        expected = S.s_from_const(1)
+        for n in range(9):
+            assert s**n == expected
+            expected = s_mul(expected, s)
+    with pytest.raises(StructuralError):
+        S.x_power(1) ** -1

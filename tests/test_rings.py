@@ -7,6 +7,7 @@ from deligne_kit.errors import StructuralError
 from deligne_kit.rings import (
     GF,
     QQ,
+    Poly,
     PolyRing,
     monomial_compare,
     poly_divmod,
@@ -156,3 +157,37 @@ def test_evaluate(R):
     x, y = R.gens()
     p = x**2 * y - 3 * x
     assert p.evaluate((2, 5)) == Fraction(14)
+
+
+# ---------------------------------------------------------------- powers
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_pow_matches_repeated_multiplication(field):
+    R = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(19)
+    polys = [R.zero(), R.one()] + [rand_poly(R, rng, 2, 4) for _ in range(6)]
+    for p in polys:
+        expected = R.one()
+        for n in range(13):
+            assert p**n == expected
+            expected = expected * p
+    assert R.zero() ** 0 == R.one()
+    with pytest.raises(StructuralError):
+        polys[-1] ** -1
+
+
+def test_pow_uses_logarithmically_many_products(monkeypatch):
+    R = PolyRing(QQ, ("x",))
+    (x,) = R.gens()
+    calls = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    x**120
+    assert len(calls) <= 2 * (120).bit_length()
+    assert x ** (10**6) == R.term(1, (10**6,))
