@@ -3,7 +3,13 @@ certificates, Koszul homology towers with pro-zero search, ideal
 transforms, Čech 0-cocycles with constructive gluing, and the idealization
 counterexample backend, plus a batch CLI emitting replayable reports."""
 
-from .errors import DimensionError, NameResolutionError, ParseError, StructuralError
+from .errors import (
+    DimensionError,
+    InternalError,
+    NameResolutionError,
+    ParseError,
+    StructuralError,
+)
 from .rings import GF, QQ, Poly, PolyRing, monomial_compare, poly_divmod
 from .groebner import FreeSubmodule, buchberger, kernel_mod, normal_form_lift, syzygies
 from .modules import (

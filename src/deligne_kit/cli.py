@@ -3,8 +3,10 @@
 
 Exit codes: 0 on success (every task acceptable, or every certificate
 re-verified), 1 on task failure or failed replay, 2 on parse or structural
-errors.  Report format: versioned JSON, documented in docs/report-schema.md;
-timing fields are excluded from the content digests.
+errors or an unreadable session or report file, 3 on an internal error (a
+broken invariant, named with the task it broke in).  Report format:
+versioned JSON, documented in docs/report-schema.md; timing fields are
+excluded from the content digests.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ParseError, StructuralError
+from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
 from .tasks import record_acceptable, replay_record, run_task
 
@@ -37,7 +39,10 @@ def build_report(session_text: str, session, jobs: int = 1) -> dict:
 
     def execute(task):
         start = time.monotonic()
-        record = run_task(task, session)
+        try:
+            record = run_task(task, session)
+        except InternalError as ex:
+            raise InternalError(f"{task.pretty()}: {ex}") from ex
         record["digest"] = record_digest(record)
         record["time_ms"] = round((time.monotonic() - start) * 1000.0, 3)
         return record
@@ -111,14 +116,21 @@ def main(argv=None) -> int:
 
     try:
         if args.replay:
-            with open(args.replay, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
+            try:
+                with open(args.replay, "r", encoding="utf-8") as fh:
+                    report = json.load(fh)
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
+                print(f"error: cannot read report: {ex}", file=sys.stderr)
+                return 2
             result = replay_report(text, session, report)
         else:
             result = build_report(text, session, jobs=max(1, args.jobs))
     except (ParseError, StructuralError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except InternalError as ex:
+        print(f"internal error: {ex}", file=sys.stderr)
+        return 3
 
     payload = json.dumps(result, sort_keys=True, indent=2)
     if args.out:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .groebner import FreeSubmodule, vec_is_zero, vec_scale, vec_sub
 from .koszul import ProZeroCertificate, SequenceSpec
 from .modules import (
@@ -101,7 +101,7 @@ def loc_equal(f: LocalFraction, g: LocalFraction, certificate: bool = False):
     )
     rem, lift = M.relations.normal_form_lift(raw)
     if not vec_is_zero(rem):
-        raise StructuralError("kill exponent certificate failed (bug)")
+        raise InternalError("kill exponent certificate failed")
     return True, LocEqualCertificate(c=c, lift=tuple(lift))
 
 
@@ -389,7 +389,7 @@ def rho_preimage(c: CechCocycle, escalation_cap: int,
         for g in gens:
             rem, lift = span.normal_form_lift((g,))
             if not vec_is_zero(rem):
-                raise StructuralError("pigeonhole containment failed (bug)")
+                raise InternalError("pigeonhole containment failed")
             acc = M.zero()
             for coeff, mp in zip(lift, primed):
                 acc = acc + coeff * mp
@@ -548,13 +548,13 @@ def sheaf_check(sections, cover):
     for i in range(cover.k):
         diff = (xs[i] ** e) * glued - y * primed[i]
         if not diff.is_zero():
-            raise StructuralError("restriction identity failed (bug)")
+            raise InternalError("restriction identity failed")
         raw = vec_sub(
             vec_scale(xs[i] ** e, glued.vec), vec_scale(y, primed[i].vec)
         )
         rem, lift = M.relations.normal_form_lift(raw)
         if not vec_is_zero(rem):
-            raise StructuralError("restriction lift failed (bug)")
+            raise InternalError("restriction lift failed")
         lifts.append(tuple(lift))
 
     result = Glued(

@@ -5,6 +5,11 @@ class StructuralError(Exception):
     """Contract violation: bad dimensions, broken certificate, invalid input."""
 
 
+class InternalError(Exception):
+    """A broken internal invariant: a bug, not bad input.  Deliberately not
+    a StructuralError, so the CLI reports it with its own exit code."""
+
+
 class ParseError(Exception):
     """Syntax error in the session language, with source position."""
 

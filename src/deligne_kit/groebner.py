@@ -18,13 +18,22 @@ pair is skipped, without being reduced, by either criterion:
 - product: the lead monomials are coprime.  Only for rank 1: in a module
   the other coordinates survive, e.g. (x, 1) and (y, 0) have the S-vector
   (0, y), which is a new basis element.
+
+Normal forms (``_reduce_full``) copy the input vector once into one plain
+dict per position and update it, the remainder and each quotient in place;
+they become polynomials only at the end.  Positions are taken in POT order
+and an empty one is skipped: a basis vector whose lead is at position pos
+is zero before pos, so a finished position stays empty.  At each step the
+largest monomial at the current position is reduced by the first basis
+lead, in the order the leads are passed, at that position that divides it,
+and otherwise moved to the remainder.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .rings import (
     Poly,
     PolyRing,
@@ -108,45 +117,51 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
     (vec_lead of each) the caller passes in.
 
     Returns (remainder, quotients) with v = remainder + sum(q_t * basis_t)
-    exactly; no remainder term is divisible by a basis lead.
+    exactly; no remainder term is divisible by a basis lead.  See the
+    module docstring for the order of the steps.
     """
     fld = ring.field
+    fsub, fmul, fdiv, zero = fld.sub, fld.mul, fld.div, fld.zero
+    key = ring.mon_key
     rank = len(v)
-    quots = [ring.zero() for _ in basis]
-    rem = list(zero_vector(ring, rank))
-    cur = list(v)
-
-    def current_lead():
-        for pos in range(rank):
-            if not cur[pos].is_zero():
-                mon, coeff = cur[pos].lead_term()
-                return pos, mon, coeff
-        return None
-
-    while True:
-        lt = current_lead()
-        if lt is None:
-            break
-        pos, mon, coeff = lt
-        hit = None
-        for t, bl in enumerate(leads):
-            if bl[0] == pos and monomial_divides(bl[1], mon):
-                hit = t
-                break
-        if hit is None:
-            term = ring.term(coeff, mon)
-            rem[pos] = rem[pos] + term
-            cur[pos] = cur[pos] - term
-        else:
-            bpos, bmon, bcoeff = leads[hit]
+    cur = [dict(p.terms) for p in v]
+    rem = [{} for _ in range(rank)]
+    quots = [{} for _ in basis]
+    for pos in range(rank):
+        d = cur[pos]
+        if not d:
+            continue
+        here = [(t, bl[1], bl[2]) for t, bl in enumerate(leads) if bl[0] == pos]
+        r = rem[pos]
+        while d:
+            mon = max(d, key=key)
+            coeff = d[mon]
+            for t, bmon, bcoeff in here:
+                if monomial_divides(bmon, mon):
+                    break
+            else:
+                r[mon] = d.pop(mon)
+                continue
             qmon = monomial_div(mon, bmon)
-            qc = fld.div(coeff, bcoeff)
-            quots[hit] = quots[hit] + ring.term(qc, qmon)
-            b = basis[hit]
-            for j in range(rank):
-                if not b[j].is_zero():
-                    cur[j] = cur[j] - b[j].mul_term(qc, qmon)
-    return tuple(rem), quots
+            qc = fdiv(coeff, bcoeff)
+            # the lead falls at every step, so qmon is new to quots[t]
+            quots[t][qmon] = qc
+            b = basis[t]
+            # b is zero before pos; its lead cancels d[mon] exactly
+            for j in range(pos, rank):
+                dj = cur[j]
+                for m, c in b[j].terms.items():
+                    m = monomial_mul(m, qmon)
+                    old = dj.get(m, zero)
+                    s = fsub(old, fmul(c, qc))
+                    if s == zero:
+                        del dj[m]
+                    else:
+                        dj[m] = s
+    return (
+        tuple(Poly(ring, p) for p in rem),
+        [Poly(ring, q) for q in quots],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +325,7 @@ class FreeSubmodule:
         for g in self.gens:
             rem, quots = _reduce_full(g, basis, basis_leads, ring)
             if not vec_is_zero(rem):
-                raise StructuralError("generator does not reduce to zero (bug)")
+                raise InternalError("generator does not reduce to zero")
             lifts.append(tuple(quots))
 
         # one assignment, so a concurrent reader sees all of it or none
@@ -381,7 +396,7 @@ class FreeSubmodule:
                 )
                 rem, quots = _reduce_full(s_vec, basis, leads, ring)
                 if not vec_is_zero(rem):
-                    raise StructuralError("S-pair of a Gröbner basis not zero (bug)")
+                    raise InternalError("S-pair of a Gröbner basis not zero")
                 syz = [ring.zero() for _ in range(s)]
                 syz[i] = syz[i] + ring.term(ci, mi)
                 syz[j] = syz[j] - ring.term(cj, mj)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .rings import QQ, Poly, PolyRing, power
 
 
@@ -222,7 +222,7 @@ def h1_transition_witness(ring: IdealizationRing, m: int, n: int) -> TransitionW
     image = ring.s(ring.R.zero(), ring.e(n - 1))
     tw = TransitionWitness(m=m, n=n, witness=witness, image=image)
     if not tw.verify():
-        raise StructuralError("transition witness failed verification (bug)")
+        raise InternalError("transition witness failed verification")
     return tw
 
 
@@ -350,7 +350,7 @@ def rho_obstruction(ring: IdealizationRing, numerator: Poly, denom_exp: int,
             pairing=pairing,
         )
         if not w.verify():
-            raise StructuralError("pole witness failed verification (bug)")
+            raise InternalError("pole witness failed verification")
         witnesses.append(w)
     return witnesses
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .groebner import (
     FreeSubmodule,
     Vector,
@@ -130,7 +130,7 @@ class KoszulStage:
         for i in range(2, k + 1):
             for col in self.diff[i].columns:
                 if not vec_is_zero(self.diff[i - 1].apply_raw(col)):
-                    raise StructuralError("d o d != 0 (bug)")
+                    raise InternalError("d o d != 0")
 
     def boundary_columns(self, i: int):
         """Ambient generators of im(d_{i+1}) inside chain[i]."""
@@ -385,13 +385,13 @@ def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):
             transported = transport_cycle(x, i, m, n, M, z)
             lifted = Hn.boundary_lift(transported)
             if lifted is None:
-                raise StructuralError("zero transition without boundary lift (bug)")
+                raise InternalError("zero transition without boundary lift")
             chain, rel_lift = lifted
             if i >= 1:
                 dz = stage_m.diff[i].apply_raw(z)
                 rem, cyc_lift = stage_m.chain[i - 1].relations.normal_form_lift(dz)
                 if not vec_is_zero(rem):
-                    raise StructuralError("representative is not a cycle (bug)")
+                    raise InternalError("representative is not a cycle")
             else:
                 cyc_lift = ()
             entries.append(
@@ -405,6 +405,6 @@ def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):
             )
         cert = ProZeroCertificate(x, i, n, m, M, entries)
         if not cert.verify():
-            raise StructuralError("freshly built certificate failed replay (bug)")
+            raise InternalError("freshly built certificate failed replay")
         return cert
     return SearchExhausted(x, i, n, m_max)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .groebner import (
     FreeSubmodule,
     Vector,
@@ -439,7 +439,7 @@ def saturate(M: FpModule, J) -> SaturationResult:
             return SaturationResult(M, polys, t, prev_gens)
         prev_gens, prev_span = next_gens, next_span
         t += 1
-    raise StructuralError("colon chain failed to stabilize (bug)")
+    raise InternalError("colon chain failed to stabilize")
 
 
 def radical_lift(y: Poly, xs, exponent: int):

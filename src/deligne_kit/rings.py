@@ -265,7 +265,13 @@ class PolyRing:
 
 
 class Poly:
-    """Sparse polynomial; treat as immutable."""
+    """Sparse polynomial; treat as immutable.
+
+    Arithmetic may return an operand unchanged rather than a copy: a zero
+    operand of +, -, * or a zero polynomial under ``scale``/``mul_term``
+    gives back an existing object.  The mixed-ring and coefficient checks
+    still run first.
+    """
 
     __slots__ = ("ring", "terms", "_lead", "_key")
 
@@ -321,13 +327,17 @@ class Poly:
 
     # -- arithmetic -----------------------------------------------------
     def _check(self, other: "Poly"):
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise StructuralError("mixed rings")
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         fld = self.ring.field
         res = dict(self.terms)
         for mon, c in other.terms.items():
@@ -345,7 +355,24 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        fld = self.ring.field
+        res = dict(self.terms)
+        for mon, c in other.terms.items():
+            cur = res.get(mon)
+            if cur is None:
+                res[mon] = fld.neg(c)
+            else:
+                s = fld.sub(cur, c)
+                if s == fld.zero:
+                    del res[mon]
+                else:
+                    res[mon] = s
+        return Poly(self.ring, res)
 
     def __neg__(self):
         fld = self.ring.field
@@ -357,6 +384,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         fld = self.ring.field
         res = {}
         for m1, c1 in self.terms.items():
@@ -389,11 +420,15 @@ class Poly:
     def scale(self, coeff) -> "Poly":
         fld = self.ring.field
         coeff = fld.of(coeff)
+        if not self.terms:
+            return self
         if coeff == fld.zero:
             return self.ring.zero()
         return Poly(self.ring, {m: fld.mul(c, coeff) for m, c in self.terms.items()})
 
     def mul_term(self, coeff, mon) -> "Poly":
+        if not self.terms:
+            return self
         fld = self.ring.field
         if coeff == fld.zero:
             return self.ring.zero()

@@ -587,9 +587,14 @@ def run_task(task, session: Session) -> dict:
 
 
 def replay_record(record: dict, task, session: Session) -> bool:
-    if record["kind"] != task.kind:
+    """A record with a field missing or of the wrong type or value fails
+    its replay; the caller goes on to the next record."""
+    try:
+        if record["kind"] != task.kind:
+            return False
+        return _REPLAYERS[task.kind](record, task, session)
+    except (KeyError, TypeError, ValueError):
         return False
-    return _REPLAYERS[task.kind](record, task, session)
 
 
 def record_acceptable(record: dict, task) -> bool:

@@ -1,9 +1,11 @@
 """Independent brute-force oracles for the test suite: degreewise linear
-algebra over exact fields, never touching the Gröbner machinery under test."""
+algebra over exact fields, never touching the Gröbner machinery under test,
+and a reference normal-form reduction written with plain polynomial
+arithmetic."""
 
 from itertools import product
 
-from deligne_kit.rings import PolyRing
+from deligne_kit.rings import PolyRing, monomial_div, monomial_divides
 
 
 def monomials_of_degree(nvars: int, d: int):
@@ -150,3 +152,48 @@ def syzygy_vectors_from_kernel(kernel, layout, gens, ring: PolyRing):
                 vec[j] = vec[j] + ring.term(coeff, mon)
         out.append(tuple(vec))
     return out
+
+
+def reduce_full_reference(v, basis, leads, ring: PolyRing):
+    """The normal-form reduction of groebner._reduce_full written on
+    immutable polynomials: every step rebuilds the partial remainder, the
+    working vector and a quotient.  Same reducer choice (the first lead, in
+    ``leads`` order, at the position of the current POT lead that divides
+    it), so remainder and quotients must agree exactly."""
+    fld = ring.field
+    rank = len(v)
+    quots = [ring.zero() for _ in basis]
+    rem = [ring.zero() for _ in range(rank)]
+    cur = list(v)
+
+    def current_lead():
+        for pos in range(rank):
+            if not cur[pos].is_zero():
+                mon, coeff = cur[pos].lead_term()
+                return pos, mon, coeff
+        return None
+
+    while True:
+        lt = current_lead()
+        if lt is None:
+            break
+        pos, mon, coeff = lt
+        hit = None
+        for t, bl in enumerate(leads):
+            if bl[0] == pos and monomial_divides(bl[1], mon):
+                hit = t
+                break
+        if hit is None:
+            term = ring.term(coeff, mon)
+            rem[pos] = rem[pos] + term
+            cur[pos] = cur[pos] - term
+        else:
+            bpos, bmon, bcoeff = leads[hit]
+            qmon = monomial_div(mon, bmon)
+            qc = fld.div(coeff, bcoeff)
+            quots[hit] = quots[hit] + ring.term(qc, qmon)
+            b = basis[hit]
+            for j in range(rank):
+                if not b[j].is_zero():
+                    cur[j] = cur[j] - b[j].mul_term(qc, qmon)
+    return tuple(rem), quots

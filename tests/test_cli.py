@@ -3,7 +3,14 @@ import json
 import pytest
 
 from deligne_kit.cli import build_report, main, record_digest, replay_report
-from deligne_kit.errors import DimensionError, NameResolutionError, ParseError
+from deligne_kit import idealization
+from deligne_kit.errors import (
+    DimensionError,
+    InternalError,
+    NameResolutionError,
+    ParseError,
+    StructuralError,
+)
 from deligne_kit.session import parse_session
 
 GOOD = """\
@@ -218,6 +225,24 @@ def test_main_replay_rejects_forged_idealization(report, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _drop_pairing(rec):
+    del rec["certificate"]["targets"][0]["stages"][1]["pairing"]
+
+
+def test_replay_malformed_record_fails_that_record(report, tmp_path, capsys):
+    rep, session = report
+    forged = _forge_idealization(rep, _drop_pairing)
+    out = replay_report(GOOD, session, forged)
+    assert out["ok"] is False
+    assert [r["verified"] for r in out["results"]] == [True] * 4 + [False]
+    f = tmp_path / "s.dk"
+    f.write_text(GOOD)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(forged))
+    assert main(["run", str(f), "--replay", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_jobs_parallel_matches_serial():
     session = parse_session(GOOD)
     serial = build_report(GOOD, session)
@@ -272,3 +297,28 @@ def test_exhausted_outcome_recorded(tmp_path):
     rep = build_report(text, session)
     assert rep["records"][0]["outcome"] == "exhausted"
     assert rep["ok"] is True
+
+
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_main_unreadable_report_exits_2(tmp_path, capsys, content):
+    f = tmp_path / "s.dk"
+    f.write_text("ring Q[x];\ntask idealization poles (1) cap 2;\n")
+    path = tmp_path / "report.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["run", str(f), "--replay", str(path)]) == 2
+    assert "error: cannot read report" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3_with_task_label(tmp_path, capsys, monkeypatch):
+    assert not issubclass(InternalError, StructuralError)
+    monkeypatch.setattr(idealization.PoleWitness, "verify", lambda self: False)
+    f = tmp_path / "s.dk"
+    f.write_text("ring Q[x];\ntask idealization poles (1) cap 2;\n")
+    assert main(["run", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert "task idealization poles (1) cap 2;" in err
+    assert "pole witness failed verification" in err

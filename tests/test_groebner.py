@@ -16,10 +16,11 @@ from deligne_kit.groebner import (
     vec_lead,
     vec_sub,
 )
-from deligne_kit.rings import GF, QQ, PolyRing
+from deligne_kit.rings import GF, QQ, Poly, PolyRing, monomial_divides
 
 from oracles import (
     degreewise_syzygies,
+    reduce_full_reference,
     span_dimension,
     syzygy_vectors_from_kernel,
     vector_degree,
@@ -214,8 +215,8 @@ def _random_homogeneous_vector(ring, rng, rank, degree):
 @pytest.mark.parametrize("rank", [1, 2])
 def test_criteria_give_groebner_basis_oracle(field, rank):
     # Seeded random homogeneous generators.  syzygies() reduces every
-    # same-position S-pair of the basis with no criteria and raises its
-    # "(bug)" error on a nonzero remainder; the degreewise spans of basis
+    # same-position S-pair of the basis with no criteria and raises
+    # InternalError on a nonzero remainder; the degreewise spans of basis
     # and generators are compared by linear algebra up to the top basis
     # degree.
     ring = PolyRing(field, ("x", "y", "z"))
@@ -281,3 +282,94 @@ def test_pair_criteria_stay_on(monkeypatch, make):
     monkeypatch.setattr(groebner, "_reduce_full", counting)
     FreeSubmodule(ring, rank, gens).groebner()
     assert calls[0] < _same_position_pairs(gens, ring)
+
+
+# ---------------------------------------------------------------- reduction kernel
+
+
+def _random_vector(ring, rng, rank, max_deg=3, terms=3):
+    # each coordinate is zero with probability 1/3
+    out = []
+    for _ in range(rank):
+        poly = {}
+        if rng.random() >= 1 / 3:
+            for _ in range(rng.randint(1, terms)):
+                mon = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
+                poly[mon] = rng.randint(-4, 4)
+        out.append(ring.poly(poly))
+    return tuple(out)
+
+
+def _reduction_cases(field, rank):
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(f"reduce:{field.name}:{rank}")
+    for case in range(12):
+        size = rng.randint(1, 5)
+        basis = []
+        while len(basis) < size:
+            if case % 3 == 0:
+                b = _random_homogeneous_vector(ring, rng, rank, rng.randint(1, 2))
+            else:
+                b = _random_vector(ring, rng, rank, max_deg=2)
+            if not vec_is_zero(b):
+                basis.append(b)
+        if case % 3 == 0:
+            # a reduced Gröbner basis, as the module code passes in
+            basis = list(FreeSubmodule(ring, rank, basis).basis())
+        for _ in range(4):
+            yield ring, _random_vector(ring, rng, rank, terms=5), basis
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_reduce_full_matches_reference(field, rank):
+    for ring, v, basis in _reduction_cases(field, rank):
+        leads = [vec_lead(b, ring) for b in basis]
+        v_terms = [dict(p.terms) for p in v]
+        basis_terms = [[dict(p.terms) for p in b] for b in basis]
+        rem, quots = groebner._reduce_full(v, basis, leads, ring)
+        ref_rem, ref_quots = reduce_full_reference(v, basis, leads, ring)
+        assert rem == ref_rem
+        assert list(quots) == list(ref_quots)
+        # inputs untouched by the in-place kernel
+        assert [p.terms for p in v] == v_terms
+        assert [[p.terms for p in b] for b in basis] == basis_terms
+        # v = rem + sum(q_t * b_t), exactly
+        total = list(rem)
+        for q, b in zip(quots, basis):
+            for j in range(rank):
+                total[j] = total[j] + q * b[j]
+        assert tuple(total) == v
+        # no remainder term is divisible by a lead at its position
+        for pos, p in enumerate(rem):
+            for mon in p.terms:
+                assert not any(
+                    lp == pos and monomial_divides(lm, mon)
+                    for lp, lm, _ in leads
+                )
+
+
+def test_reduce_full_makes_no_polynomial_sums(monkeypatch):
+    # The kernel updates plain dictionaries in place; a loop that adds or
+    # subtracts Poly values rebuilds every partial result on every step.
+    cases = list(_reduction_cases(QQ, 2))
+    calls = [0]
+    add, sub = Poly.__add__, Poly.__sub__
+
+    def counting_add(self, other):
+        calls[0] += 1
+        return add(self, other)
+
+    def counting_sub(self, other):
+        calls[0] += 1
+        return sub(self, other)
+
+    monkeypatch.setattr(Poly, "__add__", counting_add)
+    monkeypatch.setattr(Poly, "__sub__", counting_sub)
+    steps = 0
+    for ring, v, basis in cases:
+        leads = [vec_lead(b, ring) for b in basis]
+        _, quots = groebner._reduce_full(v, basis, leads, ring)
+        steps += sum(len(q.terms) for q in quots)
+    assert steps > 0
+    assert calls[0] == 0

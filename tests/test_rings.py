@@ -191,3 +191,47 @@ def test_pow_uses_logarithmically_many_products(monkeypatch):
     x**120
     assert len(calls) <= 2 * (120).bit_length()
     assert x ** (10**6) == R.term(1, (10**6,))
+
+
+# ---------------------------------------------------------------- zero operands
+
+
+def test_zero_operands_give_the_same_polynomial(R):
+    x, y = R.gens()
+    p = x**2 - 3 * x * y + R.const(5)
+    zero = R.zero()
+    assert zero + p == p and p + zero == p
+    assert p - zero == p
+    assert zero - p == -p
+    assert zero * p == zero and p * zero == zero
+    assert zero.mul_term(Fraction(2), (1, 1)) == zero
+    assert p.mul_term(Fraction(0), (1, 1)) == zero
+    assert zero.scale(7) == zero
+    assert p.scale(0) == zero
+    assert (zero + zero).is_zero() and (zero - zero).is_zero()
+
+
+def test_zero_operand_keeps_the_checks(R):
+    other = PolyRing(QQ, ("x", "z"))
+    p = R.gens()[0]
+    for a, b in ((R.zero(), other.zero()), (p, other.zero()),
+                 (other.zero(), p)):
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v):
+            with pytest.raises(StructuralError, match="mixed rings"):
+                op(a, b)
+    with pytest.raises(StructuralError):
+        R.zero().scale(1.5)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_sub_matches_adding_the_negation(field):
+    R = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(f"sub:{field.name}")
+    for _ in range(40):
+        p, q = rand_poly(R, rng, 2, 5), rand_poly(R, rng, 2, 5)
+        if rng.random() < 0.3:
+            q = p + rand_poly(R, rng, 2, 1)  # force cancellation
+        assert p - q == p + (-q)
+        assert (p - q).terms == (p + (-q)).terms
+        assert (p - p).is_zero()
