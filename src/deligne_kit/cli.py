@@ -1,5 +1,5 @@
 """Command line interface: `deligne-kit run <file> [--replay <report>]
-[--jobs N] [--out <path>]`.
+[--out <path>]`.
 
 Exit codes: 0 on success (every task acceptable, or every certificate
 re-verified), 1 on task failure or failed replay, 2 on parse or structural
@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
@@ -34,10 +33,9 @@ def record_digest(record: dict) -> str:
     return "sha256:" + hashlib.sha256(_canonical(body).encode()).hexdigest()
 
 
-def build_report(session_text: str, session, jobs: int = 1) -> dict:
-    tasks = session.tasks
-
-    def execute(task):
+def build_report(session_text: str, session) -> dict:
+    records = []
+    for task in session.tasks:
         start = time.monotonic()
         try:
             record = run_task(task, session)
@@ -45,15 +43,9 @@ def build_report(session_text: str, session, jobs: int = 1) -> dict:
             raise InternalError(f"{task.pretty()}: {ex}") from ex
         record["digest"] = record_digest(record)
         record["time_ms"] = round((time.monotonic() - start) * 1000.0, 3)
-        return record
+        records.append(record)
 
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(execute, tasks))
-    else:
-        records = [execute(t) for t in tasks]
-
-    ok = all(record_acceptable(r, t) for r, t in zip(records, tasks))
+    ok = all(record_acceptable(r, t) for r, t in zip(records, session.tasks))
     return {
         "schema": SCHEMA,
         "session_sha256": hashlib.sha256(session_text.encode()).hexdigest(),
@@ -63,18 +55,25 @@ def build_report(session_text: str, session, jobs: int = 1) -> dict:
 
 
 def replay_report(session_text: str, session, report: dict) -> dict:
-    """Re-verify certificates only; no searches, no sampling."""
+    """Re-verify certificates only; no searches, no sampling.  A record that
+    is not a JSON object fails its own replay."""
+    if not isinstance(report, dict):
+        raise StructuralError("report is not a JSON object")
     if report.get("schema") != SCHEMA:
         raise StructuralError(f"unknown report schema {report.get('schema')!r}")
     expected = hashlib.sha256(session_text.encode()).hexdigest()
     if report.get("session_sha256") != expected:
         raise StructuralError("report was produced from a different session")
     records = report.get("records", [])
+    if not isinstance(records, list):
+        raise StructuralError("report records are not a list")
     if len(records) != len(session.tasks):
         raise StructuralError("record count does not match the task list")
     results = []
     ok = True
     for record, task in zip(records, session.tasks):
+        if not isinstance(record, dict):
+            record = {}
         if record_digest(record) != record.get("digest"):
             verified = False
         else:
@@ -97,8 +96,6 @@ def main(argv=None) -> int:
     run_p.add_argument("file", help="session file in the input language")
     run_p.add_argument("--replay", metavar="REPORT",
                        help="verify the certificates of an existing report")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run tasks concurrently (records keep declaration order)")
     run_p.add_argument("--out", metavar="PATH",
                        help="write the report here instead of stdout")
     args = parser.parse_args(argv)
@@ -124,7 +121,7 @@ def main(argv=None) -> int:
                 return 2
             result = replay_report(text, session, report)
         else:
-            result = build_report(text, session, jobs=max(1, args.jobs))
+            result = build_report(text, session)
     except (ParseError, StructuralError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

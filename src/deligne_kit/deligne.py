@@ -49,12 +49,11 @@ class LocalFraction:
 
 
 def base_torsion(M: FpModule, base: Poly) -> SaturationResult:
-    """0 :_M base^infinity, cached on the module."""
-    k = ("torsion", base.key())
-    cache = M._torsion_cache
-    if k not in cache:
-        cache[k] = saturate(M, [base])
-    return cache[k]
+    """0 :_M base^infinity, memoised on the module."""
+    key = ("torsion", base.key())
+    if key not in M.memo:
+        M.memo[key] = saturate(M, [base])
+    return M.memo[key]
 
 
 def kill_exponent(M: FpModule, base: Poly, elem: ModuleElement):
@@ -343,15 +342,13 @@ class RhoObstruction:
     residual: ModuleElement
 
 
-_syzygy_cache: dict = {}
-
-
 def _power_syzygies(xs: SequenceSpec, e: int):
-    key = (xs.key(), e)
-    if key not in _syzygy_cache:
+    key = ("power_syzygies", xs.key(), e)
+    memo = xs.ring.memo
+    if key not in memo:
         sub = FreeSubmodule(xs.ring, 1, [(x**e,) for x in xs.elements])
-        _syzygy_cache[key] = sub.syzygies().gens
-    return _syzygy_cache[key]
+        memo[key] = sub.syzygies().gens
+    return memo[key]
 
 
 def rho_preimage(c: CechCocycle, escalation_cap: int,

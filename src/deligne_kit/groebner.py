@@ -328,7 +328,6 @@ class FreeSubmodule:
                 raise InternalError("generator does not reduce to zero")
             lifts.append(tuple(quots))
 
-        # one assignment, so a concurrent reader sees all of it or none
         self._gb = (tuple(basis), tuple(reps), tuple(lifts), tuple(basis_leads))
 
     # -- normal forms ----------------------------------------------------

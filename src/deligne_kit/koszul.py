@@ -23,7 +23,13 @@ from .groebner import (
     vec_sub,
     zero_vector,
 )
-from .modules import FpModule, ModuleElement, ModuleHom, module_kernel
+from .modules import (
+    FpModule,
+    ModuleElement,
+    ModuleHom,
+    blockdiag_relations,
+    module_kernel,
+)
 from .rings import Poly
 
 
@@ -54,10 +60,6 @@ class SequenceSpec:
         return "(" + ", ".join(str(x) for x in self.elements) + ")"
 
 
-_stage_cache: dict = {}
-_homology_cache: dict = {}
-
-
 def koszul_subsets(k: int, i: int):
     return list(combinations(range(k), i))
 
@@ -83,17 +85,6 @@ def koszul_differential_columns(x: SequenceSpec, n: int, mrank: int, i: int):
                 img[slot] = img[slot] + coeff
             cols.append(tuple(img))
     return cols
-
-
-def blockdiag_relations(relation_gens, mrank: int, blocks: int, ring):
-    """Relations of M^blocks: one copy of each generator per block."""
-    rels = []
-    for b in range(blocks):
-        for nu in relation_gens:
-            vec = [ring.zero()] * (mrank * blocks)
-            vec[b * mrank : (b + 1) * mrank] = list(nu)
-            rels.append(tuple(vec))
-    return rels
 
 
 class KoszulStage:
@@ -140,10 +131,10 @@ class KoszulStage:
 
 
 def _stage(x: SequenceSpec, n: int, M: FpModule) -> KoszulStage:
-    key = (x.key(), n, M.key())
-    if key not in _stage_cache:
-        _stage_cache[key] = KoszulStage(x, n, M)
-    return _stage_cache[key]
+    key = ("stage", x.key(), n)
+    if key not in M.memo:
+        M.memo[key] = KoszulStage(x, n, M)
+    return M.memo[key]
 
 
 class HomologyModule:
@@ -205,9 +196,11 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
     H_k = 0 :_M (x^(n))."""
     if i < 0 or i > x.k:
         raise StructuralError(f"homological degree {i} out of range 0..{x.k}")
-    key = (x.key(), n, M.key(), i)
-    if key in _homology_cache:
-        return _homology_cache[key]
+    if M.ring != x.ring:  # the memo key leaves the ring out
+        raise StructuralError("module and sequence rings differ")
+    key = ("homology", x.key(), n, i)
+    if key in M.memo:
+        return M.memo[key]
     stage = _stage(x, n, M)
     ring = x.ring
     if i == 0:
@@ -226,7 +219,7 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
     )
     pres = FpModule(ring, len(ker_gens), relations)
     hom = HomologyModule(stage, i, pres, ker_gens)
-    _homology_cache[key] = hom
+    M.memo[key] = hom
     return hom
 
 

@@ -24,7 +24,12 @@ from .rings import Poly, PolyRing
 
 class FpModule:
     """R^rank modulo the span of relation vectors.  Elements are stored in
-    canonical normal form, so equality is syntactic."""
+    canonical normal form, so equality is syntactic.
+
+    ``memo`` holds the results that depend on this module (torsion
+    submodules, Koszul stages and homology), keyed by a tag and the other
+    inputs; results that depend only on the ring live on the ``PolyRing``.
+    """
 
     def __init__(self, ring: PolyRing, rank: int, relations=None):
         if rank < 0:
@@ -39,7 +44,7 @@ class FpModule:
             self.relations = relations
         else:
             self.relations = FreeSubmodule(ring, rank, relations)
-        self._torsion_cache: dict = {}
+        self.memo: dict = {}
         self._key = None
 
     @classmethod
@@ -219,6 +224,18 @@ def module_kernel(h: ModuleHom) -> KernelResult:
     return KernelResult(ker, incl, gens)
 
 
+def blockdiag_relations(relation_gens, mrank: int, blocks: int, ring):
+    """Relations of M^blocks: one copy of each generator per block, block
+    outer, generator inner."""
+    rels = []
+    for b in range(blocks):
+        for nu in relation_gens:
+            vec = [ring.zero()] * (mrank * blocks)
+            vec[b * mrank : (b + 1) * mrank] = list(nu)
+            rels.append(tuple(vec))
+    return rels
+
+
 # ---------------------------------------------------------------------------
 # Hom modules
 
@@ -287,12 +304,7 @@ def hom_module(A: FpModule, B: FpModule) -> HomModule:
                 block[i] = rel[j]
                 stacked.extend(block)
             cond_vectors.append(tuple(stacked))
-    cond_relations = []
-    for l in range(s):
-        for nu in B.relations.gens:
-            stacked = [ring.zero()] * (rB * s)
-            stacked[l * rB : (l + 1) * rB] = list(nu)
-            cond_relations.append(tuple(stacked))
+    cond_relations = blockdiag_relations(B.relations.gens, rB, s, ring)
 
     if s == 0:
         l_gens = [
@@ -320,8 +332,6 @@ def hom_module(A: FpModule, B: FpModule) -> HomModule:
 # ---------------------------------------------------------------------------
 # ideal powers, colon chains, saturation, radical lifts
 
-_ideal_power_cache: dict = {}
-
 
 def ideal_power(xs, n: int):
     """Generators of (x_1, ..., x_k)^n: all degree-n products, deduplicated.
@@ -334,9 +344,9 @@ def ideal_power(xs, n: int):
         raise StructuralError("negative ideal power")
     if n == 0:
         return [ring.one()]
-    key = (tuple(x.key() for x in xs), n, ring)
-    if key in _ideal_power_cache:
-        return list(_ideal_power_cache[key])
+    key = ("ideal_power", tuple(x.key() for x in xs), n)
+    if key in ring.memo:
+        return list(ring.memo[key])
     out = []
     seen = set()
     for combo in combinations_with_replacement(range(len(xs)), n):
@@ -347,7 +357,7 @@ def ideal_power(xs, n: int):
         if not prod.is_zero() and k not in seen:
             seen.add(k)
             out.append(prod)
-    _ideal_power_cache[key] = tuple(out)
+    ring.memo[key] = tuple(out)
     return out
 
 
@@ -357,8 +367,7 @@ def colon_generators(M: FpModule, polys):
     ring = M.ring
     if not polys:
         return [tuple(b.vec) for b in M.basis_elements()]
-    L = len(polys)
-    stacked_rank = M.rank * L
+    stacked_rank = M.rank * len(polys)
     vectors = []
     for i in range(M.rank):
         stacked = []
@@ -367,12 +376,7 @@ def colon_generators(M: FpModule, polys):
             block[i] = p
             stacked.extend(block)
         vectors.append(tuple(stacked))
-    relations = []
-    for l in range(L):
-        for nu in M.relations.gens:
-            stacked = [ring.zero()] * stacked_rank
-            stacked[l * M.rank : (l + 1) * M.rank] = list(nu)
-            relations.append(tuple(stacked))
+    relations = blockdiag_relations(M.relations.gens, M.rank, len(polys), ring)
     return kernel_mod(vectors, relations, ring, stacked_rank)
 
 
@@ -466,20 +470,17 @@ def radical_lift(y: Poly, xs, exponent: int):
     raise StructuralError("radical lift not found within the pigeonhole bound")
 
 
-_ideal_module_cache: dict = {}
-
-
 def ideal_as_module(xs, n: int):
     """Present J^n abstractly: R^N -> J^n on the power generators, with the
     syzygies as relations.  Returns (FpModule, generator list)."""
     xs = tuple(xs)
     ring = xs[0].ring
     gens = ideal_power(xs, n)
-    key = (tuple(g.key() for g in gens), ring)
-    if key in _ideal_module_cache:
-        return _ideal_module_cache[key]
+    key = ("ideal_as_module", tuple(g.key() for g in gens))
+    if key in ring.memo:
+        return ring.memo[key]
     sub = FreeSubmodule(ring, 1, [(g,) for g in gens])
     syz = sub.syzygies()
     mod = FpModule(ring, len(gens), list(syz.gens))
-    _ideal_module_cache[key] = (mod, gens)
+    ring.memo[key] = (mod, gens)
     return mod, gens

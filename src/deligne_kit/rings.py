@@ -191,7 +191,13 @@ def monomial_compare(a, b, order: str) -> int:
 
 
 class PolyRing:
-    """A polynomial ring over Q or F_p with a fixed monomial order."""
+    """A polynomial ring over Q or F_p with a fixed monomial order.
+
+    ``memo`` holds the results that depend only on this ring (ideal powers,
+    presented ideal powers, power syzygies), keyed by a tag and polynomial
+    keys; results that depend on a module live on the ``FpModule``.  A memo
+    is dropped with its owner, so nothing leaks between rings.
+    """
 
     def __init__(self, field, variables, order: str = "grevlex"):
         variables = tuple(variables)
@@ -206,6 +212,7 @@ class PolyRing:
         self.order = order
         self.nvars = len(variables)
         self._zero_mon = (0,) * self.nvars
+        self.memo: dict = {}
 
     def mon_key(self, mon):
         return monomial_key(mon, self.order)

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -100,9 +102,12 @@ def report():
 
 
 def test_report_outcomes(report):
-    rep, _ = report
+    rep, session = report
     outcomes = [r["outcome"] for r in rep["records"]]
     assert outcomes == ["pass", "pass", "pass", "pass", "obstruction"]
+    assert [r["label"] for r in rep["records"]] == [
+        t.pretty() for t in session.tasks
+    ]
     assert rep["ok"] is True
 
 
@@ -243,16 +248,72 @@ def test_replay_malformed_record_fails_that_record(report, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_jobs_parallel_matches_serial():
-    session = parse_session(GOOD)
-    serial = build_report(GOOD, session)
-    parallel = build_report(GOOD, parse_session(GOOD), jobs=4)
-    assert [r["digest"] for r in serial["records"]] == [
-        r["digest"] for r in parallel["records"]
-    ]
-    assert [r["label"] for r in parallel["records"]] == [
-        t.pretty() for t in session.tasks
-    ]
+def _main_replay(tmp_path, report):
+    f = tmp_path / "s.dk"
+    f.write_text(GOOD)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return main(["run", str(f), "--replay", str(path)])
+
+
+def test_replay_report_not_an_object_exits_2(tmp_path, capsys):
+    with pytest.raises(StructuralError):
+        replay_report(GOOD, parse_session(GOOD), [])
+    assert _main_replay(tmp_path, []) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_replay_records_not_a_list_exits_2(report, tmp_path, capsys):
+    rep, session = report
+    forged = dict(rep, records=5)
+    with pytest.raises(StructuralError):
+        replay_report(GOOD, session, forged)
+    assert _main_replay(tmp_path, forged) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_replay_record_not_an_object_fails_that_record(report, tmp_path, capsys):
+    rep, session = report
+    forged = dict(rep, records=[7] + rep["records"][1:])
+    out = replay_report(GOOD, session, forged)
+    assert out["ok"] is False
+    assert [r["verified"] for r in out["results"]] == [False] + [True] * 4
+    assert _main_replay(tmp_path, forged) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+TOWER = """\
+ring F32003[a,b,c] order grevlex;
+module N = coker [[a*b, c^2]];
+sequence t = (a, b, c);
+sequence xx = (a, a);
+task prozero xx degree 1 from 1 cap 3;
+task prozero t degree 1 from 1 cap 2 module N allow-exhausted;
+"""
+
+TRANSFORM = """\
+ring Q[u,v] order grevlex;
+module T = coker [[u*v]];
+ideal J = (u, v);
+task deligne-roundtrip J T samples 2 seed 7;
+task sheaf-glue J T samples 2 seed 3;
+task diagram J T samples 2 seed 11;
+"""
+
+
+@pytest.mark.parametrize("text", [TOWER, TRANSFORM], ids=["tower", "transform"])
+def test_memos_die_with_the_session(text):
+    # memoised results live on the session's ring and modules, so nothing
+    # outlives a dropped session; the rings are used by no other test, so an
+    # equal ring memoised elsewhere cannot hide a process-wide memo
+    session = parse_session(text)
+    assert build_report(text, session)["ok"] is True
+    ring = weakref.ref(session.ring)
+    del session
+    gc.collect()
+    assert ring() is None
 
 
 # ---------------------------------------------------------------- exit codes

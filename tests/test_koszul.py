@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from deligne_kit import deligne
 from deligne_kit.errors import StructuralError
 from deligne_kit.groebner import FreeSubmodule, vec_is_zero
 from deligne_kit.koszul import (
@@ -231,3 +232,32 @@ def test_pro_zero_prime_field():
     cert = pro_zero_search(xs, 1, 1, M, 12)
     assert isinstance(cert, ProZeroCertificate)
     assert cert.verify()
+
+
+# ---------------------------------------------------------------- memos
+
+
+def test_memos_do_not_leak_between_rings():
+    # same exponent data, different order or different names: each ring
+    # must get its own stages, homology and power syzygies
+    rings = [
+        PolyRing(QQ, ("x", "y"), order="grevlex"),
+        PolyRing(QQ, ("x", "y"), order="lex"),
+        PolyRing(QQ, ("a", "b"), order="grevlex"),
+    ]
+    modules = []
+    for ring in rings:
+        u, v = ring.gens()
+        s = SequenceSpec((u, v))
+        M = FpModule.quotient_ring(ring, [u * v])
+        modules.append(M)
+        assert koszul_homology(s, 1, M, 1).stage.x.ring == ring
+        cert = pro_zero_search(s, 1, 1, M, 3)
+        assert isinstance(cert, ProZeroCertificate)
+        assert cert.witness_m == 2
+        for syz in deligne._power_syzygies(s, 2):
+            assert all(p.ring == ring for p in syz)
+    # a module and a sequence from different rings are refused, even when
+    # the module already holds homology for an equal-looking sequence
+    with pytest.raises(StructuralError):
+        koszul_homology(SequenceSpec(rings[1].gens()), 1, modules[0], 1)
