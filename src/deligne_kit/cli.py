@@ -21,7 +21,7 @@ from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
 from .tasks import record_acceptable, replay_record, run_task
 
-SCHEMA = "deligne-kit/report/v1"
+SCHEMA = "deligne-kit/report/v2"
 
 
 def _canonical(obj) -> str:

@@ -66,10 +66,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 def vec_scale(q: Poly, v: Vector) -> Vector:
     return tuple(q * a for a in v)
 
@@ -481,8 +477,3 @@ def kernel_mod(vectors, relations, ring: PolyRing, rank: int):
             seen.add(k)
             out.append(head)
     return out
-
-
-def ideal_submodule(ring: PolyRing, polys) -> FreeSubmodule:
-    """An ideal as a rank-1 submodule."""
-    return FreeSubmodule(ring, 1, [(p,) for p in polys])

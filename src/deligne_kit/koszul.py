@@ -19,9 +19,7 @@ from .groebner import (
     kernel_mod,
     vec_dot,
     vec_is_zero,
-    vec_key,
     vec_sub,
-    zero_vector,
 )
 from .modules import (
     FpModule,
@@ -160,12 +158,6 @@ class HomologyModule:
             stage.boundary_columns(i) + list(stage.chain[i].relations.gens),
         )
 
-    def is_cycle(self, vec) -> bool:
-        if self.i == 0:
-            return True
-        img = self.stage.diff[self.i].apply_raw(tuple(vec))
-        return vec_is_zero(self.stage.chain[self.i - 1].reduce(img))
-
     def express(self, vec) -> ModuleElement:
         """Coordinates of a cycle in the homology presentation."""
         rem, lift = self._express_span.normal_form_lift(tuple(vec))
@@ -186,9 +178,6 @@ class HomologyModule:
         chain = tuple(lift[:nb])
         rel_lift = tuple(-c for c in lift[nb:])
         return chain, rel_lift
-
-    def class_is_zero(self, vec) -> bool:
-        return self._boundary_span.contains(tuple(vec))
 
 
 def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyModule:
@@ -290,13 +279,12 @@ class CertificateEntry:
 
     Exact identities (no Gröbner data needed to replay):
       d_i^(m)(cycle) = sum(cycle_relation_lift * stage_m_relations)
-      d_{i+1}^(n)(preimage_chain) - transported
+      d_{i+1}^(n)(preimage_chain) - transport_cycle(cycle)
           = sum(relation_lift * stage_n_relations)
-    where transported is the stage-m cycle pushed through the chain map.
+    where transport_cycle pushes the stage-m cycle through the chain map.
     """
 
     cycle: Vector
-    transported: Vector
     preimage_chain: Vector
     relation_lift: tuple
     cycle_relation_lift: tuple
@@ -315,7 +303,9 @@ class ProZeroCertificate:
 
     def verify(self) -> bool:
         """Replay every boundary identity exactly: pure polynomial
-        arithmetic over the declared relation generators, no Gröbner data."""
+        arithmetic over the declared relation generators, no Gröbner data.
+        An entry whose vectors do not have the lengths of these identities
+        fails."""
         x, i, n, m, M = self.x, self.i, self.base_n, self.witness_m, self.M
         ring = x.ring
         k = x.k
@@ -329,21 +319,23 @@ class ProZeroCertificate:
                 M.relations.gens, M.rank, blocks_im1, ring
             )
             d_i_m = koszul_differential_columns(x, m, M.rank, i)
-        if i < k:
-            d_ip1_n = koszul_differential_columns(x, n, M.rank, i + 1)
+        else:
+            rels_im1 = []
+        # d_{k+1} = 0: at the top degree the preimage chain is empty
+        d_ip1_n = (koszul_differential_columns(x, n, M.rank, i + 1)
+                   if i < k else [])
+        shape = (rank_i, len(d_ip1_n), len(rels_i), len(rels_im1))
         for e in self.entries:
-            transported = transport_cycle(x, i, m, n, M, e.cycle)
-            if vec_key(transported) != vec_key(tuple(e.transported)):
+            if tuple(map(len, (e.cycle, e.preimage_chain, e.relation_lift,
+                               e.cycle_relation_lift))) != shape:
                 return False
+            transported = transport_cycle(x, i, m, n, M, e.cycle)
             if i >= 1:
                 dz = vec_dot(e.cycle, d_i_m, ring, rank_im1)
                 combo = vec_dot(e.cycle_relation_lift, rels_im1, ring, rank_im1)
                 if not vec_is_zero(vec_sub(dz, combo)):
                     return False
-            if i < k:
-                dw = vec_dot(e.preimage_chain, d_ip1_n, ring, rank_i)
-            else:
-                dw = zero_vector(ring, rank_i)
+            dw = vec_dot(e.preimage_chain, d_ip1_n, ring, rank_i)
             lhs = vec_sub(dw, transported)
             combo = vec_dot(e.relation_lift, rels_i, ring, rank_i)
             if not vec_is_zero(vec_sub(lhs, combo)):
@@ -390,7 +382,6 @@ def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):
             entries.append(
                 CertificateEntry(
                     cycle=tuple(z),
-                    transported=tuple(transported),
                     preimage_chain=chain,
                     relation_lift=tuple(rel_lift),
                     cycle_relation_lift=tuple(cyc_lift),

@@ -101,6 +101,9 @@ class ProzeroTask:
             parts.append("allow-exhausted")
         return " ".join(parts) + ";"
 
+    def bounds(self) -> dict:
+        return {"degree": self.degree, "from": self.from_n, "cap": self.cap}
+
 
 @dataclass
 class RoundtripTask:
@@ -121,6 +124,10 @@ class RoundtripTask:
             s += f" probes {self.probes}"
         return s + ";"
 
+    def bounds(self) -> dict:
+        return {"samples": self.samples, "probes": self.probes,
+                "seed": self.seed}
+
 
 @dataclass
 class SheafGlueTask:
@@ -136,6 +143,9 @@ class SheafGlueTask:
             f"task sheaf-glue {self.ideal} {self.module} "
             f"samples {self.samples} seed {self.seed};"
         )
+
+    def bounds(self) -> dict:
+        return {"samples": self.samples, "seed": self.seed}
 
 
 @dataclass
@@ -153,6 +163,9 @@ class DiagramTask:
             f"samples {self.samples} seed {self.seed};"
         )
 
+    def bounds(self) -> dict:
+        return {"samples": self.samples, "seed": self.seed}
+
 
 @dataclass
 class IdealizationTask:
@@ -164,6 +177,9 @@ class IdealizationTask:
     def pretty(self) -> str:
         poles = ", ".join(str(p) for p in self.poles)
         return f"task idealization poles ({poles}) cap {self.cap};"
+
+    def bounds(self) -> dict:
+        return {"cap": self.cap, "poles": list(self.poles)}
 
 
 @dataclass

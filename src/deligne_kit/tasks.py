@@ -3,15 +3,21 @@
 Each task produces one record with an outcome (pass | fail | exhausted |
 obstruction) and a certificate payload.  Certificates embed the exact
 polynomial identities behind every claim (boundary preimages,
-localization-kill lifts, restriction identities, annihilator pairings), so
-replay is plain arithmetic over the declared relation generators and never
-re-runs the bounded searches or the sampling.
+localization-kill lifts, restriction identities), so replay is plain
+arithmetic over the declared relation generators and never re-runs the
+bounded searches or the sampling.
+
+A record holds only the evidence that replay cannot recompute by plain
+arithmetic from its task and its other fields: kind, label and bounds are
+rebuilt from the task, a fraction's base is its probe or chart, and the
+idealization witnesses, closed forms of (pole, cap), are rebuilt and
+verified.  Each replayer returns the outcome its evidence supports, or None
+when the evidence does not verify.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .deligne import (
     CechCocycle,
@@ -26,7 +32,7 @@ from .deligne import (
     sigma_inverse,
     theta_probe,
 )
-from .errors import StructuralError
+from .errors import ParseError, StructuralError
 from .groebner import vec_dot, vec_is_zero, vec_scale, vec_sub
 from .idealization import IdealizationRing, rho_obstruction
 from .koszul import (
@@ -65,16 +71,11 @@ def de_poly(ring: PolyRing, s: str) -> Poly:
     return parse_poly(ring, s)
 
 
-def de_vec(ring: PolyRing, items) -> tuple:
+def de_vec(ring: PolyRing, items, length: int | None = None) -> tuple:
+    """With `length`, a vector of any other length raises ValueError."""
+    if length is not None and len(items) != length:
+        raise ValueError(f"vector of length {len(items)}, not {length}")
     return tuple(parse_poly(ring, s) for s in items)
-
-
-def ser_coeff(c) -> str:
-    return str(c)
-
-
-def de_coeff(field, s: str):
-    return field.of(Fraction(s)) if "/" in s else field.of(int(s))
 
 
 # ---------------------------------------------------------------------------
@@ -142,68 +143,79 @@ def probe_elements(xs: SequenceSpec, count: int, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners and replayers
+
+
+def _record(task, outcome: str, certificate: dict, **found) -> dict:
+    """A task's record; `found` adds a bound the run found (witness_m)."""
+    return {
+        "kind": task.kind,
+        "label": task.pretty(),
+        "outcome": outcome,
+        "bounds": dict(task.bounds(), **found),
+        "certificate": certificate,
+    }
 
 
 def _fraction_payload(f: LocalFraction) -> dict:
-    return {
-        "numerator": ser_vec(f.numerator.vec),
-        "base": ser_poly(f.base),
-        "exponent": f.exponent,
-    }
+    return {"numerator": ser_vec(f.numerator.vec), "exponent": f.exponent}
+
+
+def _loc_payload(cert) -> dict:
+    return {"c": cert.c, "lift": ser_vec(cert.lift)}
+
+
+def _replay_loc(M: FpModule, base: Poly, fa: dict, fb: dict,
+                cert: dict) -> bool:
+    """Verify base^(c+b)*num_a - base^(c+a)*num_b == sum(lift * relations)
+    for a nonzero base (M_0 = 0 would make every fraction equal)."""
+    if base.is_zero():
+        return False
+    ring = M.ring
+    rels = list(M.relations.gens)
+    na = de_vec(ring, fa["numerator"], M.rank)
+    nb = de_vec(ring, fb["numerator"], M.rank)
+    lift = de_vec(ring, cert["lift"], len(rels))
+    c = cert["c"]
+    lhs = vec_sub(
+        vec_scale(base ** (c + fb["exponent"]), na),
+        vec_scale(base ** (c + fa["exponent"]), nb),
+    )
+    return vec_is_zero(vec_sub(lhs, vec_dot(lift, rels, ring, M.rank)))
 
 
 def run_prozero(task: ProzeroTask, session: Session) -> dict:
     xs = SequenceSpec(session.sequences[task.sequence])
     M = session.modules[task.module]
     result = pro_zero_search(xs, task.degree, task.from_n, M, task.cap)
-    bounds = {
-        "degree": task.degree,
-        "from": task.from_n,
-        "cap": task.cap,
-    }
     if isinstance(result, SearchExhausted):
-        return {
-            "kind": task.kind,
-            "label": task.pretty(),
-            "outcome": "exhausted",
-            "bounds": bounds,
-            "certificate": {"m_max": result.m_max},
+        return _record(task, "exhausted", {})
+    entries = [
+        {
+            "cycle": ser_vec(e.cycle),
+            "preimage_chain": ser_vec(e.preimage_chain),
+            "relation_lift": ser_vec(e.relation_lift),
+            "cycle_relation_lift": ser_vec(e.cycle_relation_lift),
         }
-    cert = {
-        "base_n": result.base_n,
-        "witness_m": result.witness_m,
-        "entries": [
-            {
-                "cycle": ser_vec(e.cycle),
-                "transported": ser_vec(e.transported),
-                "preimage_chain": ser_vec(e.preimage_chain),
-                "relation_lift": ser_vec(e.relation_lift),
-                "cycle_relation_lift": ser_vec(e.cycle_relation_lift),
-            }
-            for e in result.entries
-        ],
-    }
-    return {
-        "kind": task.kind,
-        "label": task.pretty(),
-        "outcome": "pass",
-        "bounds": dict(bounds, witness_m=result.witness_m),
-        "certificate": cert,
-    }
+        for e in result.entries
+    ]
+    return _record(task, "pass", {"entries": entries},
+                   witness_m=result.witness_m)
 
 
-def replay_prozero(record: dict, task: ProzeroTask, session: Session) -> bool:
-    if record["outcome"] == "exhausted":
-        return True
-    xs = SequenceSpec(session.sequences[task.sequence])
-    M = session.modules[task.module]
-    ring = session.ring
+def replay_prozero(record: dict, task: ProzeroTask, session: Session):
+    """The certificate is checked at base stage `from` and stage
+    `bounds.witness_m`, which must lie in from..cap."""
     payload = record["certificate"]
+    if payload == {}:
+        return "exhausted"
+    witness_m = record["bounds"]["witness_m"]
+    if not task.from_n <= witness_m <= task.cap:
+        return None
+    ring = session.ring
     entries = [
         CertificateEntry(
             cycle=de_vec(ring, e["cycle"]),
-            transported=de_vec(ring, e["transported"]),
             preimage_chain=de_vec(ring, e["preimage_chain"]),
             relation_lift=de_vec(ring, e["relation_lift"]),
             cycle_relation_lift=de_vec(ring, e["cycle_relation_lift"]),
@@ -211,35 +223,14 @@ def replay_prozero(record: dict, task: ProzeroTask, session: Session) -> bool:
         for e in payload["entries"]
     ]
     cert = ProZeroCertificate(
-        x=xs,
+        x=SequenceSpec(session.sequences[task.sequence]),
         i=task.degree,
-        base_n=payload["base_n"],
-        witness_m=payload["witness_m"],
-        M=M,
+        base_n=task.from_n,
+        witness_m=witness_m,
+        M=session.modules[task.module],
         entries=entries,
     )
-    return cert.verify()
-
-
-def _loc_payload(cert) -> dict:
-    return {"c": cert.c, "lift": ser_vec(cert.lift)}
-
-
-def _replay_loc(ring, M: FpModule, fa: dict, fb: dict, cert: dict) -> bool:
-    """Verify base^(c+b)*num_a - base^(c+a)*num_b == sum(lift * relations)."""
-    base = de_poly(ring, fa["base"])
-    if fa["base"] != fb["base"]:
-        return False
-    na = de_vec(ring, fa["numerator"])
-    nb = de_vec(ring, fb["numerator"])
-    c = cert["c"]
-    lift = de_vec(ring, cert["lift"])
-    lhs = vec_sub(
-        vec_scale(base ** (c + fb["exponent"]), na),
-        vec_scale(base ** (c + fa["exponent"]), nb),
-    )
-    rhs = vec_dot(lift, list(M.relations.gens), ring, M.rank)
-    return vec_is_zero(vec_sub(lhs, rhs))
+    return "pass" if cert.verify() else None
 
 
 def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
@@ -275,27 +266,26 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
                 "probes": probe_records,
             }
         )
-    return {
-        "kind": task.kind,
-        "label": task.pretty(),
-        "outcome": "pass" if ok else "fail",
-        "bounds": {"samples": task.samples, "probes": task.probes,
-                   "seed": task.seed},
-        "certificate": {"samples": samples},
-    }
+    return _record(task, "pass" if ok else "fail", {"samples": samples})
 
 
-def replay_roundtrip(record: dict, task: RoundtripTask, session: Session) -> bool:
+def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
+    """Both fractions of a probe have the probe y as their base."""
     M = session.modules[task.module]
-    ring = session.ring
-    for sample in record["certificate"]["samples"]:
+    samples = record["certificate"]["samples"]
+    if len(samples) != task.samples:
+        return None
+    for sample in samples:
+        if len(sample["probes"]) != task.probes:
+            return None
         for pr in sample["probes"]:
             if not pr["equal"]:
-                return record["outcome"] == "fail"
-            if not _replay_loc(ring, M, pr["sigma"], pr["theta"],
+                return "fail"
+            y = de_poly(session.ring, pr["y"])
+            if not _replay_loc(M, y, pr["sigma"], pr["theta"],
                                pr["loc_certificate"]):
-                return False
-    return record["outcome"] == "pass"
+                return None
+    return "pass"
 
 
 def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
@@ -331,7 +321,6 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
             )
             glue_ok = back[0]
             entry["glued"] = {
-                "y": ser_poly(res.y),
                 "numerator": ser_vec(res.numerator.vec),
                 "compat": res.compat,
                 "cocycle_exponent": res.cocycle.exponent,
@@ -375,56 +364,59 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
             ok = ok and pert["detected"] is not False
             entry["perturbed"] = pert
         samples.append(entry)
-    return {
-        "kind": task.kind,
-        "label": task.pretty(),
-        "outcome": "pass" if ok else "fail",
-        "bounds": {"samples": task.samples, "seed": task.seed},
-        "certificate": {"samples": samples, "torsion_only": full_torsion},
-    }
+    return _record(task, "pass" if ok else "fail",
+                   {"samples": samples, "torsion_only": full_torsion})
 
 
-def replay_sheaf(record: dict, task: SheafGlueTask, session: Session) -> bool:
+def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
+    """The glue denominator is y = sum(x_i^e), e = compat + cocycle_exponent;
+    each chart's restriction identity x_i^e*m - y*m'_i is in the relation
+    span, and the glued m/y equals element/1 in M_y."""
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     ring = session.ring
     rels = list(M.relations.gens)
-    for sample in record["certificate"]["samples"]:
-        glued = sample.get("glued")
+    samples = record["certificate"]["samples"]
+    if len(samples) != task.samples:
+        return None
+    for sample in samples:
+        glued = sample["glued"]
         if glued is None:
-            return record["outcome"] == "fail"
-        y = de_poly(ring, glued["y"])
-        num = de_vec(ring, glued["numerator"])
+            return "fail"
         e = glued["compat"] + glued["cocycle_exponent"]
-        primed = [de_vec(ring, v) for v in glued["primed"]]
-        for i, x in enumerate(xs.elements):
+        y = ring.zero()
+        for x in xs.elements:
+            y = y + x**e
+        num = de_vec(ring, glued["numerator"], M.rank)
+        primed, lifts = glued["primed"], glued["restriction_lifts"]
+        if len(primed) != xs.k or len(lifts) != xs.k:
+            return None
+        for x, mp, lift in zip(xs.elements, primed, lifts):
             lhs = vec_sub(
-                vec_scale(x**e, num), vec_scale(y, primed[i])
+                vec_scale(x**e, num), vec_scale(y, de_vec(ring, mp, M.rank))
             )
-            lift = de_vec(ring, glued["restriction_lifts"][i])
-            rhs = vec_dot(lift, rels, ring, M.rank)
+            rhs = vec_dot(de_vec(ring, lift, len(rels)), rels, ring, M.rank)
             if not vec_is_zero(vec_sub(lhs, rhs)):
-                return False
-        if glued["recovers_element"]:
-            fa = {"numerator": glued["numerator"], "base": glued["y"],
-                  "exponent": 1}
-            fb = {"numerator": sample["element"], "base": glued["y"],
-                  "exponent": 0}
-            if not _replay_loc(ring, M, fa, fb, glued["recover_certificate"]):
-                return False
+                return None
+        if not glued["recovers_element"]:
+            return "fail"
+        fa = {"numerator": glued["numerator"], "exponent": 1}
+        fb = {"numerator": sample["element"], "exponent": 0}
+        if not _replay_loc(M, y, fa, fb, glued["recover_certificate"]):
+            return None
         pert = sample.get("perturbed")
-        if pert and pert["detected"]:
-            witness = de_vec(ring, pert["witness"])
+        if pert is not None and pert["detected"] is False:
+            return "fail"
+        if pert is not None and pert["detected"]:
             # claimed-nonzero witness: re-reduce against the relations
-            if vec_is_zero(M.reduce(witness)):
-                return False
-    return record["outcome"] == "pass"
+            if vec_is_zero(M.reduce(de_vec(ring, pert["witness"]))):
+                return None
+    return "pass"
 
 
 def run_diagram(task: DiagramTask, session: Session) -> dict:
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
-    ring = session.ring
     rng = random.Random(task.seed)
     gamma = gamma_torsion(M, xs)
     samples = []
@@ -445,7 +437,6 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
             commutes = commutes and equal
             comps.append(
                 {
-                    "natural": _fraction_payload(natural.component_fraction(i)),
                     "through": _fraction_payload(through.component_fraction(i)),
                     "equal": equal,
                     "loc_certificate": _loc_payload(cert) if equal else None,
@@ -463,106 +454,49 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
                 "zero_cocycle": zero_cocycle,
             }
         )
-    return {
-        "kind": task.kind,
-        "label": task.pretty(),
-        "outcome": "pass" if ok else "fail",
-        "bounds": {"samples": task.samples, "seed": task.seed},
-        "certificate": {"samples": samples},
-    }
+    return _record(task, "pass" if ok else "fail", {"samples": samples})
 
 
-def replay_diagram(record: dict, task: DiagramTask, session: Session) -> bool:
+def replay_diagram(record: dict, task: DiagramTask, session: Session):
+    """Chart i compares the natural element/1 with the through fraction,
+    both over the base x_i."""
+    xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
-    ring = session.ring
-    for sample in record["certificate"]["samples"]:
+    samples = record["certificate"]["samples"]
+    if len(samples) != task.samples:
+        return None
+    for sample in samples:
         if sample["in_torsion"] != sample["zero_cocycle"]:
-            return record["outcome"] == "fail"
-        for comp in sample["components"]:
+            return "fail"
+        if len(sample["components"]) != xs.k:
+            return None
+        natural = {"numerator": sample["element"], "exponent": 0}
+        for x, comp in zip(xs.elements, sample["components"]):
             if not comp["equal"]:
-                return record["outcome"] == "fail"
-            if not _replay_loc(ring, M, comp["natural"], comp["through"],
+                return "fail"
+            if not _replay_loc(M, x, natural, comp["through"],
                                comp["loc_certificate"]):
-                return False
-    return record["outcome"] == "pass"
+                return None
+    return "pass"
 
 
 def run_idealization(task: IdealizationTask, session: Session) -> dict:
+    """rho_obstruction verifies the witness of every pole at every stage
+    1..cap; the witnesses are closed forms of (pole, cap), so the record
+    carries none of them."""
     ring = IdealizationRing(session.ring.field)
-    targets = []
-    ok = True
     for p in task.poles:
         if p < 1:
             raise StructuralError("pole orders must be positive")
-        witnesses = rho_obstruction(ring, ring.R.one(), p, task.cap)
-        ok = ok and all(w.verify() for w in witnesses)
-        targets.append(
-            {
-                "pole": p,
-                "stages": [
-                    {
-                        "stage": w.stage,
-                        "effective_stage": w.effective_stage,
-                        "required_r": ser_poly(w.required_value.r),
-                        "probe_index": w.effective_stage - 1,
-                        "pairing": {
-                            str(i): ser_coeff(c)
-                            for i, c in sorted(w.pairing.e.coeffs.items())
-                        },
-                    }
-                    for w in witnesses
-                ],
-            }
-        )
-    return {
-        "kind": task.kind,
-        "label": task.pretty(),
-        "outcome": "obstruction" if ok else "fail",
-        "bounds": {"cap": task.cap, "poles": list(task.poles)},
-        "certificate": {"targets": targets},
-    }
+        rho_obstruction(ring, ring.R.one(), p, task.cap)
+    return _record(task, "obstruction", {})
 
 
 def replay_idealization(record: dict, task: IdealizationTask,
-                        session: Session) -> bool:
-    """Re-check the witnesses against the task: one target per declared
-    pole, in order; stages exactly 1..cap; and at each stage the
-    effective stage max(n, pole), the probe e_(effective - 1) and the
-    required value x^(effective - pole) of the target 1/x^pole."""
-    ring = IdealizationRing(session.ring.field)
-    if record["bounds"] != {"cap": task.cap, "poles": list(task.poles)}:
-        return False
-    targets = record["certificate"]["targets"]
-    if [t["pole"] for t in targets] != list(task.poles):
-        return False
-    stages = list(range(1, task.cap + 1))
-    for pole, target in zip(task.poles, targets):
-        if [st["stage"] for st in target["stages"]] != stages:
-            return False
-        for n, st in zip(stages, target["stages"]):
-            n_eff = max(n, pole)
-            if (st["effective_stage"] != n_eff
-                    or st["probe_index"] != n_eff - 1):
-                return False
-            required_r = de_poly(ring.R, st["required_r"])
-            if required_r != ring.x ** (n_eff - pole):
-                return False
-            required = ring.s(required_r)
-            probe = ring.s(ring.R.zero(), ring.e(n_eff - 1))
-            pairing = probe * required
-            claimed = {
-                int(i): de_coeff(ring.field, c)
-                for i, c in st["pairing"].items()
-            }
-            if pairing.e.coeffs != claimed or not pairing.r.is_zero():
-                return False
-            if pairing.is_zero():
-                return False
-            # probe must annihilate the stage generator
-            xn = ring.x_power(n_eff)
-            if not (xn * probe).is_zero():
-                return False
-    return record["outcome"] == "obstruction"
+                        session: Session):
+    if record["certificate"] != {}:
+        return None
+    return run_idealization(task, session)["outcome"]
 
 
 _RUNNERS = {
@@ -581,19 +515,28 @@ _REPLAYERS = {
     "idealization": replay_idealization,
 }
 
+OUTCOMES = ("pass", "fail", "exhausted", "obstruction")
+
 
 def run_task(task, session: Session) -> dict:
     return _RUNNERS[task.kind](task, session)
 
 
 def replay_record(record: dict, task, session: Session) -> bool:
-    """A record with a field missing or of the wrong type or value fails
-    its replay; the caller goes on to the next record."""
+    """The record's kind, label and bounds must be the task's, and its
+    outcome the one its evidence supports.  A record with a field missing
+    or of the wrong type, length or value fails its replay; the caller goes
+    on to the next record."""
     try:
-        if record["kind"] != task.kind:
+        outcome = record["outcome"]
+        bounds = task.bounds()
+        if task.kind == "prozero" and outcome == "pass":
+            bounds["witness_m"] = record["bounds"]["witness_m"]
+        if (record["kind"], record["label"], record["bounds"]) != (
+                task.kind, task.pretty(), bounds) or outcome not in OUTCOMES:
             return False
-        return _REPLAYERS[task.kind](record, task, session)
-    except (KeyError, TypeError, ValueError):
+        return _REPLAYERS[task.kind](record, task, session) == outcome
+    except (KeyError, TypeError, ValueError, ParseError, StructuralError):
         return False
 
 

@@ -161,57 +161,40 @@ def test_replay_rejects_wrong_session(report):
         replay_report(other, session, rep)
 
 
-def _forge_idealization(rep, mutate):
-    """A copy of the report whose idealization record is changed by
-    ``mutate`` and re-digested, so only the certificate check can catch it."""
+def _forge(rep, index, mutate):
+    """A copy of the report whose record ``index`` is changed by ``mutate``
+    and re-digested, so only the replay checks can catch it."""
     forged = json.loads(json.dumps(rep))
-    rec = forged["records"][4]
-    assert rec["kind"] == "idealization"
-    mutate(rec)
-    rec["digest"] = record_digest(rec)
+    mutate(forged["records"][index])
+    forged["records"][index]["digest"] = record_digest(forged["records"][index])
     return forged
 
 
-def _one_fake_stage(rec):
-    for target in rec["certificate"]["targets"]:
-        target["stages"] = [{
-            "stage": 99, "effective_stage": 1, "probe_index": 0,
-            "required_r": "1", "pairing": {"0": "1"},
-        }]
+def _forge_idealization(rep, mutate):
+    assert rep["records"][4]["kind"] == "idealization"
+    return _forge(rep, 4, mutate)
 
 
-def _set_pole(rec):
-    rec["certificate"]["targets"][1]["pole"] = 2
+def _set_certificate(rec):
+    rec["certificate"] = {"targets": []}
 
 
-def _set_effective_stage(rec):
-    # stage 1 of the pole-3 target: effective stage 3 claimed as 4
-    rec["certificate"]["targets"][1]["stages"][0]["effective_stage"] = 4
-
-
-def _set_probe_index(rec):
-    rec["certificate"]["targets"][0]["stages"][1]["probe_index"] = 0
-
-
-def _set_required_r(rec):
-    # x^2 + x^5 pairs with the probe e_2 exactly as x^2 does
-    rec["certificate"]["targets"][0]["stages"][2]["required_r"] = "x^5 + x^2"
-
-
-def _drop_stage(rec):
-    del rec["certificate"]["targets"][0]["stages"][-1]
+def _set_poles(rec):
+    rec["bounds"]["poles"] = [1]
 
 
 def _set_cap(rec):
     rec["bounds"]["cap"] = 5
 
 
+def _set_fail(rec):
+    rec["outcome"] = "fail"
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [_one_fake_stage, _set_pole, _set_effective_stage, _set_probe_index,
-     _set_required_r, _drop_stage, _set_cap],
-    ids=["one-fake-stage", "pole", "effective-stage", "probe-index",
-         "required-r", "dropped-stage", "cap"],
+    [_set_cap, _set_certificate, _set_poles, _set_fail],
+    ids=["cap", "certificate", "poles", "outcome-fail"],
 )
 def test_replay_rejects_forged_idealization(report, mutate):
     rep, session = report
@@ -225,18 +208,18 @@ def test_main_replay_rejects_forged_idealization(report, tmp_path, capsys):
     f = tmp_path / "s.dk"
     f.write_text(GOOD)
     out = tmp_path / "forged.json"
-    out.write_text(json.dumps(_forge_idealization(rep, _one_fake_stage)))
+    out.write_text(json.dumps(_forge_idealization(rep, _set_certificate)))
     assert main(["run", str(f), "--replay", str(out)]) == 1
     capsys.readouterr()
 
 
-def _drop_pairing(rec):
-    del rec["certificate"]["targets"][0]["stages"][1]["pairing"]
+def _drop_certificate(rec):
+    del rec["certificate"]
 
 
 def test_replay_malformed_record_fails_that_record(report, tmp_path, capsys):
     rep, session = report
-    forged = _forge_idealization(rep, _drop_pairing)
+    forged = _forge_idealization(rep, _drop_certificate)
     out = replay_report(GOOD, session, forged)
     assert out["ok"] is False
     assert [r["verified"] for r in out["results"]] == [True] * 4 + [False]
@@ -246,6 +229,130 @@ def test_replay_malformed_record_fails_that_record(report, tmp_path, capsys):
     path.write_text(json.dumps(forged))
     assert main(["run", str(f), "--replay", str(path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _entry(rec):
+    return rec["certificate"]["entries"][0]
+
+
+def _samples(rec):
+    return rec["certificate"]["samples"]
+
+
+def _each_not_recovered(rec):
+    for sample in _samples(rec):
+        sample["glued"]["recovers_element"] = False
+
+
+def _each_perturbed_undetected(rec):
+    for sample in _samples(rec):
+        sample["perturbed"]["detected"] = False
+
+
+def _zero_probe(rec):
+    # M_0 = 0, so over the base 0 any two fractions are equal
+    probe = _samples(rec)[0]["probes"][0]
+    probe["y"] = "0"
+    probe["sigma"]["numerator"] = ["x + 7"]
+    probe["theta"]["numerator"] = ["y"]
+    probe["loc_certificate"]["c"] = 1
+
+
+# (record index in GOOD, mutation): each forgery re-digested, so only replay
+# can reject it; records 0-3 are prozero, roundtrip, sheaf-glue and diagram
+FORGERIES = {
+    "label": (1, lambda r: r.update(label="anything")),
+    "bounds-samples": (1, lambda r: r["bounds"].update(samples=99)),
+    "roundtrip-no-samples": (1, lambda r: r["certificate"].update(samples=[])),
+    "sheaf-no-samples": (2, lambda r: r["certificate"].update(samples=[])),
+    "diagram-no-samples": (3, lambda r: r["certificate"].update(samples=[])),
+    "probe-dropped": (1, lambda r: _samples(r)[0]["probes"].pop()),
+    "component-dropped": (3, lambda r: _samples(r)[1]["components"].pop()),
+    "primed-dropped": (2, lambda r: _samples(r)[0]["glued"]["primed"].pop()),
+    "restriction-lift-dropped":
+        (2, lambda r: _samples(r)[0]["glued"]["restriction_lifts"].pop()),
+    "primed-long": (2, lambda r: _samples(r)[0]["glued"]["primed"][0]
+                    .append("x")),
+    "restriction-lift-long": (2, lambda r: _samples(r)[0]["glued"]
+                              ["restriction_lifts"].__setitem__(0, ["x"])),
+    "zero-probe": (1, _zero_probe),
+    "witness-m": (0, lambda r: r["bounds"].update(witness_m=1)),
+    "prozero-fail": (0, lambda r: r.update(outcome="fail")),
+    "prozero-unknown-outcome": (0, lambda r: r.update(outcome="proven")),
+    "cycle-short": (0, lambda r: _entry(r)["cycle"].pop()),
+    "relation-lift-long":
+        (0, lambda r: _entry(r).update(relation_lift=["x"] * 5)),
+    "junk-polynomial": (0, lambda r: _entry(r)["cycle"].__setitem__(0, "x +")),
+    "sigma-long": (1, lambda r: _samples(r)[0]["probes"][0]["sigma"]
+                   ["numerator"].append("x + 1")),
+    "through-long": (3, lambda r: _samples(r)[1]["components"][0]["through"]
+                     ["numerator"].append("x + 1")),
+    "loc-lift-long": (1, lambda r: _samples(r)[0]["probes"][0]
+                      ["loc_certificate"].update(lift=["x"] * 3)),
+    "null-outcome": (1, lambda r: r.update(outcome=None,
+                                          certificate={"samples": []})),
+    "not-recovered": (2, _each_not_recovered),
+    "perturbation-undetected": (2, _each_perturbed_undetected),
+}
+
+
+@pytest.mark.parametrize("name", list(FORGERIES))
+def test_replay_rejects_forged_record(report, name):
+    rep, session = report
+    index, mutate = FORGERIES[name]
+    out = replay_report(GOOD, session, _forge(rep, index, mutate))
+    assert out["ok"] is False
+    assert [r["verified"] for r in out["results"]] == [
+        i != index for i in range(5)
+    ]
+
+
+@pytest.mark.parametrize("name", ["cycle-short", "junk-polynomial"])
+def test_main_replay_forged_record_exits_1(report, tmp_path, capsys, name):
+    rep, _ = report
+    assert _main_replay(tmp_path, _forge(rep, *FORGERIES[name])) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+EXHAUSTED = ("ring Q[x];\nsequence s = (x, x);\n"
+             "task prozero s degree 1 from 4 cap 5 allow-exhausted;\n")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda r: r["bounds"].update(cap=9),
+    lambda r: r.update(certificate={"m_max": 99}),
+], ids=["cap", "certificate"])
+def test_replay_rejects_forged_exhausted_record(mutate):
+    session = parse_session(EXHAUSTED)
+    rep = build_report(EXHAUSTED, session)
+    assert replay_report(EXHAUSTED, session, rep)["ok"] is True
+    out = replay_report(EXHAUSTED, session, _forge(rep, 0, mutate))
+    assert [r["verified"] for r in out["results"]] == [False]
+
+
+def test_replay_rejects_witness_beyond_cap(report):
+    # the tower of (x, x) is pro-zero at m = 2: a genuine stage-2
+    # certificate cannot turn a search capped at 1 into a pass
+    rep, _ = report
+    text = "ring Q[x,y];\nsequence s = (x, x);\n" \
+           "task prozero s degree 1 from 1 cap 1 allow-exhausted;\n"
+    session = parse_session(text)
+    capped = build_report(text, session)
+    assert capped["records"][0]["outcome"] == "exhausted"
+
+    def claim_pass(rec):
+        rec["outcome"] = "pass"
+        rec["bounds"]["witness_m"] = 2
+        rec["certificate"] = rep["records"][0]["certificate"]
+
+    out = replay_report(text, session, _forge(capped, 0, claim_pass))
+    assert [r["verified"] for r in out["results"]] == [False]
+
+
+def test_main_replay_v1_report_exits_2(report, tmp_path, capsys):
+    rep, _ = report
+    assert _main_replay(tmp_path, dict(rep, schema="deligne-kit/report/v1")) == 2
+    assert "unknown report schema" in capsys.readouterr().err
 
 
 def _main_replay(tmp_path, report):

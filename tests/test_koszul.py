@@ -214,7 +214,6 @@ def test_certificate_tamper_detected(R1):
         entries=[
             type(cert.entries[0])(
                 cycle=cert.entries[0].cycle,
-                transported=cert.entries[0].transported,
                 preimage_chain=tuple(p + R1.one() for p in cert.entries[0].preimage_chain),
                 relation_lift=cert.entries[0].relation_lift,
                 cycle_relation_lift=cert.entries[0].cycle_relation_lift,
