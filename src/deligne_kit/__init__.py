@@ -37,7 +37,6 @@ from .koszul import (
 )
 from .deligne import (
     CechCocycle,
-    CoverSpec,
     Glued,
     IdealTransformElement,
     IncompatibleWitness,

@@ -56,7 +56,8 @@ def build_report(session_text: str, session) -> dict:
 
 def replay_report(session_text: str, session, report: dict) -> dict:
     """Re-verify certificates only; no searches, no sampling.  A record that
-    is not a JSON object fails its own replay."""
+    is not a JSON object fails its own replay.  The report's ``ok``, which
+    no digest covers, must be what the verified outcomes give."""
     if not isinstance(report, dict):
         raise StructuralError("report is not a JSON object")
     if report.get("schema") != SCHEMA:
@@ -83,6 +84,10 @@ def replay_report(session_text: str, session, report: dict) -> dict:
             {"label": record.get("label"), "outcome": record.get("outcome"),
              "verified": verified}
         )
+    # every record verified, so each carries one of the documented outcomes
+    ok = ok and report.get("ok") is all(
+        record_acceptable(r, t) for r, t in zip(records, session.tasks)
+    )
     return {"schema": SCHEMA + "/replay", "results": results, "ok": ok}
 
 

@@ -133,17 +133,6 @@ def find_radical_witness(x: Poly, y: Poly, cap: int = 16):
 # Čech 0-cocycles
 
 
-class CoverSpec:
-    """The affine cover {D(x_i)} of the complement of V(J)."""
-
-    def __init__(self, sequence: SequenceSpec):
-        self.sequence = sequence
-
-    @property
-    def k(self):
-        return self.sequence.k
-
-
 class CechCocycle:
     """(m_i / x_i^n)_i with pairwise compatibility in M_{x_i x_j},
     verified at construction."""
@@ -435,15 +424,10 @@ def gamma_torsion(M: FpModule, xs: SequenceSpec) -> SaturationResult:
     return saturate(M, list(xs.elements))
 
 
-def diagram_check(m: ModuleElement, xs: SequenceSpec, cover=None) -> bool:
+def diagram_check(m: ModuleElement, xs: SequenceSpec) -> bool:
     """Elementwise commutativity and exactness: the natural map to the
     0-cocycles agrees with rho o tau, and kernel membership there matches
-    J-power torsion membership.  The cover defaults to the ideal's own
-    generating sequence."""
-    if cover is not None:
-        cov = cover.sequence if isinstance(cover, CoverSpec) else cover
-        if cov.key() != xs.key():
-            raise StructuralError("cover must match the ideal generators")
+    J-power torsion membership, over the cover {D(x_i)} of the sequence."""
     natural = CechCocycle.from_global(xs, m, exponent=0)
     through = rho_eval(IdealTransformElement.tau(xs, m))
     if not natural.equals(through):
@@ -495,8 +479,6 @@ def sheaf_check(sections, cover):
     cross-check the gluing against an independent lift (uniqueness), and
     verify every restriction; incompatible input yields the violating pair
     with a surviving witness."""
-    if isinstance(cover, CoverSpec):
-        cover = cover.sequence
     sections = list(sections)
     if len(sections) != cover.k:
         raise StructuralError("one section per cover element required")
@@ -543,9 +525,7 @@ def sheaf_check(sections, cover):
 
     lifts = []
     for i in range(cover.k):
-        diff = (xs[i] ** e) * glued - y * primed[i]
-        if not diff.is_zero():
-            raise InternalError("restriction identity failed")
+        # the remainder decides the identity x_i^e * m = y * m'_i in M
         raw = vec_sub(
             vec_scale(xs[i] ** e, glued.vec), vec_scale(y, primed[i].vec)
         )

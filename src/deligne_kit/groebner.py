@@ -288,25 +288,22 @@ class FreeSubmodule:
         # no kept lead divides another, so tail reduction keeps every lead
         leads = [leads[t] for t in kept]
 
-        # tail-reduce until stable, keeping combinations in sync
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(work)):
-                u_list = [u for u in range(len(work)) if u != t]
-                rem, quots = _reduce_full(
-                    work[t][0],
-                    [work[u][0] for u in u_list],
-                    [leads[u] for u in u_list],
-                    ring,
-                )
-                if vec_key(rem) != vec_key(work[t][0]):
-                    rep = work[t][1]
-                    for pos_q, q in enumerate(quots):
-                        if not q.is_zero():
-                            rep = vec_sub(rep, vec_scale(q, work[u_list[pos_q]][1]))
-                    work[t] = [rem, rep]
-                    changed = True
+        # tail-reduce in one pass, keeping combinations in sync: the leads
+        # never change, so a vector reduced against them stays reduced while
+        # the tails of the others change (Cox-Little-O'Shea, IVA 2.7)
+        for t in range(len(work)):
+            u_list = [u for u in range(len(work)) if u != t]
+            rem, quots = _reduce_full(
+                work[t][0],
+                [work[u][0] for u in u_list],
+                [leads[u] for u in u_list],
+                ring,
+            )
+            rep = work[t][1]
+            for pos_q, q in enumerate(quots):
+                if not q.is_zero():
+                    rep = vec_sub(rep, vec_scale(q, work[u_list[pos_q]][1]))
+            work[t] = [rem, rep]
 
         # monic, canonical order (descending leads; work is ascending)
         basis, reps, basis_leads = [], [], []

@@ -355,23 +355,29 @@ class SearchExhausted:
 
 def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):
     """Smallest m <= m_max with zero transition, as a verified
-    ProZeroCertificate; otherwise SearchExhausted."""
+    ProZeroCertificate; otherwise SearchExhausted.
+
+    The transition H_i(x^(m); M) -> H_i(x^(n); M) is zero exactly when every
+    cycle representative of the stage-m homology, carried to stage n by
+    transport_cycle, is a boundary there.  So each m is decided by boundary
+    lifts alone: the first representative without one moves the search on
+    to m + 1, and when all of them lift, the lifts are the certificate."""
     if m_max < n:
         raise StructuralError("m_max must be >= n")
     Hn = koszul_homology(x, n=n, M=M, i=i)
-    ring = x.ring
     for m in range(n, m_max + 1):
-        tr = homology_transition(x, i, m, n, M)
-        if not tr.is_zero():
+        cycles = koszul_homology(x, n=m, M=M, i=i).representatives
+        lifts = []
+        for z in cycles:
+            lifted = Hn.boundary_lift(transport_cycle(x, i, m, n, M, z))
+            if lifted is None:
+                break
+            lifts.append(lifted)
+        if len(lifts) < len(cycles):
             continue
         stage_m = _stage(x, m, M)
         entries = []
-        for z in tr.source.representatives:
-            transported = transport_cycle(x, i, m, n, M, z)
-            lifted = Hn.boundary_lift(transported)
-            if lifted is None:
-                raise InternalError("zero transition without boundary lift")
-            chain, rel_lift = lifted
+        for z, (chain, rel_lift) in zip(cycles, lifts):
             if i >= 1:
                 dz = stage_m.diff[i].apply_raw(z)
                 rem, cyc_lift = stage_m.chain[i - 1].relations.normal_form_lift(dz)

@@ -292,18 +292,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {self.ring._zero_mon: self.ring.field.one}
-
-    def is_constant(self) -> bool:
-        return not self.terms or (
-            len(self.terms) == 1 and self.ring._zero_mon in self.terms
-        )
-
-    def is_homogeneous(self) -> bool:
-        degs = {monomial_degree(m) for m in self.terms}
-        return len(degs) <= 1
-
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
         if not self.terms:
@@ -321,16 +309,6 @@ class Poly:
     def lead_monomial(self):
         lt = self.lead_term()
         return lt[0] if lt else None
-
-    def lead_coeff(self):
-        lt = self.lead_term()
-        return lt[1] if lt else self.ring.field.zero
-
-    def monic(self) -> "Poly":
-        lt = self.lead_term()
-        if lt is None or lt[1] == self.ring.field.one:
-            return self
-        return self.scale(self.ring.field.inv(lt[1]))
 
     # -- arithmetic -----------------------------------------------------
     def _check(self, other: "Poly"):

@@ -330,6 +330,23 @@ def test_replay_rejects_forged_exhausted_record(mutate):
     assert [r["verified"] for r in out["results"]] == [False]
 
 
+def test_main_replay_checks_report_ok(report, tmp_path, capsys):
+    # no digest covers the report's ok, so replay recomputes it from the
+    # verified outcomes: an honest failing report replays, a forged ok fails
+    f = tmp_path / "ex.dk"
+    f.write_text(EXHAUSTED.replace(" allow-exhausted", ""))
+    out = tmp_path / "report.json"
+    assert main(["run", str(f), "--out", str(out)]) == 1
+    failing = json.loads(out.read_text())
+    assert failing["ok"] is False
+    assert main(["run", str(f), "--replay", str(out)]) == 0
+    out.write_text(json.dumps(dict(failing, ok=True)))
+    assert main(["run", str(f), "--replay", str(out)]) == 1
+    rep, _ = report
+    assert _main_replay(tmp_path, dict(rep, ok=False)) == 1
+    capsys.readouterr()
+
+
 def test_replay_rejects_witness_beyond_cap(report):
     # the tower of (x, x) is pro-zero at m = 2: a genuine stage-2
     # certificate cannot turn a search capped at 1 into a pass
@@ -408,6 +425,45 @@ task deligne-roundtrip J T samples 2 seed 7;
 task sheaf-glue J T samples 2 seed 3;
 task diagram J T samples 2 seed 11;
 """
+
+
+# a rank-2 module in degrees 0..k: degree 0 runs to its cap (exhausted),
+# degree 1 passes at m = 4 and degree 2 at m = 3
+RANK2_TOWER = """\
+ring F32003[x,y] order grevlex;
+module P = coker [[x^2, y^2, 0, 0], [0, 0, x, y^3]];
+sequence s = (x, y);
+task prozero s degree 0 from 1 cap 3 module P allow-exhausted;
+task prozero s degree 1 from 1 cap 6 module P;
+task prozero s degree 2 from 1 cap 4 module P;
+"""
+
+# Record digests pinned across changes that must not move a certificate; a
+# change that legitimately changes lift coefficients updates them and says
+# so in CHANGES.md.
+PINNED_DIGESTS = {
+    "good": (GOOD, [
+        "97fabbb9c2b232becea1a9b1cbec07982da13e786c13841d64e28da17915d439",
+        "d31153d6aa8e697c8548a486fe2bde68d5c290e963012dde3b1cc96f22aad554",
+        "2b0f4a18801f2c65b520ee60633e869ba079d527b8b00276190a0112b9bb3361",
+        "b88633a141dbb85b614e2bb3d70a80858caeaa78834dae309c88393df60768ed",
+        "a3586096cb2b68a41f88bdb142cdb13913ddb85b33b5f46bdd208d1bc8283673",
+    ]),
+    "rank2-tower": (RANK2_TOWER, [
+        "2bb5bea71c53f28a36e804af43073d771f782ea4ff37f5dff4aaf2ff7023f7c8",
+        "3481edcdc5771321e4176137c4cb3264dad67105aacc21b678516e98039b11b3",
+        "d1edce147c6e704d3c74cfcacf03cc80eb51e3ac3d0f2fc15f33d2b9df53eccc",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_digests(name):
+    text, digests = PINNED_DIGESTS[name]
+    rep = build_report(text, parse_session(text))
+    assert [r["digest"] for r in rep["records"]] == [
+        "sha256:" + d for d in digests
+    ]
 
 
 @pytest.mark.parametrize("text", [TOWER, TRANSFORM], ids=["tower", "transform"])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deligne_kit import deligne
+from deligne_kit import deligne, koszul
 from deligne_kit.errors import StructuralError
 from deligne_kit.groebner import FreeSubmodule, vec_is_zero
 from deligne_kit.koszul import (
@@ -230,6 +230,75 @@ def test_pro_zero_prime_field():
     M = FpModule.quotient_ring(R5, [x * z])
     cert = pro_zero_search(xs, 1, 1, M, 12)
     assert isinstance(cert, ProZeroCertificate)
+    assert cert.verify()
+
+
+# The transition route is the reference for the search: pro_zero_search
+# must return the smallest m <= cap at which homology_transition is zero.
+# Each case maps the seeded variables to (sequence, module rank, relations,
+# degree, start n, cap, expected witness_m or None for an exhausted search).
+SEARCH_CASES = {
+    "Q-rank1-degree1": (QQ, "xy", lambda x, y: (
+        (x, y), 1, [(x * y,)], 1, 1, 4, 2)),
+    "Q-rank1-degree0": (QQ, "xy", lambda x, y: (
+        (x, y), 1, [(x * y - x.ring.one(),)], 0, 1, 3, 1)),
+    "Q-rank2-degree1": (QQ, "xy", lambda x, y: (
+        (x, x), 2, [(x, y), (0 * x, x**2)], 1, 1, 4, 4)),
+    "Q-rank2-degreek": (QQ, "xy", lambda x, y: (
+        (x, y), 2,
+        [(x**2, 0 * x), (y**2, 0 * x), (0 * x, x), (0 * x, y**3)], 2, 1, 4, 3)),
+    "Fp-rank1-degree1": (GF(5), "xy", lambda x, y: (
+        (x, y), 1, [(x**2 * y,)], 1, 2, 5, 4)),
+    "Fp-rank1-degreek": (GF(32003), "xyz", lambda x, y, z: (
+        (x, y, z), 1, [(x**2,), (y**2,), (z**2,)], 3, 1, 3, 3)),
+    "Fp-rank2-degree1": (GF(32003), "xyz", lambda x, y, z: (
+        (x, y, z), 2, [(x**2, y * z), (z * y, 0 * x)], 1, 1, 3, 2)),
+    "Fp-rank2-degree0-exhausted": (GF(5), "xy", lambda x, y: (
+        (x, y), 2, [(x * y, 0 * x)], 0, 1, 3, None)),
+    "Q-rank1-degree1-exhausted": (QQ, "x", lambda x: (
+        (x, x), 1, [], 1, 3, 5, None)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_search_matches_transition_reference(name, seed):
+    field, variables, build = SEARCH_CASES[name]
+    ring = PolyRing(field, tuple(variables))
+    # x_i -> a_i * x_i with seeded units a_i, as in the tower benchmark
+    rng = random.Random(seed)
+    seq, rank, rels, i, n, cap, expected = build(
+        *(rng.randrange(1, 5) * v for v in ring.gens())
+    )
+    xs = SequenceSpec(seq)
+    M = FpModule(ring, rank, rels)
+    out = pro_zero_search(xs, i, n, M, cap)
+    reference = next(
+        (m for m in range(n, cap + 1)
+         if homology_transition(xs, i, m, n, M).is_zero()),
+        None,
+    )
+    assert reference == expected
+    if reference is None:
+        assert isinstance(out, SearchExhausted)
+        assert (out.base_n, out.m_max) == (n, cap)
+    else:
+        assert isinstance(out, ProZeroCertificate)
+        assert out.witness_m == reference
+        assert out.verify()
+
+
+def test_search_builds_no_transition(R, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search decides by boundary lifts alone")
+
+    monkeypatch.setattr(koszul, "homology_transition", refuse)
+    monkeypatch.setattr(koszul.HomologyModule, "express", refuse)
+    x, y = R.gens()
+    M = FpModule.quotient_ring(R, [x * y])
+    cert = pro_zero_search(SequenceSpec((x, y)), 1, 1, M, 4)
+    assert isinstance(cert, ProZeroCertificate)
+    assert cert.witness_m == 2
     assert cert.verify()
 
 
