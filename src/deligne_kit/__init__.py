@@ -42,7 +42,6 @@ from .deligne import (
     IncompatibleWitness,
     InverseLimitElement,
     LocalFraction,
-    LocalityWitness,
     RhoObstruction,
     alpha_map,
     diagram_check,

@@ -133,9 +133,21 @@ def find_radical_witness(x: Poly, y: Poly, cap: int = 16):
 # Čech 0-cocycles
 
 
+class IncompatibleComponents(StructuralError):
+    """Components i and j whose cross difference w = x_j^n m_i - x_i^n m_j
+    no power of x_i x_j kills."""
+
+    def __init__(self, i: int, j: int, w: ModuleElement):
+        super().__init__(f"components {i} and {j} are not compatible")
+        self.i = i
+        self.j = j
+        self.w = w
+
+
 class CechCocycle:
     """(m_i / x_i^n)_i with pairwise compatibility in M_{x_i x_j},
-    verified at construction."""
+    verified at construction; an incompatible pair raises
+    IncompatibleComponents."""
 
     def __init__(self, cover: SequenceSpec, exponent: int, components, module=None):
         components = tuple(components)
@@ -160,9 +172,7 @@ class CechCocycle:
                 ) * components[j]
                 c = kill_exponent(M, xs[i] * xs[j], w)
                 if c is None:
-                    raise StructuralError(
-                        f"components {i} and {j} are not compatible"
-                    )
+                    raise IncompatibleComponents(i, j, w)
                 kills[(i, j)] = c
         self.pair_kills = kills
 
@@ -464,21 +474,10 @@ class IncompatibleWitness:
     witness: ModuleElement
 
 
-@dataclass
-class LocalityWitness:
-    """Two gluings of the same data that disagree at a probe (never occurs
-    for valid input; kept as the falsifiable outcome of the first axiom)."""
-
-    probe: Poly
-    first: LocalFraction
-    second: LocalFraction
-
-
 def sheaf_check(sections, cover):
-    """Verify the sheaf axioms on one compatible family: glue (existence),
-    cross-check the gluing against an independent lift (uniqueness), and
-    verify every restriction; incompatible input yields the violating pair
-    with a surviving witness."""
+    """Verify the sheaf axioms on one compatible family: glue it and verify
+    every restriction; incompatible input yields the violating pair with a
+    surviving witness."""
     sections = list(sections)
     if len(sections) != cover.k:
         raise StructuralError("one section per cover element required")
@@ -494,23 +493,16 @@ def sheaf_check(sections, cover):
     comps = [
         (x ** (n - s.exponent)) * s.numerator for s, x in zip(sections, xs)
     ]
-
-    # pairwise compatibility with witnesses instead of exceptions
-    kills = {}
-    for i in range(cover.k):
-        for j in range(i + 1, cover.k):
-            w = (xs[j] ** n) * comps[i] - (xs[i] ** n) * comps[j]
-            c = kill_exponent(M, xs[i] * xs[j], w)
-            if c is None:
-                t_star = base_torsion(M, xs[i] * xs[j]).t_star
-                witness = ((xs[i] * xs[j]) ** t_star) * w
-                return IncompatibleWitness(
-                    i=i, j=j, exponent=n, t_star=t_star, witness=witness
-                )
-            kills[(i, j)] = c
-
-    cocycle = CechCocycle(cover, n, comps, module=M)
-    cc = max(kills.values(), default=0)
+    try:
+        cocycle = CechCocycle(cover, n, comps, module=M)
+    except IncompatibleComponents as bad:
+        xij = xs[bad.i] * xs[bad.j]
+        t_star = base_torsion(M, xij).t_star
+        return IncompatibleWitness(
+            i=bad.i, j=bad.j, exponent=n, t_star=t_star,
+            witness=(xij**t_star) * bad.w,
+        )
+    cc = cocycle.compat_exponent()
     # keep the glue denominator inside the ideal: e >= 1 even for n = 0
     e = max(1, cc + n)
     cc = e - n
@@ -534,7 +526,7 @@ def sheaf_check(sections, cover):
             raise InternalError("restriction lift failed")
         lifts.append(tuple(lift))
 
-    result = Glued(
+    return Glued(
         y=y,
         numerator=glued,
         exponent=1,
@@ -542,9 +534,3 @@ def sheaf_check(sections, cover):
         cocycle=cocycle,
         restriction_lifts=tuple(lifts),
     )
-
-    # uniqueness: an independently lifted gluing must agree at the probe
-    other = sigma_inverse(cocycle, y)
-    if not loc_equal(result.fraction(), other):
-        return LocalityWitness(probe=y, first=result.fraction(), second=other)
-    return result

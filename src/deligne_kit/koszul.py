@@ -10,6 +10,7 @@ subset S component being multiplication by prod_{j in S} x_j^(m-n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InternalError, StructuralError
@@ -136,27 +137,32 @@ def _stage(x: SequenceSpec, n: int, M: FpModule) -> KoszulStage:
 
 
 class HomologyModule:
-    """H_i of a Koszul stage: a presentation whose generators carry cycle
-    representatives in the stage's ambient coordinates."""
+    """H_i of a Koszul stage, given by cycle representatives in the stage's
+    ambient coordinates.  Built eagerly: the representatives and the span
+    of boundaries and stage relations that ``boundary_lift`` reduces
+    against.  Built on first use: ``presentation`` (one ``kernel_mod``) and
+    the span that ``express`` reduces against."""
 
-    def __init__(self, stage: KoszulStage, i: int, presentation: FpModule,
-                 representatives):
+    def __init__(self, stage: KoszulStage, i: int, representatives):
         self.stage = stage
         self.i = i
-        self.presentation = presentation
         self.representatives = tuple(tuple(r) for r in representatives)
-        ring = stage.x.ring
-        spanned = (
-            list(self.representatives)
-            + stage.boundary_columns(i)
-            + list(stage.chain[i].relations.gens)
-        )
-        self._express_span = FreeSubmodule(ring, stage.chain[i].rank, spanned)
         self._boundary_span = FreeSubmodule(
-            ring,
+            stage.x.ring,
             stage.chain[i].rank,
             stage.boundary_columns(i) + list(stage.chain[i].relations.gens),
         )
+
+    @cached_property
+    def presentation(self) -> FpModule:
+        b = self._boundary_span
+        relations = kernel_mod(self.representatives, b.gens, b.ring, b.rank)
+        return FpModule(b.ring, len(self.representatives), relations)
+
+    @cached_property
+    def _express_span(self) -> FreeSubmodule:
+        b = self._boundary_span
+        return FreeSubmodule(b.ring, b.rank, self.representatives + b.gens)
 
     def express(self, vec) -> ModuleElement:
         """Coordinates of a cycle in the homology presentation."""
@@ -200,14 +206,7 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
             ker_gens.append(tuple(v))
     else:
         ker_gens = list(module_kernel(stage.diff[i]).generators)
-    relations = kernel_mod(
-        ker_gens,
-        stage.boundary_columns(i) + list(stage.chain[i].relations.gens),
-        ring,
-        stage.chain[i].rank,
-    )
-    pres = FpModule(ring, len(ker_gens), relations)
-    hom = HomologyModule(stage, i, pres, ker_gens)
+    hom = HomologyModule(stage, i, ker_gens)
     M.memo[key] = hom
     return hom
 

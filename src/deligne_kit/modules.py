@@ -4,6 +4,7 @@ radical-membership lifts."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .errors import InternalError, StructuralError
@@ -152,8 +153,9 @@ class ModuleElement:
 
 class ModuleHom:
     """A homomorphism between presented modules, given on ambient basis
-    vectors by columns; construction verifies that every source relation
-    maps into the target relations and keeps the lift as a certificate."""
+    vectors by columns.  Construction checks that every source relation
+    maps into the target relations and keeps no lift; nothing is built on
+    first use."""
 
     def __init__(self, source: FpModule, target: FpModule, columns):
         columns = [tuple(c) for c in columns]
@@ -165,16 +167,12 @@ class ModuleHom:
         self.source = source
         self.target = target
         self.columns = tuple(columns)
-        certificates = []
         for rel in source.relations.gens:
             image = vec_dot(rel, self.columns, target.ring, target.rank)
-            rem, lift = target.relations.normal_form_lift(image)
-            if not vec_is_zero(rem):
+            if not target.relations.contains(image):
                 raise StructuralError(
                     "relation does not map into target relations"
                 )
-            certificates.append(lift)
-        self.certificates = tuple(certificates)
 
     def apply_raw(self, vec) -> Vector:
         return vec_dot(tuple(vec), self.columns, self.target.ring, self.target.rank)
@@ -203,12 +201,25 @@ class ModuleHom:
 
 
 class KernelResult:
-    """Presentation of ker(h) with its inclusion into the source."""
+    """ker(h).  Built eagerly: ``generators``, ambient vectors of h's
+    source.  Built on first use: the presentation ``module`` (one more
+    ``kernel_mod``) and its ``inclusion`` into the source."""
 
-    def __init__(self, module: FpModule, inclusion: ModuleHom, generators):
-        self.module = module
-        self.inclusion = inclusion
+    def __init__(self, h: ModuleHom, generators):
+        self.h = h
         self.generators = tuple(tuple(g) for g in generators)
+
+    @cached_property
+    def module(self) -> FpModule:
+        source = self.h.source
+        relations = kernel_mod(
+            self.generators, source.relations.gens, source.ring, source.rank
+        )
+        return FpModule(source.ring, len(self.generators), relations)
+
+    @cached_property
+    def inclusion(self) -> ModuleHom:
+        return ModuleHom(self.module, self.h.source, self.generators)
 
 
 def module_kernel(h: ModuleHom) -> KernelResult:
@@ -216,12 +227,7 @@ def module_kernel(h: ModuleHom) -> KernelResult:
     gens = kernel_mod(
         list(h.columns), list(h.target.relations.gens), ring, h.target.rank
     )
-    relations = kernel_mod(
-        gens, list(h.source.relations.gens), ring, h.source.rank
-    )
-    ker = FpModule(ring, len(gens), relations)
-    incl = ModuleHom(ker, h.source, gens)
-    return KernelResult(ker, incl, gens)
+    return KernelResult(h, gens)
 
 
 def blockdiag_relations(relation_gens, mrank: int, blocks: int, ring):

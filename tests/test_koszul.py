@@ -13,7 +13,7 @@ from deligne_kit.koszul import (
     koszul_homology,
     pro_zero_search,
 )
-from deligne_kit.modules import FpModule, colon_generators
+from deligne_kit.modules import FpModule, KernelResult, colon_generators
 from deligne_kit.rings import GF, QQ, PolyRing
 
 
@@ -300,6 +300,28 @@ def test_search_builds_no_transition(R, monkeypatch):
     assert isinstance(cert, ProZeroCertificate)
     assert cert.witness_m == 2
     assert cert.verify()
+
+
+def test_pro_zero_search_builds_no_presentation(monkeypatch, R, R1):
+    # the search reads representatives and boundary lifts only; reading a
+    # presentation or a kernel inclusion fails the search
+    def unread(self):
+        raise AssertionError("pro_zero_search built a presentation")
+
+    for cls, name in ((koszul.HomologyModule, "presentation"),
+                      (KernelResult, "module"),
+                      (KernelResult, "inclusion")):
+        monkeypatch.setattr(cls, name, property(unread))
+    (x,) = R1.gens()
+    cert = pro_zero_search(SequenceSpec((x, x)), 1, 2, FpModule.free(R1, 1), 6)
+    assert cert.witness_m == 4 and cert.verify()
+    a, b = R.gens()
+    z = R.zero()
+    P = FpModule(R, 2, [(a**2, z), (b**2, z), (z, a), (z, b**3)])
+    cert = pro_zero_search(SequenceSpec((a, b)), 1, 1, P, 6)
+    assert cert.witness_m == 4 and cert.verify()
+    out = pro_zero_search(SequenceSpec((x, x)), 1, 4, FpModule.free(R1, 1), 6)
+    assert isinstance(out, SearchExhausted)
 
 
 # ---------------------------------------------------------------- memos
