@@ -19,6 +19,21 @@ pair is skipped, without being reduced, by either criterion:
   the other coordinates survive, e.g. (x, 1) and (y, 0) have the S-vector
   (0, y), which is a new basis element.
 
+Schreyer syzygies (``FreeSubmodule.syzygies``) take the same-position
+pairs of the reduced basis in the same order, smallest POT lcm first, ties
+broken by (i, j), and skip a pair by the same chain criterion
+(``_chain_skips``); the product criterion is not used there.  Each kept
+pair (i, j) gives the lead-term syzygy tau_ij = (lcm/lt_i) e_i -
+(lcm/lt_j) e_j, lifted by reducing its S-vector to zero.  The kept tau
+still generate Syz(LT), the syzygies of the lead terms: the tau_ij of all
+same-position pairs generate it, and every pair is, by induction on the
+order in which pairs are taken, in the span of the kept tau taken before
+it.  A kept pair is its own witness.  A pair skipped because of k has
+tau_ij = (lcm_ij/lcm_ik) tau_ik - (lcm_ij/lcm_jk) tau_jk, up to unit
+factors, and (i, k) and (j, k) were taken earlier.  By Schreyer's theorem
+the lifts of generators of Syz(LT) generate Syz(basis) (Eisenbud,
+Commutative Algebra, 15.10; Cox-Little-O'Shea, IVA 2.10).
+
 Normal forms (``_reduce_full``) copy the input vector once into one plain
 dict per position and update it, the remainder and each quotient in place;
 they become polynomials only at the end.  Positions are taken in POT order
@@ -160,6 +175,22 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
     )
 
 
+def _chain_skips(i, j, lcm, leads, done) -> bool:
+    """The chain criterion for the same-position pair (i, j): a third lead
+    at that position divides the lcm, and both of its pairs with i and j
+    are in done, the pairs already taken (as (min, max) index tuples)."""
+    pos = leads[i][0]
+    return any(
+        k != i
+        and k != j
+        and lk[0] == pos
+        and monomial_divides(lk[1], lcm)
+        and (min(i, k), max(i, k)) in done
+        and (min(j, k), max(j, k)) in done
+        for k, lk in enumerate(leads)
+    )
+
+
 # ---------------------------------------------------------------------------
 # free submodules
 
@@ -239,19 +270,11 @@ class FreeSubmodule:
         while queue:
             _, i, j, lcm = heapq.heappop(queue)
             done.add((i, j))
-            pos, mon_i, c_i = leads[i]
+            _, mon_i, c_i = leads[i]
             _, mon_j, c_j = leads[j]
             if self.rank == 1 and lcm == monomial_mul(mon_i, mon_j):
                 continue  # product criterion
-            if any(
-                k != i
-                and k != j
-                and lk[0] == pos
-                and monomial_divides(lk[1], lcm)
-                and (min(i, k), max(i, k)) in done
-                and (min(j, k), max(j, k)) in done
-                for k, lk in enumerate(leads)
-            ):
+            if _chain_skips(i, j, lcm, leads, done):
                 continue  # chain criterion
             vi, ri = work[i]
             vj, rj = work[j]
@@ -373,29 +396,37 @@ class FreeSubmodule:
         s = len(basis)
         r = len(self.gens)
 
-        # Schreyer generators: syzygies among the basis elements
-        basis_syz = []
+        # Schreyer generators: syzygies among the basis elements, one per
+        # same-position pair the chain criterion keeps, in POT-lcm order
+        pairs = []
         for i in range(s):
             for j in range(i + 1, s):
-                li, lj = leads[i], leads[j]
-                if li[0] != lj[0]:
-                    continue
-                lcm = monomial_lcm(li[1], lj[1])
-                mi, ci = monomial_div(lcm, li[1]), fld.inv(li[2])
-                mj, cj = monomial_div(lcm, lj[1]), fld.inv(lj[2])
-                s_vec = vec_sub(
-                    vec_mul_term(ci, mi, basis[i]), vec_mul_term(cj, mj, basis[j])
-                )
-                rem, quots = _reduce_full(s_vec, basis, leads, ring)
-                if not vec_is_zero(rem):
-                    raise InternalError("S-pair of a Gröbner basis not zero")
-                syz = [ring.zero() for _ in range(s)]
-                syz[i] = syz[i] + ring.term(ci, mi)
-                syz[j] = syz[j] - ring.term(cj, mj)
-                for t, q in enumerate(quots):
-                    syz[t] = syz[t] - q
-                if not vec_is_zero(tuple(syz)):
-                    basis_syz.append(tuple(syz))
+                if leads[i][0] == leads[j][0]:
+                    lcm = monomial_lcm(leads[i][1], leads[j][1])
+                    pairs.append((_pot_key(ring, leads[i][0], lcm), i, j, lcm))
+        pairs.sort()
+        done = set()
+        basis_syz = []
+        for _, i, j, lcm in pairs:
+            done.add((i, j))
+            li, lj = leads[i], leads[j]
+            if _chain_skips(i, j, lcm, leads, done):
+                continue  # chain criterion
+            mi, ci = monomial_div(lcm, li[1]), fld.inv(li[2])
+            mj, cj = monomial_div(lcm, lj[1]), fld.inv(lj[2])
+            s_vec = vec_sub(
+                vec_mul_term(ci, mi, basis[i]), vec_mul_term(cj, mj, basis[j])
+            )
+            rem, quots = _reduce_full(s_vec, basis, leads, ring)
+            if not vec_is_zero(rem):
+                raise InternalError("S-pair of a Gröbner basis not zero")
+            syz = [ring.zero() for _ in range(s)]
+            syz[i] = syz[i] + ring.term(ci, mi)
+            syz[j] = syz[j] - ring.term(cj, mj)
+            for t, q in enumerate(quots):
+                syz[t] = syz[t] - q
+            if not vec_is_zero(tuple(syz)):
+                basis_syz.append(tuple(syz))
 
         # translate to the original generators:
         #   rows of (I - lift . rep)  and  (basis syzygy) . rep

@@ -138,16 +138,20 @@ def _stage(x: SequenceSpec, n: int, M: FpModule) -> KoszulStage:
 
 class HomologyModule:
     """H_i of a Koszul stage, given by cycle representatives in the stage's
-    ambient coordinates.  Built eagerly: the representatives and the span
-    of boundaries and stage relations that ``boundary_lift`` reduces
-    against.  Built on first use: ``presentation`` (one ``kernel_mod``) and
-    the span that ``express`` reduces against."""
+    ambient coordinates.  Built eagerly: the representatives.  Built on
+    first use: the span of boundaries and stage relations that
+    ``boundary_lift`` reduces against, ``presentation`` (one
+    ``kernel_mod``) and the span that ``express`` reduces against."""
 
     def __init__(self, stage: KoszulStage, i: int, representatives):
         self.stage = stage
         self.i = i
         self.representatives = tuple(tuple(r) for r in representatives)
-        self._boundary_span = FreeSubmodule(
+
+    @cached_property
+    def _boundary_span(self) -> FreeSubmodule:
+        stage, i = self.stage, self.i
+        return FreeSubmodule(
             stage.x.ring,
             stage.chain[i].rank,
             stage.boundary_columns(i) + list(stage.chain[i].relations.gens),

@@ -405,18 +405,6 @@ class SaturationResult:
         vec = elem.vec if isinstance(elem, ModuleElement) else tuple(elem)
         return self._span.contains(vec)
 
-    def submodule(self):
-        """Presentation of the torsion submodule plus its inclusion."""
-        relations = kernel_mod(
-            list(self.generators),
-            list(self.module.relations.gens),
-            self.module.ring,
-            self.module.rank,
-        )
-        sub = FpModule(self.module.ring, len(self.generators), relations)
-        incl = ModuleHom(sub, self.module, list(self.generators))
-        return sub, incl
-
 
 _MAX_COLON_CHAIN = 256
 
@@ -449,7 +437,10 @@ def saturate(M: FpModule, J) -> SaturationResult:
             return SaturationResult(M, polys, t, prev_gens)
         prev_gens, prev_span = next_gens, next_span
         t += 1
-    raise InternalError("colon chain failed to stabilize")
+    raise InternalError(
+        f"colon chain 0 :_M J^t failed to stabilize by t = {_MAX_COLON_CHAIN}"
+        f" for J = ({', '.join(str(p) for p in polys)})"
+    )
 
 
 def radical_lift(y: Poly, xs, exponent: int):

@@ -126,19 +126,21 @@ def vector_degree(vec, shifts=None):
 
 def degreewise_syzygies(gens, ring: PolyRing, degree: int):
     """Basis of {(c_j) : sum(c_j * g_j) = 0} with each c_j homogeneous of
-    degree (degree - deg g_j); pure linear algebra."""
-    gen_degs = [g.total_degree() for g in gens]
+    degree (degree - deg g_j); pure linear algebra.  The g_j are nonzero
+    homogeneous polynomials, or vectors (tuples) of polynomials, each
+    homogeneous of one total degree."""
+    vecs = [g if isinstance(g, tuple) else (g,) for g in gens]
+    gen_degs = [vector_degree(v) for v in vecs]
     cols = []
     layout = []
-    target = monomials_of_degree(ring.nvars, degree)
-    for j, g in enumerate(gens):
+    for j, v in enumerate(vecs):
         for mon in monomials_of_degree(ring.nvars, degree - gen_degs[j]):
-            prod = g.mul_term(ring.field.one, mon)
-            cols.append(poly_coords(prod, target))
+            prod = tuple(p.mul_term(ring.field.one, mon) for p in v)
+            cols.append(vector_coords(prod, ring, degree))
             layout.append((j, mon))
     if not cols:
         return [], layout
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(len(target))]
+    rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
     return kernel_basis(rows, ring.field, len(cols)), layout
 
 

@@ -23,6 +23,7 @@ from deligne_kit.deligne import (
     sigma_inverse,
     theta_probe,
 )
+from deligne_kit.groebner import kernel_mod
 from deligne_kit.idealization import (
     IdealizationRing,
     h1_transition_witness,
@@ -39,6 +40,7 @@ from deligne_kit.koszul import (
 )
 from deligne_kit.modules import (
     FpModule,
+    ModuleHom,
     hom_module,
     ideal_as_module,
     ideal_power,
@@ -94,9 +96,13 @@ def test_criterion_1_roundtrip_rho_sigma_theta():
 
 def _gamma_valued_homs(xs, M, stage, count, seed):
     """Random homs with values inside the torsion submodule: by exactness
-    these are precisely rho-kernel representatives."""
+    these are precisely rho-kernel representatives.  The torsion submodule
+    is presented on its generators, as KernelResult presents a kernel."""
     gamma = gamma_torsion(M, xs)
-    sub, incl = gamma.submodule()
+    g = gamma.generators
+    relations = kernel_mod(g, M.relations.gens, M.ring, M.rank)
+    sub = FpModule(M.ring, len(g), relations)
+    incl = ModuleHom(sub, M, g)
     pres, gens = ideal_as_module(xs.elements, stage)
     H = hom_module(pres, sub)
     rng = random.Random(seed)

@@ -16,7 +16,15 @@ from deligne_kit.groebner import (
     vec_lead,
     vec_sub,
 )
-from deligne_kit.rings import GF, QQ, Poly, PolyRing, monomial_divides
+from deligne_kit.rings import (
+    GF,
+    QQ,
+    Poly,
+    PolyRing,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+)
 
 from oracles import (
     degreewise_syzygies,
@@ -214,11 +222,11 @@ def _random_homogeneous_vector(ring, rng, rank, degree):
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
 @pytest.mark.parametrize("rank", [1, 2])
 def test_criteria_give_groebner_basis_oracle(field, rank):
-    # Seeded random homogeneous generators.  syzygies() reduces every
-    # same-position S-pair of the basis with no criteria and raises
-    # InternalError on a nonzero remainder; the degreewise spans of basis
-    # and generators are compared by linear algebra up to the top basis
-    # degree.
+    # Seeded random homogeneous generators.  Every same-position S-vector
+    # of the basis reduces to zero under the reference reduction (the
+    # Buchberger criterion, independent of the pair criteria); the
+    # degreewise spans of basis and generators are compared by linear
+    # algebra up to the top basis degree.
     ring = PolyRing(field, ("x", "y", "z"))
     rng = random.Random(f"criteria:{field.name}:{rank}")
     for _ in range(8):
@@ -228,8 +236,19 @@ def test_criteria_give_groebner_basis_oracle(field, rank):
         ]
         gens = [g for g in gens if not vec_is_zero(g)]
         S = FreeSubmodule(ring, rank, gens)
-        S.syzygies()
         basis = list(S.basis())
+        leads = [vec_lead(b, ring) for b in basis]
+        for (bi, li), (bj, lj) in itertools.combinations(zip(basis, leads), 2):
+            if li[0] != lj[0]:
+                continue
+            lcm = monomial_lcm(li[1], lj[1])
+            ci, cj = field.inv(li[2]), field.inv(lj[2])
+            mi, mj = monomial_div(lcm, li[1]), monomial_div(lcm, lj[1])
+            s_vec = tuple(
+                p.mul_term(ci, mi) - q.mul_term(cj, mj) for p, q in zip(bi, bj)
+            )
+            rem, _ = reduce_full_reference(s_vec, basis, leads, ring)
+            assert vec_is_zero(rem)
         gdegs = [vector_degree(g) for g in gens]
         bdegs = [vector_degree(b) for b in basis]
         for d in range(max(bdegs, default=0) + 1):
@@ -282,6 +301,83 @@ def test_pair_criteria_stay_on(monkeypatch, make):
     monkeypatch.setattr(groebner, "_reduce_full", counting)
     FreeSubmodule(ring, rank, gens).groebner()
     assert calls[0] < _same_position_pairs(gens, ring)
+
+
+# ---------------------------------------------------------------- Schreyer pairs
+
+
+def _random_homogeneous_submodules(field, rank):
+    # rank + 3 generators, so that syzygies exist and the chain criterion
+    # skips pairs on every field and rank; linear ones at rank 3, where
+    # quadrics make the oracle's linear algebra slow
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(f"schreyer:{field.name}:{rank}")
+    for _ in range(3):
+        gens = []
+        while len(gens) < rank + 3:
+            degree = rng.randint(1, 2) if rank < 3 else 1
+            g = _random_homogeneous_vector(ring, rng, rank, degree)
+            if not vec_is_zero(g):
+                gens.append(g)
+        yield ring, FreeSubmodule(ring, rank, gens)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_schreyer_syzygies_sound_and_complete(field, rank):
+    # every generator is a syzygy, exactly; the degreewise span equals the
+    # linear-algebra kernel in every degree up to the largest lcm of two
+    # same-position basis leads, the top degree of a Schreyer generator
+    for ring, S in _random_homogeneous_submodules(field, rank):
+        gens = list(S.gens)
+        Z = S.syzygies()
+        for z in Z.gens:
+            assert vec_is_zero(vec_dot(z, gens, ring, rank))
+        gdegs = [vector_degree(g) for g in gens]
+        zdegs = [vector_degree(z, shifts=gdegs) for z in Z.gens]
+        leads = [vec_lead(b, ring) for b in S.basis()]
+        top = max(gdegs + [
+            sum(max(a, b) for a, b in zip(li[1], lj[1]))
+            for li, lj in itertools.combinations(leads, 2) if li[0] == lj[0]
+        ])
+        for d in range(min(gdegs), top + 1):
+            kernel, layout = degreewise_syzygies(gens, ring, d)
+            assert span_dimension(
+                Z.gens, ring, d, gen_degrees=zdegs, shifts=gdegs
+            ) == len(kernel)
+            for v in syzygy_vectors_from_kernel(kernel, layout, gens, ring):
+                assert Z.contains(v)
+
+
+def test_schreyer_chain_criterion_stays_on(monkeypatch, R):
+    # leads x^2 > xy > y^2: the pair (x^2, y^2) comes last, and xy divides
+    # its lcm with both of its pairs taken, so two of the three pairs are
+    # reduced; without the criterion all three would be
+    x, y = R.gens()
+    gens = [(x**2,), (x * y,), (y**2,)]
+    S = FreeSubmodule(R, 1, gens).groebner()
+    calls = [0]
+    reduce_full = groebner._reduce_full
+
+    def counting(*args):
+        calls[0] += 1
+        return reduce_full(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_full", counting)
+    Z = S.syzygies()
+    assert calls[0] == 2 < _same_position_pairs(gens, R)
+    assert Z.contains((y, -x, R.zero())) and Z.contains((R.zero(), y, -x))
+
+
+def test_schreyer_pairs_with_equal_lcms():
+    # leads xy, xz, yz: each divides the lcm xyz of the other two, so only
+    # the order in which pairs are taken keeps the criterion from skipping
+    # all three; two are needed
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    Z = FreeSubmodule(ring, 1, [(x * y,), (x * z,), (y * z,)]).syzygies()
+    assert Z.contains((z, -y, zero)) and Z.contains((zero, y, -x))
 
 
 # ---------------------------------------------------------------- reduction kernel

@@ -324,6 +324,35 @@ def test_pro_zero_search_builds_no_presentation(monkeypatch, R, R1):
     assert isinstance(out, SearchExhausted)
 
 
+def test_pro_zero_search_builds_boundary_span_at_stage_n_only(monkeypatch, R, R1):
+    # stages m > n are read for their representatives only; their boundary
+    # spans are never reduced against, so none is built
+    span = koszul.HomologyModule._boundary_span
+    built = set()
+
+    def recording(self):
+        built.add(self.stage.n)
+        return span.func(self)
+
+    monkeypatch.setattr(koszul.HomologyModule, "_boundary_span",
+                        property(recording))
+    (x,) = R1.gens()
+    cert = pro_zero_search(SequenceSpec((x, x)), 1, 2, FpModule.free(R1, 1), 6)
+    assert cert.witness_m == 4 and cert.verify()
+    assert built == {2}
+    built.clear()
+    a, b = R.gens()
+    z = R.zero()
+    P = FpModule(R, 2, [(a**2, z), (b**2, z), (z, a), (z, b**3)])
+    cert = pro_zero_search(SequenceSpec((a, b)), 1, 1, P, 6)
+    assert cert.witness_m == 4 and cert.verify()
+    assert built == {1}
+    built.clear()
+    out = pro_zero_search(SequenceSpec((x, x)), 1, 4, FpModule.free(R1, 1), 6)
+    assert isinstance(out, SearchExhausted)
+    assert built == {4}
+
+
 # ---------------------------------------------------------------- memos
 
 

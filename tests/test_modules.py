@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from deligne_kit.errors import StructuralError
+from deligne_kit import modules
+from deligne_kit.errors import InternalError, StructuralError
 from deligne_kit.groebner import FreeSubmodule, vec_dot, vec_is_zero
 from deligne_kit.modules import (
     FpModule,
@@ -176,6 +177,20 @@ def test_saturate_chain_membership_iff_power_kills(R):
         m = M.element((f,))
         killed = ((x ** res.t_star) * m).is_zero()
         assert res.contains(m) == killed
+
+
+def test_saturate_unstable_chain_names_ideal_and_cap(monkeypatch, R):
+    # over Q[x,y]/(x^3) the chain 0 : J^t for J = (x, xy) = (x) first
+    # stabilizes at t = 3; a cap of 3 stops it before that
+    x, y = R.gens()
+    M = FpModule.quotient_ring(R, [x**3])
+    assert saturate(M, [x, x * y]).t_star == 3
+    monkeypatch.setattr(modules, "_MAX_COLON_CHAIN", 3)
+    with pytest.raises(InternalError) as err:
+        saturate(M, [x, x * y])
+    assert str(err.value) == (
+        "colon chain 0 :_M J^t failed to stabilize by t = 3 for J = (x, x*y)"
+    )
 
 
 def test_saturate_monotone(R1):
