@@ -388,55 +388,58 @@ def colon_generators(M: FpModule, polys):
 
 class SaturationResult:
     """The J-power torsion submodule 0 :_M J^infinity with its
-    stabilization index and a membership test."""
+    stabilization index and a membership test.  ``span`` is the preimage of
+    the torsion in R^rank (generators plus M's relations), whose basis the
+    chain has already computed."""
 
-    def __init__(self, module: FpModule, ideal_polys, t_star: int, generators):
+    def __init__(self, module: FpModule, ideal_polys, t_star: int, generators,
+                 span: FreeSubmodule):
         self.module = module
         self.ideal_polys = tuple(ideal_polys)
         self.t_star = t_star
         self.generators = tuple(tuple(g) for g in generators)
-        self._span = FreeSubmodule(
-            module.ring,
-            module.rank,
-            list(self.generators) + list(module.relations.gens),
-        )
+        self.span = span
 
     def contains(self, elem) -> bool:
         vec = elem.vec if isinstance(elem, ModuleElement) else tuple(elem)
-        return self._span.contains(vec)
+        return self.span.contains(vec)
 
 
 _MAX_COLON_CHAIN = 256
 
 
 def saturate(M: FpModule, J) -> SaturationResult:
-    """Ascending chain 0 :_M J^t until stabilization (Noetherian, so
-    guaranteed); accepts a rank-1 FreeSubmodule or a list of polynomials."""
+    """Ascending chain N_t = 0 :_M J^t until stabilization (Noetherian, so
+    guaranteed); accepts a rank-1 FreeSubmodule or a list of polynomials.
+
+    Each link is one colon by J itself, N_(t+1) = N_t :_M J, taken as
+    ``colon_generators`` of M/N_t, whose relations are the reduced basis of
+    N_t + rel(M); so the stacked rank stays M.rank * k for k generators,
+    where a colon by the power J^(t+1) stacks M.rank * C(k+t, t+1) copies.
+    The identity m in N_t :_M J <=> J^(t+1) m = 0 makes it the same chain,
+    so ``t_star`` is the power-chain index and the torsion submodule is the
+    same; only its generating set may differ.  The chain ascends, so it has
+    stopped (t_star = t) once every generator of N_(t+1) lies in N_t: one
+    containment test each.  Greuel-Pfister, *A Singular Introduction to
+    Commutative Algebra*, on quotients and saturation."""
     if isinstance(J, FreeSubmodule):
         if J.rank != 1:
             raise StructuralError("saturation ideal must have ambient rank 1")
-        polys = [g[0] for g in J.gens if not g[0].is_zero()]
+        polys = [g[0] for g in J.gens]
     else:
-        polys = [p for p in J if not p.is_zero()]
+        polys = list(J)
+    polys = list({p.key(): p for p in polys if not p.is_zero()}.values())
     if not polys:
         raise StructuralError("saturation with the zero ideal")
     ring = M.ring
-
-    def span_of(gens):
-        return FreeSubmodule(
-            ring, M.rank, list(gens) + list(M.relations.gens)
-        )
-
-    prev_gens = colon_generators(M, ideal_power(polys, 1))
-    prev_span = span_of(prev_gens)
-    t = 1
-    while t < _MAX_COLON_CHAIN:
-        next_gens = colon_generators(M, ideal_power(polys, t + 1))
-        next_span = span_of(next_gens)
-        if next_span.span_equals(prev_span):
-            return SaturationResult(M, polys, t, prev_gens)
-        prev_gens, prev_span = next_gens, next_span
-        t += 1
+    gens = colon_generators(M, polys)
+    for t in range(1, _MAX_COLON_CHAIN):
+        span = FreeSubmodule(ring, M.rank, list(gens) + list(M.relations.gens))
+        quotient = FpModule(ring, M.rank, span.basis())
+        next_gens = colon_generators(quotient, polys)
+        if all(span.contains(g) for g in next_gens):
+            return SaturationResult(M, polys, t, gens, span)
+        gens = next_gens
     raise InternalError(
         f"colon chain 0 :_M J^t failed to stabilize by t = {_MAX_COLON_CHAIN}"
         f" for J = ({', '.join(str(p) for p in polys)})"

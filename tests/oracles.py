@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite: degreewise linear
 algebra over exact fields, never touching the Gröbner machinery under test,
-and a reference normal-form reduction written with plain polynomial
-arithmetic."""
+a reference normal-form reduction written with plain polynomial
+arithmetic, and a reference saturation chain that takes each link as the
+colon by a power of the ideal."""
 
 from itertools import product
 
@@ -199,3 +200,26 @@ def reduce_full_reference(v, basis, leads, ring: PolyRing):
                 if not b[j].is_zero():
                     cur[j] = cur[j] - b[j].mul_term(qc, qmon)
     return tuple(rem), quots
+
+
+def saturate_power_chain_reference(M, polys, cap: int = 64):
+    """The chain 0 :_M J^t with every link built from scratch as the colon
+    of M by the power J^t, stopping at the first t whose span equals the
+    next one's.  Returns (t_star, the span of 0 :_M J^t_star in R^rank,
+    M's relations included), for comparison with ``modules.saturate``."""
+    from deligne_kit.groebner import FreeSubmodule
+    from deligne_kit.modules import colon_generators, ideal_power
+
+    def span(t):
+        gens = colon_generators(M, ideal_power(polys, t))
+        return FreeSubmodule(
+            M.ring, M.rank, list(gens) + list(M.relations.gens)
+        )
+
+    prev = span(1)
+    for t in range(1, cap):
+        nxt = span(t + 1)
+        if nxt.span_equals(prev):
+            return t, prev
+        prev = nxt
+    raise AssertionError(f"power chain did not stabilize by t = {cap}")

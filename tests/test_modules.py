@@ -4,7 +4,7 @@ import pytest
 
 from deligne_kit import modules
 from deligne_kit.errors import InternalError, StructuralError
-from deligne_kit.groebner import FreeSubmodule, vec_dot, vec_is_zero
+from deligne_kit.groebner import FreeSubmodule, vec_dot, vec_is_zero, vec_scale
 from deligne_kit.modules import (
     FpModule,
     ModuleHom,
@@ -15,7 +15,8 @@ from deligne_kit.modules import (
     radical_lift,
     saturate,
 )
-from deligne_kit.rings import QQ, PolyRing
+from deligne_kit.rings import GF, QQ, PolyRing
+from oracles import saturate_power_chain_reference
 
 
 @pytest.fixture
@@ -206,6 +207,104 @@ def test_saturate_monotone(R1):
             for g in prev.gens:
                 assert span.contains(g)
         prev = span
+
+
+def _random_poly(ring, rng, max_deg, terms, min_deg=0):
+    # `terms` distinct terms of total degree min_deg..max_deg, unit-sized
+    # nonzero coefficients
+    out = {}
+    while len(out) < terms:
+        mon = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
+        if min_deg <= sum(mon) <= max_deg:
+            out[mon] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return ring.poly(out)
+
+
+def _random_saturation_cases(field, rank):
+    # modules with `rank` random relations, each coordinate zero or one or
+    # two terms of degree 1-2, and one relation J[0]^2 * (a term) at one
+    # position, so that the torsion is nonzero and some chains take more
+    # than one link; ideals of 1-4 generators, a principal one and one with
+    # a repeated generator
+    ring = PolyRing(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    rng = random.Random(f"saturate:{field.name}:{rank}")
+    for J in [[x], [x, y], [y, x * z, y], [x, y, z, x * y + z]]:
+        rels = [
+            tuple(
+                _random_poly(ring, rng, 2, rng.randint(1, 2), min_deg=1)
+                if rng.random() < 0.5 else ring.zero()
+                for _ in range(rank)
+            )
+            for _ in range(rank)
+        ]
+        deep = [ring.zero()] * rank
+        deep[rng.randrange(rank)] = J[0] ** 2 * _random_poly(ring, rng, 1, 1)
+        rels.append(tuple(deep))
+        yield ring, FpModule(ring, rank, rels), J
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_saturate_matches_power_chain_reference(field, rank):
+    # the iterated colon N_t :_M J gives the power chain 0 :_M J^t: the
+    # same stabilization index, the same torsion span, the same membership
+    chains, answers = [], set()
+    rng = random.Random(f"saturate-elements:{field.name}:{rank}")
+    for ring, M, J in _random_saturation_cases(field, rank):
+        res = saturate(M, J)
+        t_ref, span_ref = saturate_power_chain_reference(M, J)
+        assert res.t_star == t_ref
+        assert res.span.span_equals(span_ref)
+        for g in res.generators:
+            assert span_ref.contains(g)
+        # random vectors, and random multiples of a reference generator
+        for i in range(8):
+            if i % 2:
+                g = rng.choice(span_ref.gens)
+                v = vec_scale(_random_poly(ring, rng, 1, 2), g)
+            else:
+                v = tuple(_random_poly(ring, rng, 2, 2) for _ in range(rank))
+            answers.add(res.contains(v))
+            assert res.contains(v) == span_ref.contains(v)
+        chains.append(res.t_star)
+    assert max(chains) >= 2  # some case runs more than one colon
+    assert answers == {True, False}
+
+
+def test_saturate_needs_no_ideal_power(monkeypatch, R):
+    # every link is a colon by J itself, never by a power of J
+    x, y = R.gens()
+    M = FpModule.quotient_ring(R, [x**3])
+    real_power = modules.ideal_power
+
+    def first_power_only(xs, n):
+        if n >= 2:
+            raise AssertionError(f"ideal_power called with n = {n}")
+        return real_power(xs, n)
+
+    monkeypatch.setattr(modules, "ideal_power", first_power_only)
+    res = saturate(M, [x, x * y])
+    assert res.t_star == 3
+    assert res.contains(M.element((R.one(),)))
+
+
+def test_saturation_contains_computes_no_basis(monkeypatch, R):
+    # the membership test reuses the span whose basis the chain built
+    x, y = R.gens()
+    M = FpModule.quotient_ring(R, [x**2 * y])
+    res = saturate(M, [x])
+    calls = []
+    real_compute = FreeSubmodule._compute_basis
+
+    def counting(self):
+        calls.append(self)
+        return real_compute(self)
+
+    monkeypatch.setattr(FreeSubmodule, "_compute_basis", counting)
+    for f in [y, x * y, R.one(), x, y**2, x**2]:
+        res.contains((f,))
+    assert calls == []
 
 
 # ---------------------------------------------------------------- powers, radical
