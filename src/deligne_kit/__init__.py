@@ -10,7 +10,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .rings import GF, QQ, Poly, PolyRing, monomial_compare, poly_divmod
+from .rings import GF, QQ, Poly, PolyRing
 from .groebner import FreeSubmodule, buchberger, kernel_mod, normal_form_lift, syzygies
 from .modules import (
     FpModule,

@@ -38,7 +38,8 @@ class IdealizationRing:
         return SElement(self, self.R.const(c), self.e_zero())
 
     def x_power(self, n: int) -> "SElement":
-        return SElement(self, self.x**n, self.e_zero())
+        """(x^n, 0), built as the monomial it is."""
+        return SElement(self, self.R.term(1, (n,)), self.e_zero())
 
     def __eq__(self, other):
         return isinstance(other, IdealizationRing) and other.field == self.field
@@ -307,7 +308,10 @@ class PoleWitness:
     """Per-stage obstruction to a rho-preimage of a target with a pole: any
     stage-n hom value for the target would be (x^(n') * target, e) with
     first component outside x^(n') R; pairing with the annihilator element
-    (0, e_{n'-1}) extracts exactly the principal part and is nonzero."""
+    (0, e_{n'-1}) extracts exactly the principal part and is nonzero.
+
+    ``pairing`` is that principal part in closed form (``principal_part``);
+    ``verify`` checks that the product equals it."""
 
     stage: int
     effective_stage: int
@@ -325,23 +329,34 @@ class PoleWitness:
         )
 
 
+def principal_part(ring: IdealizationRing, g: Poly, q: int) -> SElement:
+    """The principal part of g/x^q as an element of S: x^(-j) stands for
+    e_(j-1), so g_i x^(i-q) with i < q is g_i e_(q-1-i).  At every stage
+    n' >= q, the probe (0, e_(n'-1)) times the required value
+    (x^(n'-q) g, 0) is this element."""
+    e = EElement(ring, {q - 1 - mon[0]: c for mon, c in g.terms.items()
+                        if mon[0] < q})
+    return ring.s(ring.R.zero(), e)
+
+
 def rho_obstruction(ring: IdealizationRing, numerator: Poly, denom_exp: int,
                     cap: int):
     """For a target g/x^q in R_x with a genuine pole, produce a verified
     witness at every stage 1..cap.  Stages below the pole order are handled
     at the effective stage max(n, p): a preimage at stage n would restrict
-    to one there, so the obstruction propagates."""
+    to one there, so the obstruction propagates.  The pairing is the
+    stage-independent principal part of the target; each witness's
+    ``verify`` recomputes it as a product."""
     p = pole_order(numerator, denom_exp)
     if p <= 0:
         raise StructuralError("target has no pole; it lies in the transform")
     g, q = normalize_laurent(numerator, denom_exp)
+    pairing = principal_part(ring, g, q)
     witnesses = []
     for n in range(1, cap + 1):
         n_eff = max(n, p)
-        required_r = _x_divide(g * ring.x ** n_eff, q)
-        required = ring.s(required_r, ring.e_zero())
+        required = ring.s(g.mul_term(ring.field.one, (n_eff - q,)), ring.e_zero())
         probe = ring.s(ring.R.zero(), ring.e(n_eff - 1))
-        pairing = probe * required
         w = PoleWitness(
             stage=n,
             effective_stage=n_eff,
@@ -358,4 +373,4 @@ def rho_obstruction(ring: IdealizationRing, numerator: Poly, denom_exp: int,
 def tau_image(ring: IdealizationRing, a: Poly, n: int) -> SElement:
     """The stage-n value of the ideal-transform class of a in R: the hom
     'multiply by (a, 0)' evaluated at (x^n, 0)."""
-    return ring.s(a * ring.x**n, ring.e_zero())
+    return ring.s(a * ring.R.term(1, (n,)), ring.e_zero())

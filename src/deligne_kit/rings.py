@@ -174,18 +174,6 @@ def monomial_key(mon, order: str):
     raise StructuralError(f"unknown monomial order {order!r}")
 
 
-def monomial_compare(a, b, order: str) -> int:
-    """-1, 0, or 1 as a <, =, > b in the given order."""
-    if len(a) != len(b):
-        raise StructuralError("monomial length mismatch")
-    ka, kb = monomial_key(a, order), monomial_key(b, order)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # polynomial rings and polynomials
 
@@ -305,10 +293,6 @@ class Poly:
             mon = max(self.terms, key=self.ring.mon_key)
             self._lead = (mon, self.terms[mon])
         return self._lead
-
-    def lead_monomial(self):
-        lt = self.lead_term()
-        return lt[0] if lt else None
 
     # -- arithmetic -----------------------------------------------------
     def _check(self, other: "Poly"):
@@ -503,32 +487,3 @@ def power(base, n: int, one):
         if n:
             base = base * base
     return result
-
-
-def poly_divmod(f: Poly, divisors) -> tuple[list[Poly], Poly]:
-    """Multivariate division: f = sum(q_i * d_i) + r, no monomial of r
-    divisible by any divisor's leading monomial.  Deterministic given the
-    ring order and divisor order."""
-    divisors = list(divisors)
-    if any(d.is_zero() for d in divisors):
-        raise StructuralError("zero divisor in division")
-    ring = f.ring
-    fld = ring.field
-    leads = [d.lead_term() for d in divisors]
-    quots = [ring.zero() for _ in divisors]
-    rem = ring.zero()
-    cur = f
-    while not cur.is_zero():
-        mon, coeff = cur.lead_term()
-        for i, (dmon, dcoeff) in enumerate(leads):
-            if monomial_divides(dmon, mon):
-                qmon = monomial_div(mon, dmon)
-                qc = fld.div(coeff, dcoeff)
-                quots[i] = quots[i] + ring.term(qc, qmon)
-                cur = cur - divisors[i].mul_term(qc, qmon)
-                break
-        else:
-            t = ring.term(coeff, mon)
-            rem = rem + t
-            cur = cur - t
-    return quots, rem

@@ -4,6 +4,7 @@ import pytest
 
 from deligne_kit.errors import StructuralError
 from deligne_kit.idealization import (
+    EElement,
     IdealizationRing,
     h1_transition_witness,
     ideal_transform_stage,
@@ -14,7 +15,9 @@ from deligne_kit.idealization import (
     s_mul,
     tau_image,
 )
-from deligne_kit.rings import GF, QQ
+from deligne_kit.rings import GF, QQ, Poly
+from deligne_kit.session import parse_session
+from deligne_kit.tasks import run_idealization
 
 
 @pytest.fixture
@@ -182,6 +185,46 @@ def test_obstruction_general_laurent_target(S):
     ws = rho_obstruction(S, g, 2, cap=4)
     for w in ws:
         assert w.verify()
+        assert w.pairing == S.s(S.R.zero(), S.e(1) + S.e(0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize(
+    "coeffs, q, principal",
+    [
+        # (1 + 2x + x^5) / x^4: x^5 is regular, 1 -> e_3, 2x -> 2 e_2
+        ({0: 1, 1: 2, 5: 1}, 4, {3: 1, 2: 2}),
+        # (3 + x) / x^2: 3 -> 3 e_1, x -> e_0
+        ({0: 3, 1: 1}, 2, {1: 3, 0: 1}),
+    ],
+    ids=["deg5-over-x4", "deg1-over-x2"],
+)
+def test_obstruction_pairing_is_the_principal_part(field, coeffs, q, principal):
+    S = IdealizationRing(field)
+    g = S.R.poly({(i,): c for i, c in coeffs.items()})
+    expected = S.s(S.R.zero(), EElement(S, principal))
+    cap = 7
+    ws = rho_obstruction(S, g, q, cap=cap)
+    assert [w.stage for w in ws] == list(range(1, cap + 1))
+    for w in ws:
+        n_eff = max(w.stage, q)
+        assert w.effective_stage == n_eff
+        assert w.probe == S.s(S.R.zero(), S.e(n_eff - 1))
+        assert w.required_value == S.s(g * S.x ** (n_eff - q))
+        assert w.pairing == s_mul(w.probe, w.required_value)
+        assert w.pairing == expected
+
+
+def test_obstruction_run_builds_no_powers(monkeypatch):
+    session = parse_session(
+        "ring Q[x];\ntask idealization poles (1, 2, 3) cap 20;\n")
+
+    def no_pow(self, n):
+        raise AssertionError(f"Poly.__pow__ called with n = {n}")
+
+    monkeypatch.setattr(Poly, "__pow__", no_pow)
+    (task,) = session.tasks
+    assert run_idealization(task, session)["outcome"] == "obstruction"
 
 
 def test_prime_field_backend():
