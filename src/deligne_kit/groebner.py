@@ -198,9 +198,15 @@ def _chain_skips(i, j, lcm, leads, done) -> bool:
 class FreeSubmodule:
     """A submodule of R^rank given by generator vectors; the reduced
     Gröbner basis, transformation matrices, and Schreyer syzygies are
-    computed on demand and cached (write-once)."""
+    computed on demand and cached (write-once).
 
-    def __init__(self, ring: PolyRing, rank: int, generators):
+    ``tracked`` (default: all generators) is how many leading generators
+    the combinations follow: ``reps`` and ``syzygies()`` keep only the
+    coefficients of the first ``tracked`` generators, so syzygies are
+    projected onto them.  ``normal_form_lift`` needs every generator.
+    """
+
+    def __init__(self, ring: PolyRing, rank: int, generators, tracked=None):
         if rank < 0:
             raise StructuralError("negative ambient rank")
         gens = []
@@ -217,9 +223,16 @@ class FreeSubmodule:
         self.ring = ring
         self.rank = rank
         self.gens = tuple(gens)
+        if tracked is None:
+            tracked = len(gens)
+        if not 0 <= tracked <= len(gens):
+            raise StructuralError(
+                f"tracked {tracked} outside 0..{len(gens)} generators"
+            )
+        self.tracked = tracked
         # (basis, reps, lifts, leads), published in one assignment:
         #   basis  reduced GB vectors, monic, in descending lead order
-        #   reps   each basis vector as combination of gens
+        #   reps   each basis vector as combination of the tracked gens
         #   lifts  each generator as combination of basis
         #   leads  vec_lead of each basis vector
         self._gb = None
@@ -238,11 +251,11 @@ class FreeSubmodule:
     def _compute_basis(self):
         ring = self.ring
         fld = ring.field
-        ngens = len(self.gens)
+        tracked = self.tracked
 
         def unit_rep(i):
             return tuple(
-                ring.one() if j == i else ring.zero() for j in range(ngens)
+                ring.one() if j == i else ring.zero() for j in range(tracked)
             )
 
         work = []   # list of [vector, rep]; entries never change in the loop
@@ -355,6 +368,11 @@ class FreeSubmodule:
 
     def normal_form_lift(self, v):
         """(remainder, lift) with v = remainder + sum(lift_i * gens_i)."""
+        if self.tracked < len(self.gens):
+            raise InternalError(
+                f"lift asked of a module tracking {self.tracked} of "
+                f"{len(self.gens)} generators"
+            )
         self.groebner()
         basis, reps, _, leads = self._gb
         rem, quots = _reduce_full(tuple(v), basis, leads, self.ring)
@@ -386,7 +404,8 @@ class FreeSubmodule:
 
     # -- syzygies ----------------------------------------------------------
     def syzygies(self) -> "FreeSubmodule":
-        """Generators of {c in R^n : sum(c_i * gens_i) = 0} (Schreyer)."""
+        """Generators of {c in R^n : sum(c_i * gens_i) = 0} (Schreyer),
+        each cut to its first ``tracked`` coordinates."""
         if self._syzygies is not None:
             return self._syzygies
         self.groebner()
@@ -394,7 +413,7 @@ class FreeSubmodule:
         fld = ring.field
         basis, reps, gens_lift, leads = self._gb
         s = len(basis)
-        r = len(self.gens)
+        r = self.tracked
 
         # Schreyer generators: syzygies among the basis elements, one per
         # same-position pair the chain criterion keeps, in POT-lcm order
@@ -441,7 +460,7 @@ class FreeSubmodule:
                 seen.add(k)
                 out.append(vec)
 
-        for jg in range(r):
+        for jg in range(len(self.gens)):
             row = [
                 ring.one() if i == jg else ring.zero() for i in range(r)
             ]
@@ -491,17 +510,7 @@ def kernel_mod(vectors, relations, ring: PolyRing, rank: int):
     """
     vectors = [tuple(v) for v in vectors]
     relations = [tuple(n) for n in relations]
-    combined = FreeSubmodule(ring, rank, vectors + relations)
-    syz = combined.syzygies()
-    t = len(vectors)
-    out = []
-    seen = set()
-    for z in syz.gens:
-        head = tuple(z[:t])
-        if vec_is_zero(head):
-            continue
-        k = vec_key(head)
-        if k not in seen:
-            seen.add(k)
-            out.append(head)
-    return out
+    combined = FreeSubmodule(
+        ring, rank, vectors + relations, tracked=len(vectors)
+    )
+    return list(combined.syzygies().gens)

@@ -3,6 +3,13 @@
 Coefficients are arbitrary-precision rationals or elements of a prime field
 F_p; polynomials are sparse maps from exponent vectors to nonzero
 coefficients.  Monomial orders: grevlex (default) and lex.
+
+A rational is stored in one canonical form: a plain ``int`` when it is
+integral, otherwise a ``fractions.Fraction`` in lowest terms with
+denominator > 1.  Most coefficients met in practice are integers, and int
+arithmetic runs no gcd.  An int and the equal Fraction compare and hash
+equal and print the same, so keys, reports and digests do not depend on
+the form.  An element of F_p is an int in [0, p).
 """
 
 from __future__ import annotations
@@ -16,35 +23,49 @@ from .errors import StructuralError
 # coefficient fields
 
 
+def _q(x):
+    """The canonical form of a rational x: its numerator when integral."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class RationalField:
-    """The rationals; values are `fractions.Fraction` in lowest terms."""
+    """The rationals; a value is an int when integral, otherwise a
+    `fractions.Fraction` in lowest terms with denominator > 1."""
 
     name = "Q"
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, float):
             raise StructuralError(f"inexact coefficient {value!r}")
-        return Fraction(value)
+        return _q(Fraction(value))
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return a
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(a.denominator, a.numerator)
+        if type(a) is int:
+            return Fraction(1, a)
+        return _q(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -90,7 +111,13 @@ class PrimeField:
 
     def of(self, value):
         if isinstance(value, Fraction):
-            return self.div(value.numerator % self.p, value.denominator % self.p)
+            den = value.denominator % self.p
+            if den == 0:
+                raise StructuralError(
+                    f"{value} has no value in {self.name}: "
+                    f"its denominator is 0 mod {self.p}"
+                )
+            return self.div(value.numerator % self.p, den)
         if isinstance(value, int):
             return value % self.p
         raise StructuralError(f"cannot coerce {value!r} into {self.name}")
@@ -263,9 +290,9 @@ class Poly:
     """Sparse polynomial; treat as immutable.
 
     Arithmetic may return an operand unchanged rather than a copy: a zero
-    operand of +, -, * or a zero polynomial under ``scale``/``mul_term``
-    gives back an existing object.  The mixed-ring and coefficient checks
-    still run first.
+    operand of +, -, *, a zero polynomial under ``scale``/``mul_term`` or
+    ``scale`` by the field's one gives back an existing object.  The
+    mixed-ring and coefficient checks still run first.
     """
 
     __slots__ = ("ring", "terms", "_lead", "_key")
@@ -393,6 +420,8 @@ class Poly:
             return self
         if coeff == fld.zero:
             return self.ring.zero()
+        if coeff == fld.one:
+            return self
         return Poly(self.ring, {m: fld.mul(c, coeff) for m, c in self.terms.items()})
 
     def mul_term(self, coeff, mon) -> "Poly":
@@ -457,7 +486,7 @@ class Poly:
         for mon in sorted(self.terms, key=self.ring.mon_key, reverse=True):
             c = self.terms[mon]
             ms = self._mon_str(mon)
-            neg = (isinstance(c, Fraction) and c < 0)
+            neg = c < 0
             mag = -c if neg else c
             if ms:
                 body = ms if mag == self.ring.field.one else f"{mag}*{ms}"

@@ -1,9 +1,12 @@
 """Independent brute-force oracles for the test suite: degreewise linear
 algebra over exact fields, never touching the Gröbner machinery under test,
 a reference normal-form reduction written with plain polynomial
-arithmetic, and a reference saturation chain that takes each link as the
-colon by a power of the ideal."""
+arithmetic, a reference saturation chain that takes each link as the
+colon by a power of the ideal, ``kernel_mod`` as the head of the full
+syzygies, and polynomial arithmetic over Q on plain dictionaries of
+``Fraction`` values, independent of the rational field under test."""
 
+from fractions import Fraction
 from itertools import product
 
 from deligne_kit.rings import PolyRing, monomial_div, monomial_divides
@@ -223,3 +226,57 @@ def saturate_power_chain_reference(M, polys, cap: int = 64):
             return t, prev
         prev = nxt
     raise AssertionError(f"power chain did not stabilize by t = {cap}")
+
+
+def kernel_mod_reference(vectors, relations, ring: PolyRing, rank: int):
+    """``groebner.kernel_mod`` computed from every syzygy of vectors +
+    relations, each cut to its first len(vectors) coordinates, with zero
+    and repeated heads dropped in order."""
+    from deligne_kit.groebner import FreeSubmodule, vec_is_zero, vec_key
+
+    vectors = [tuple(v) for v in vectors]
+    relations = [tuple(n) for n in relations]
+    syz = FreeSubmodule(ring, rank, vectors + relations).syzygies()
+    t = len(vectors)
+    out = []
+    seen = set()
+    for z in syz.gens:
+        head = tuple(z[:t])
+        if vec_is_zero(head):
+            continue
+        k = vec_key(head)
+        if k not in seen:
+            seen.add(k)
+            out.append(head)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q as {exponent tuple: Fraction}, zero terms dropped
+
+
+def fraction_terms(terms):
+    return {m: Fraction(c) for m, c in terms.items() if c != 0}
+
+
+def fraction_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+        if out[m] == 0:
+            del out[m]
+    return out
+
+
+def fraction_mul_term(a, coeff, mon):
+    coeff = Fraction(coeff)
+    if coeff == 0:
+        return {}
+    return {tuple(x + y for x, y in zip(m, mon)): c * coeff for m, c in a.items()}
+
+
+def fraction_mul(a, b):
+    out = {}
+    for m, c in b.items():
+        out = fraction_add(out, fraction_mul_term(a, c, m))
+    return out

@@ -505,6 +505,15 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_fraction_with_denominator_zero_mod_p_exits_2(tmp_path, capsys):
+    f = tmp_path / "fp.dk"
+    f.write_text("ring F5[x,y];\nmodule M = coker [[x - 1/5]];\n")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "1/5 has no value in F5" in err
+    assert "Traceback" not in err
+
+
 def test_main_replay_roundtrip(tmp_path, capsys):
     f = tmp_path / "s.dk"
     f.write_text(GOOD)

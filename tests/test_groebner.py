@@ -4,7 +4,7 @@ import random
 import pytest
 
 from deligne_kit import groebner
-from deligne_kit.errors import StructuralError
+from deligne_kit.errors import InternalError, StructuralError
 from deligne_kit.groebner import (
     FreeSubmodule,
     buchberger,
@@ -28,6 +28,7 @@ from deligne_kit.rings import (
 
 from oracles import (
     degreewise_syzygies,
+    kernel_mod_reference,
     reduce_full_reference,
     span_dimension,
     syzygy_vectors_from_kernel,
@@ -173,6 +174,51 @@ def test_kernel_mod(R):
     K = FreeSubmodule(R, 1, out)
     assert K.contains((x,))
     assert not K.contains((R.one(),))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_kernel_mod_matches_full_syzygy_reference(field, rank):
+    # 1-3 vectors against 2-5 relations, as the module code stacks them;
+    # the tracked syzygies give the same list, in the same order, as the
+    # head of the full syzygies
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(f"kernel_mod:{field.name}:{rank}")
+    nonempty = 0
+    for _ in range(6):
+        vectors = [
+            _random_homogeneous_vector(ring, rng, rank, rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        ]
+        relations = [
+            _random_homogeneous_vector(ring, rng, rank, rng.randint(1, 2))
+            for _ in range(rng.randint(2, 5))
+        ]
+        out = kernel_mod(vectors, relations, ring, rank)
+        assert out == kernel_mod_reference(vectors, relations, ring, rank)
+        assert all(len(v) == len(vectors) for v in out)
+        nonempty += bool(out)
+    assert nonempty
+
+
+def test_tracked_syzygies_are_cut_to_the_tracked_generators(R):
+    x, y = R.gens()
+    S = FreeSubmodule(R, 1, [(x,), (y,), (x * y,)], tracked=2)
+    Z = S.syzygies()
+    assert Z.rank == 2 and all(len(z) == 2 for z in Z.gens)
+    assert Z.contains((y, -x)) and Z.contains((y, R.zero()))
+    assert FreeSubmodule(R, 1, [(x,)], tracked=0).syzygies().gens == ()
+
+
+def test_tracked_module_refuses_a_lift(R):
+    x, y = R.gens()
+    S = FreeSubmodule(R, 1, [(x,), (y,)], tracked=1)
+    assert S.contains((x * y,))
+    with pytest.raises(InternalError, match="tracking 1 of 2"):
+        S.normal_form_lift((x * y,))
+    for bad in (-1, 3):
+        with pytest.raises(StructuralError):
+            FreeSubmodule(R, 1, [(x,), (y,)], tracked=bad)
 
 
 def test_zero_generators_have_unit_syzygies(R):

@@ -12,6 +12,13 @@ from deligne_kit.rings import (
     monomial_key,
 )
 
+from oracles import (
+    fraction_add,
+    fraction_mul,
+    fraction_mul_term,
+    fraction_terms,
+)
+
 
 @pytest.fixture
 def R():
@@ -86,13 +93,95 @@ def test_prime_field_arithmetic():
     assert F.of(7) == 2
     assert F.inv(2) == 3
     assert F.of(Fraction(1, 2)) == 3
+    assert F.of(Fraction(5, 3)) == 0
+    for bad in (Fraction(1, 5), Fraction(-2, 15)):
+        with pytest.raises(StructuralError, match=f"{bad} has no value in F5"):
+            F.of(bad)
     with pytest.raises(StructuralError):
         GF(6)
 
 
+def _canonical(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def test_rational_lowest_terms():
+    # an int when integral, otherwise a Fraction with denominator > 1
     assert QQ.of(Fraction(2, 4)) == Fraction(1, 2)
     assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    assert type(QQ.of(Fraction(6, 3))) is int and QQ.of(Fraction(6, 3)) == 2
+    assert type(QQ.of(True)) is int
+    assert QQ.inv(1) is QQ.one and QQ.inv(-1) == -1
+    assert QQ.inv(-3) == Fraction(-1, 3)
+    assert type(QQ.inv(Fraction(-1, 3))) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def _random_rational(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-6, 6)
+    # integral now and then too, e.g. 4/2
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _random_terms(rng, nvars, terms=4):
+    return {
+        tuple(rng.randint(0, 2) for _ in range(nvars)): _random_rational(rng)
+        for _ in range(rng.randint(0, terms))
+    }
+
+
+def test_rational_arithmetic_matches_fraction_reference():
+    # integral and non-integral coefficients, with cancellation; every
+    # result equals the Fraction-only reference and stores canonical values
+    R = PolyRing(QQ, ("x", "y", "z"))
+    rng = random.Random("q-canonical")
+    for _ in range(300):
+        ta, tb = _random_terms(rng, 3), _random_terms(rng, 3)
+        if rng.random() < 0.3:
+            # b shares most of a's terms, so a - b cancels
+            tb = dict(ta)
+            tb.update(_random_terms(rng, 3, 1))
+        a, b = R.poly(ta), R.poly(tb)
+        fa, fb = fraction_terms(ta), fraction_terms(tb)
+        c = _random_rational(rng)
+        mon = tuple(rng.randint(0, 2) for _ in range(3))
+        cases = [
+            (a, fa),
+            (a + b, fraction_add(fa, fb)),
+            (a - b, fraction_add(fa, fb, -1)),
+            (a * b, fraction_mul(fa, fb)),
+            (a.scale(c), fraction_mul_term(fa, c, (0, 0, 0))),
+            (a.mul_term(QQ.of(c), mon), fraction_mul_term(fa, c, mon)),
+        ]
+        for got, want in cases:
+            assert got.terms == want
+            assert all(_canonical(v) for v in got.terms.values())
+        d = _random_rational(rng)
+        for x in (c, d):
+            x = QQ.of(x)
+            assert _canonical(x)
+            if x != 0:
+                assert QQ.inv(x) == 1 / Fraction(x)
+                assert _canonical(QQ.inv(x))
+        if d != 0:
+            q = QQ.div(QQ.of(c), QQ.of(d))
+            assert q == Fraction(c) / Fraction(d) and _canonical(q)
+
+
+def test_str_signs_of_int_and_fraction_coefficients(R):
+    x, y = R.gens()
+    p = R.poly({(2, 0): -3, (0, 1): Fraction(1, 2), (0, 0): -5})
+    assert str(p) == "-3*x^2 + 1/2*y - 5"
+    q = R.poly({(1, 1): Fraction(-2, 3), (1, 0): 1, (0, 0): Fraction(7, 2)})
+    assert str(q) == "-2/3*x*y + x + 7/2"
+    assert str(-x - y) == "-x - y"
+    assert str(PolyRing(GF(5), ("x",)).const(-1)) == "4"
 
 
 # ---------------------------------------------------------------- polys
@@ -178,6 +267,16 @@ def test_zero_operands_give_the_same_polynomial(R):
     assert zero.scale(7) == zero
     assert p.scale(0) == zero
     assert (zero + zero).is_zero() and (zero - zero).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_scale_by_one_gives_the_same_polynomial(field):
+    R = PolyRing(field, ("x", "y"))
+    x, y = R.gens()
+    p = x**2 - 3 * x * y + R.const(5)
+    assert p.scale(1) is p
+    assert p.scale(field.one) is p
+    assert p.scale(2) is not p and p.scale(2) == 2 * p
 
 
 def test_zero_operand_keeps_the_checks(R):
