@@ -11,7 +11,7 @@ from .errors import (
     StructuralError,
 )
 from .rings import GF, QQ, Poly, PolyRing
-from .groebner import FreeSubmodule, buchberger, kernel_mod, normal_form_lift, syzygies
+from .groebner import FreeSubmodule, kernel_mod
 from .modules import (
     FpModule,
     HomModule,
@@ -40,7 +40,6 @@ from .deligne import (
     Glued,
     IdealTransformElement,
     IncompatibleWitness,
-    InverseLimitElement,
     LocalFraction,
     RhoObstruction,
     alpha_map,

@@ -3,10 +3,10 @@
 
 Exit codes: 0 on success (every task acceptable, or every certificate
 re-verified), 1 on task failure or failed replay, 2 on parse or structural
-errors or an unreadable session or report file, 3 on an internal error (a
-broken invariant, named with the task it broke in).  Report format:
-versioned JSON, documented in docs/report-schema.md; timing fields are
-excluded from the content digests.
+errors, an unreadable session or report file or an unwritable ``--out``
+path, 3 on an internal error (a broken invariant, named with the task it
+broke in).  Report format: versioned JSON, documented in
+docs/report-schema.md; timing fields are excluded from the content digests.
 """
 
 from __future__ import annotations
@@ -136,8 +136,12 @@ def main(argv=None) -> int:
 
     payload = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as ex:
+            print(f"error: cannot write report: {ex}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     return 0 if result["ok"] else 1

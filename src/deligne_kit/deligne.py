@@ -277,10 +277,6 @@ class IdealTransformElement:
             self.xs, stage, [self.evaluate(g) for g in gens], self.module
         )
 
-    def same_class(self, other: "IdealTransformElement") -> bool:
-        """Colimit equality, decided through the rho images."""
-        return rho_eval(self).equals(rho_eval(other))
-
 
 def rho_eval(phi: IdealTransformElement) -> CechCocycle:
     """phi maps to (phi(x_i^n) / x_i^n)_i; compatibility is re-verified by
@@ -310,21 +306,6 @@ def sigma_inverse(c: CechCocycle, y: Poly) -> LocalFraction:
     for coeff, mp in zip(r, primed):
         acc = acc + coeff * mp
     return LocalFraction(acc, y, d)
-
-
-class InverseLimitElement:
-    """An element of the inverse limit of the localizations M_x over x in J,
-    represented by its cocycle; probes are produced on demand."""
-
-    def __init__(self, cocycle: CechCocycle):
-        self.cocycle = cocycle
-
-    @classmethod
-    def from_hom(cls, phi: IdealTransformElement) -> "InverseLimitElement":
-        return cls(rho_eval(phi))
-
-    def probe(self, y: Poly) -> LocalFraction:
-        return sigma_inverse(self.cocycle, y)
 
 
 # ---------------------------------------------------------------------------

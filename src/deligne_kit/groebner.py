@@ -389,9 +389,6 @@ class FreeSubmodule:
     def contains(self, v) -> bool:
         return vec_is_zero(self.normal_form(v))
 
-    def is_zero_span(self) -> bool:
-        return len(self.basis()) == 0
-
     def span_equals(self, other: "FreeSubmodule") -> bool:
         if other.ring != self.ring or other.rank != self.rank:
             return False
@@ -484,23 +481,6 @@ class FreeSubmodule:
 
         self._syzygies = FreeSubmodule(ring, r, out)
         return self._syzygies
-
-
-# ---------------------------------------------------------------------------
-# module-level operation surface
-
-
-def buchberger(sub: FreeSubmodule) -> FreeSubmodule:
-    """Compute and cache the reduced Gröbner basis of sub."""
-    return sub.groebner()
-
-
-def normal_form_lift(v, sub: FreeSubmodule):
-    return sub.normal_form_lift(v)
-
-
-def syzygies(sub: FreeSubmodule) -> FreeSubmodule:
-    return sub.syzygies()
 
 
 def kernel_mod(vectors, relations, ring: PolyRing, rank: int):

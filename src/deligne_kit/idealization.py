@@ -26,7 +26,7 @@ class IdealizationRing:
         self.x = self.R.gen(0)
 
     def e(self, i: int, coeff=1) -> "EElement":
-        return EElement(self, {i: self.field.of(coeff)})
+        return EElement(self, {i: coeff})
 
     def e_zero(self) -> "EElement":
         return EElement(self, {})
@@ -49,7 +49,9 @@ class IdealizationRing:
 
 
 class EElement:
-    """Finite k-linear combination of the basis e_0, e_1, ..."""
+    """Finite k-linear combination of the basis e_0, e_1, ...  The
+    constructor is the one place that coerces coefficients into k and drops
+    zeros; the arithmetic only accumulates."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -68,19 +70,11 @@ class EElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def max_support(self):
-        """Largest basis index, or None for zero."""
-        return max(self.coeffs) if self.coeffs else None
-
     def __add__(self, other):
         fld = self.ring.field
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            s = fld.add(out.get(i, fld.zero), c)
-            if s == fld.zero:
-                out.pop(i, None)
-            else:
-                out[i] = s
+            out[i] = fld.add(out.get(i, fld.zero), c)
         return EElement(self.ring, out)
 
     def __neg__(self):
@@ -105,12 +99,7 @@ class EElement:
             j = mon[0]
             for i, ec in self.coeffs.items():
                 if i - j >= 0:
-                    t = fld.mul(c, ec)
-                    s = fld.add(out.get(i - j, fld.zero), t)
-                    if s == fld.zero:
-                        out.pop(i - j, None)
-                    else:
-                        out[i - j] = s
+                    out[i - j] = fld.add(out.get(i - j, fld.zero), fld.mul(c, ec))
         return EElement(self.ring, out)
 
     def __eq__(self, other):
@@ -263,11 +252,6 @@ class TransformStage:
         if not self.contains_value(s):
             raise StructuralError("not a valid stage value")
         return self.ring.s(self.ring.x, self.ring.e_zero()) * s
-
-    def transitions_until_e_death(self, s: SElement) -> int:
-        """Steps until the E-part vanishes: max support + 1."""
-        sup = s.e.max_support()
-        return 0 if sup is None else sup + 1
 
     def colimit_r_class(self, s: SElement) -> Poly:
         """The persistent class a with s = (x^n * a, e)."""

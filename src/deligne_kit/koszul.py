@@ -101,9 +101,6 @@ class KoszulStage:
         ring = x.ring
         k = x.k
         self.subsets = [koszul_subsets(k, i) for i in range(k + 1)]
-        self.subset_index = [
-            {S: t for t, S in enumerate(level)} for level in self.subsets
-        ]
 
         self.chain = []
         for i in range(k + 1):
@@ -209,7 +206,7 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
             v[t] = ring.one()
             ker_gens.append(tuple(v))
     else:
-        ker_gens = list(module_kernel(stage.diff[i]).generators)
+        ker_gens = module_kernel(stage.diff[i])
     hom = HomologyModule(stage, i, ker_gens)
     M.memo[key] = hom
     return hom

@@ -4,7 +4,6 @@ radical-membership lifts."""
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .errors import InternalError, StructuralError
@@ -76,9 +75,6 @@ class FpModule:
             v[i] = self.ring.one()
             out.append(self.element(v))
         return out
-
-    def is_zero_module(self) -> bool:
-        return all(e.is_zero() for e in self.basis_elements())
 
     def key(self):
         if self._key is None:
@@ -181,13 +177,6 @@ class ModuleHom:
         vec = elem.vec if isinstance(elem, ModuleElement) else tuple(elem)
         return self.target.element(self.apply_raw(vec))
 
-    def compose(self, inner: "ModuleHom") -> "ModuleHom":
-        """self o inner."""
-        if inner.target != self.source:
-            raise StructuralError("composition mismatch")
-        cols = [self.apply_raw(c) for c in inner.columns]
-        return ModuleHom(inner.source, self.target, cols)
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(self.target.reduce(c)) for c in self.columns)
 
@@ -200,34 +189,12 @@ class ModuleHom:
         )
 
 
-class KernelResult:
-    """ker(h).  Built eagerly: ``generators``, ambient vectors of h's
-    source.  Built on first use: the presentation ``module`` (one more
-    ``kernel_mod``) and its ``inclusion`` into the source."""
-
-    def __init__(self, h: ModuleHom, generators):
-        self.h = h
-        self.generators = tuple(tuple(g) for g in generators)
-
-    @cached_property
-    def module(self) -> FpModule:
-        source = self.h.source
-        relations = kernel_mod(
-            self.generators, source.relations.gens, source.ring, source.rank
-        )
-        return FpModule(source.ring, len(self.generators), relations)
-
-    @cached_property
-    def inclusion(self) -> ModuleHom:
-        return ModuleHom(self.module, self.h.source, self.generators)
-
-
-def module_kernel(h: ModuleHom) -> KernelResult:
+def module_kernel(h: ModuleHom):
+    """Generators of ker(h): ambient vectors of h's source."""
     ring = h.source.ring
-    gens = kernel_mod(
+    return kernel_mod(
         list(h.columns), list(h.target.relations.gens), ring, h.target.rank
     )
-    return KernelResult(h, gens)
 
 
 def blockdiag_relations(relation_gens, mrank: int, blocks: int, ring):

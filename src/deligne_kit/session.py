@@ -6,7 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DimensionError, NameResolutionError, ParseError
+from .errors import (
+    DimensionError,
+    NameResolutionError,
+    ParseError,
+    StructuralError,
+)
 from .modules import FpModule
 from .rings import GF, QQ, Poly, PolyRing
 
@@ -346,7 +351,10 @@ class _Parser:
                     self.fail("zero denominator", nxt)
                 from fractions import Fraction
 
-                return ring.const(Fraction(num, den))
+                try:
+                    return ring.const(Fraction(num, den))
+                except StructuralError as ex:  # 0 mod p
+                    self.fail(str(ex), t)
             return ring.const(num)
         if t.kind == "name":
             self.next()

@@ -59,16 +59,8 @@ from .session import (
 # serialization helpers
 
 
-def ser_poly(p: Poly) -> str:
-    return str(p)
-
-
 def ser_vec(v) -> list:
     return [str(p) for p in v]
-
-
-def de_poly(ring: PolyRing, s: str) -> Poly:
-    return parse_poly(ring, s)
 
 
 def de_vec(ring: PolyRing, items, length: int | None = None) -> tuple:
@@ -252,7 +244,7 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
             ok = ok and equal
             probe_records.append(
                 {
-                    "y": ser_poly(y),
+                    "y": str(y),
                     "sigma": _fraction_payload(sig),
                     "theta": _fraction_payload(the),
                     "equal": equal,
@@ -281,7 +273,7 @@ def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
         for pr in sample["probes"]:
             if not pr["equal"]:
                 return "fail"
-            y = de_poly(session.ring, pr["y"])
+            y = parse_poly(session.ring, pr["y"])
             if not _replay_loc(M, y, pr["sigma"], pr["theta"],
                                pr["loc_certificate"]):
                 return None

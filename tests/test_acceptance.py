@@ -97,7 +97,8 @@ def test_criterion_1_roundtrip_rho_sigma_theta():
 def _gamma_valued_homs(xs, M, stage, count, seed):
     """Random homs with values inside the torsion submodule: by exactness
     these are precisely rho-kernel representatives.  The torsion submodule
-    is presented on its generators, as KernelResult presents a kernel."""
+    is presented on its generators, with the generators' syzygies modulo
+    M's relations as its relations."""
     gamma = gamma_torsion(M, xs)
     g = gamma.generators
     relations = kernel_mod(g, M.relations.gens, M.ring, M.rank)

@@ -510,7 +510,8 @@ def test_main_fraction_with_denominator_zero_mod_p_exits_2(tmp_path, capsys):
     f.write_text("ring F5[x,y];\nmodule M = coker [[x - 1/5]];\n")
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
-    assert "1/5 has no value in F5" in err
+    # a parse error at the constant, as `1/0` is
+    assert "error: 2:24: 1/5 has no value in F5" in err
     assert "Traceback" not in err
 
 
@@ -522,6 +523,20 @@ def test_main_replay_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", str(f), "--replay", str(out)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+def test_main_unwritable_out_exits_2(tmp_path, capsys, target):
+    f = tmp_path / "s.dk"
+    f.write_text("ring Q[x];\ntask idealization poles (1) cap 2;\n")
+    report = tmp_path / "report.json"
+    assert main(["run", str(f), "--out", str(report)]) == 0
+    bad = tmp_path / "no" / "r.json" if target == "missing-dir" else tmp_path
+    for argv in (["run", str(f)], ["run", str(f), "--replay", str(report)]):
+        assert main(argv + ["--out", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ")
+        assert "Traceback" not in err
 
 
 def test_exhausted_outcome_recorded(tmp_path):
