@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, StructuralError
-from .groebner import FreeSubmodule, vec_is_zero, vec_scale, vec_sub
+from .groebner import FreeSubmodule, Vector, vec_is_zero, vec_scale, vec_sub
 from .koszul import ProZeroCertificate, SequenceSpec
 from .modules import (
     FpModule,
@@ -70,6 +70,22 @@ def kill_exponent(M: FpModule, base: Poly, elem: ModuleElement):
     return c
 
 
+def cross_difference(base: Poly, na, a: int, nb, b: int, c: int) -> Vector:
+    """base^(c+b)*na - base^(c+a)*nb, the cross difference of na/base^a and
+    nb/base^b killed by base^c, built as base^(c+mu)*D with mu = min(a, b)
+    and D = base^(b-mu)*na - base^(a-mu)*nb; no power scales a zero vector."""
+
+    def times_power(n, v):
+        if n == 0 or vec_is_zero(v):
+            return tuple(v)
+        return vec_scale(base**n, v)
+
+    mu = min(a, b)
+    return times_power(
+        c + mu, vec_sub(times_power(b - mu, na), times_power(a - mu, nb))
+    )
+
+
 @dataclass
 class LocEqualCertificate:
     """Exact witness that base^(c+b) * m - base^(c+a) * m' lies in the span
@@ -88,17 +104,17 @@ def loc_equal(f: LocalFraction, g: LocalFraction, certificate: bool = False):
         raise StructuralError("fractions over different bases; use alpha_map")
     M = f.module
     base = f.base
-    w = (base**g.exponent) * f.numerator - (base**f.exponent) * g.numerator
-    c = kill_exponent(M, base, w)
+
+    def cross(c):
+        return cross_difference(base, f.numerator.vec, f.exponent,
+                                g.numerator.vec, g.exponent, c)
+
+    c = kill_exponent(M, base, M.element(cross(0)))
     if not certificate:
         return c is not None
     if c is None:
         return False, None
-    raw = vec_sub(
-        vec_scale(base ** (c + g.exponent), f.numerator.vec),
-        vec_scale(base ** (c + f.exponent), g.numerator.vec),
-    )
-    rem, lift = M.relations.normal_form_lift(raw)
+    rem, lift = M.relations.normal_form_lift(cross(c))
     if not vec_is_zero(rem):
         raise InternalError("kill exponent certificate failed")
     return True, LocEqualCertificate(c=c, lift=tuple(lift))
@@ -240,10 +256,7 @@ class IdealTransformElement:
                 raise StructuralError("values must lie in the module")
         self.power_gens = gens
         for s in pres.relations.gens:
-            acc = module.zero()
-            for coeff, v in zip(s, values):
-                acc = acc + coeff * v
-            if not acc.is_zero():
+            if not module.combine(s, values).is_zero():
                 raise StructuralError(
                     "values violate a power-generator syzygy"
                 )
@@ -263,10 +276,7 @@ class IdealTransformElement:
         rem, lift = self._gen_span.normal_form_lift((a,))
         if not vec_is_zero(rem):
             raise StructuralError("argument is not in the ideal power")
-        acc = self.module.zero()
-        for c, v in zip(lift, self.values):
-            acc = acc + c * v
-        return acc
+        return self.module.combine(lift, self.values)
 
     def restrict(self, stage: int) -> "IdealTransformElement":
         """Representative at a deeper stage (the colimit transition)."""
@@ -302,10 +312,7 @@ def sigma_inverse(c: CechCocycle, y: Poly) -> LocalFraction:
     n = c.exponent
     primed = c.primed_components(cc)
     d, r = radical_lift(y, c.cover.elements, cc + n)
-    acc = c.module.zero()
-    for coeff, mp in zip(r, primed):
-        acc = acc + coeff * mp
-    return LocalFraction(acc, y, d)
+    return LocalFraction(c.module.combine(r, primed), y, d)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +358,7 @@ def rho_preimage(c: CechCocycle, escalation_cap: int,
             (x ** (e - n)) * m for x, m in zip(xs.elements, c.components)
         ]
         for s in _power_syzygies(xs, e):
-            acc = M.zero()
-            for coeff, mp in zip(s, primed):
-                acc = acc + coeff * mp
+            acc = M.combine(s, primed)
             if not acc.is_zero():
                 return None, (tuple(s), acc)
         return primed, None
@@ -367,10 +372,7 @@ def rho_preimage(c: CechCocycle, escalation_cap: int,
             rem, lift = span.normal_form_lift((g,))
             if not vec_is_zero(rem):
                 raise InternalError("pigeonhole containment failed")
-            acc = M.zero()
-            for coeff, mp in zip(lift, primed):
-                acc = acc + coeff * mp
-            values.append(acc)
+            values.append(M.combine(lift, primed))
         return IdealTransformElement(xs, N, values, M)
 
     if escalation_cap < base_e:
@@ -492,9 +494,7 @@ def sheaf_check(sections, cover):
     y = cover.ring.zero()
     for x in xs:
         y = y + x**e
-    glued = M.zero()
-    for mp in primed:
-        glued = glued + mp
+    glued = M.combine([cover.ring.one()] * len(primed), primed)
 
     lifts = []
     for i in range(cover.k):

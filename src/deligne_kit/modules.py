@@ -4,6 +4,7 @@ radical-membership lifts."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .errors import InternalError, StructuralError
@@ -67,6 +68,14 @@ class FpModule:
 
     def zero(self) -> "ModuleElement":
         return ModuleElement(self, zero_vector(self.ring, self.rank))
+
+    def combine(self, coeffs, elements) -> "ModuleElement":
+        """sum(c_i * e_i) for polynomial coefficients, reduced once."""
+        for e in elements:
+            if e.module is not self and e.module != self:
+                raise StructuralError("elements of different modules")
+        vecs = [e.vec for e in elements]
+        return self.element(vec_dot(coeffs, vecs, self.ring, self.rank))
 
     def basis_elements(self):
         out = []
@@ -214,15 +223,24 @@ def blockdiag_relations(relation_gens, mrank: int, blocks: int, ring):
 
 
 class HomModule:
-    """Hom_R(A, B) presented by generator matrices, with a bilinear
-    evaluator.  A generator matrix is stored as a tuple of columns, one per
-    ambient coordinate of A, each a vector in B's ambient."""
+    """Hom_R(A, B) given by generator matrices, with a bilinear evaluator.
+    A generator matrix is stored as a tuple of columns, one per ambient
+    coordinate of A, each a vector in B's ambient.  The presentation
+    ``module`` is built on first use."""
 
-    def __init__(self, A: FpModule, B: FpModule, module: FpModule, generators):
+    def __init__(self, A: FpModule, B: FpModule, generators):
         self.A = A
         self.B = B
-        self.module = module
         self.generators = tuple(tuple(tuple(c) for c in g) for g in generators)
+
+    @cached_property
+    def module(self) -> FpModule:
+        """The generators modulo the matrices with every column in B's
+        relations."""
+        ring, rA, rB = self.A.ring, self.A.rank, self.B.rank
+        flat = [tuple(p for c in g for p in c) for g in self.generators]
+        d_gens = blockdiag_relations(self.B.relations.gens, rB, rA, ring)
+        return FpModule(ring, len(flat), kernel_mod(flat, d_gens, ring, rA * rB))
 
     def matrix_of(self, h) -> tuple:
         """The matrix (tuple of columns) represented by h."""
@@ -248,21 +266,12 @@ class HomModule:
 
 
 def hom_module(A: FpModule, B: FpModule) -> HomModule:
-    """Present Hom_R(A, B): matrices sending A's relations into B's
-    relations, modulo matrices with all columns in B's relations."""
+    """Hom_R(A, B): the matrices sending A's relations into B's relations.
+    This is the one construction of Hom condition vectors; the colon
+    0 :_M I is Hom_R(R/I, M)."""
     ring = A.ring
     rB, rA = B.rank, A.rank
     flat_rank = rB * rA
-
-    def flatten(cols) -> Vector:
-        out = []
-        for c in cols:
-            out.extend(c)
-        return tuple(out)
-
-    def unflatten(v) -> tuple:
-        return tuple(tuple(v[j * rB : (j + 1) * rB]) for j in range(rA))
-
     a_rels = list(A.relations.gens)
     s = len(a_rels)
 
@@ -288,18 +297,10 @@ def hom_module(A: FpModule, B: FpModule) -> HomModule:
         ]
     else:
         l_gens = kernel_mod(cond_vectors, cond_relations, ring, rB * s)
-
-    d_gens = []
-    for nu in B.relations.gens:
-        for j in range(rA):
-            cols = [zero_vector(ring, rB) for _ in range(rA)]
-            cols[j] = tuple(nu)
-            d_gens.append(flatten(cols))
-
-    relations = kernel_mod(l_gens, d_gens, ring, flat_rank)
-    H = FpModule(ring, len(l_gens), relations)
-    generators = [unflatten(g) for g in l_gens]
-    return HomModule(A, B, H, generators)
+    generators = [
+        tuple(tuple(g[j * rB : (j + 1) * rB]) for j in range(rA)) for g in l_gens
+    ]
+    return HomModule(A, B, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +336,11 @@ def ideal_power(xs, n: int):
 
 
 def colon_generators(M: FpModule, polys):
-    """Generators (ambient vectors) of {m : p*m = 0 in M for every p}."""
-    polys = [p for p in polys if not p.is_zero()]
-    ring = M.ring
-    if not polys:
-        return [tuple(b.vec) for b in M.basis_elements()]
-    stacked_rank = M.rank * len(polys)
-    vectors = []
-    for i in range(M.rank):
-        stacked = []
-        for p in polys:
-            block = [ring.zero()] * M.rank
-            block[i] = p
-            stacked.extend(block)
-        vectors.append(tuple(stacked))
-    relations = blockdiag_relations(M.relations.gens, M.rank, len(polys), ring)
-    return kernel_mod(vectors, relations, ring, stacked_rank)
+    """Generators (ambient vectors) of 0 :_M I = {m : p*m = 0 in M for every
+    p in I}: a hom R/I -> M is its value on 1, so they are the generators
+    of Hom_R(R/I, M)."""
+    R_I = FpModule.quotient_ring(M.ring, [p for p in polys if not p.is_zero()])
+    return [g[0] for g in hom_module(R_I, M).generators]
 
 
 class SaturationResult:

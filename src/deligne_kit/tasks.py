@@ -13,10 +13,51 @@ rebuilt from the task, a fraction's base is its probe or chart, and the
 idealization witnesses, closed forms of (pole, cap), are rebuilt and
 verified.  Each replayer returns the outcome its evidence supports, or None
 when the evidence does not verify.
+
+Replay bounds its work by degrees before it raises a power.  A record sets
+exponents (a kill exponent c, fraction exponents, the glue exponent e),
+and each identity it claims reads L = sum(lift_i * relation_i), where the
+right side costs no power.  Over a field deg(f*g) = deg f + deg g (the
+degree of a vector is the largest degree of an entry, -1 for zero), so L
+can equal the right side only if both have the same degree; replay reads
+deg L off the degrees of the record's polynomials and rejects a mismatch.
+Every power it then raises has a degree that the degrees of the record's
+polynomials bound.
+
+- Localization (roundtrip probes, diagram charts, the sheaf-glue
+  recovery): L = base^(c+b)*n_a - base^(c+a)*n_b = base^(c+mu)*D with
+  mu = min(a, b) and D = base^k*n_1 - n_2, where k = |a - b| and n_1 is
+  the numerator of the smaller exponent.  D = 0 makes L = 0; the run's
+  kill exponent of a zero difference is 0, so replay requires c = 0 and a
+  zero right side.  Otherwise deg L = (c + mu)*deg(base) + deg D, and
+  deg D = max(k*deg(base) + deg n_1, deg n_2) unless the two are equal;
+  then k*deg(base) <= deg n_2 and D is computed outright.  A constant base
+  is a unit, and no power of a unit kills a nonzero vector, so the run
+  records c = 0, which replay requires; the powers of D are then scalars.
+- Sheaf-glue restriction at chart i: with y = sum(x_j^e),
+  L = x_i^e*m - y*m'_i = sum_j x_j^e*v_j, v_i = m - m'_i and v_j = -m'_i.
+  Lemma: if the top-degree forms of x_1, ..., x_k have pairwise distinct
+  leading monomials and e > deg v_j for every j, then
+  deg L = max(e*deg x_j + deg v_j : v_j != 0), and L = 0 only if every
+  v_j is.  Two terms of different deg x_j cannot tie in degree, since
+  their difference in e*deg x_j is at least e and in deg v_j less than e.
+  Among the terms of one degree the top form is sum(h_j^e*w_j), h_j the
+  top form of x_j and w_j of v_j, and in each entry the leading monomials
+  lm(h_j)^e*lm(w_j) differ pairwise: lm(h_j)^e and lm(h_l)^e differ in
+  some exponent by at least e, lm(w_j) and lm(w_l) in every exponent by
+  less.  So the largest survives.  With v_j = 1 the lemma gives
+  deg y = e*max(deg x_j) for e >= 1, which the recovery check uses
+  without forming y; y is formed only when a check needs one of its
+  powers, and then its degree is bounded.
+- A cover whose top-degree forms share a leading monomial falls outside
+  the lemma: replay checks its sheaf-glue identities without the degree
+  test and forms y outright.  docs/report-schema.md lists what replay
+  does not bound.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .deligne import (
@@ -25,6 +66,7 @@ from .deligne import (
     IdealTransformElement,
     IncompatibleWitness,
     LocalFraction,
+    cross_difference,
     gamma_torsion,
     loc_equal,
     rho_eval,
@@ -33,7 +75,7 @@ from .deligne import (
     theta_probe,
 )
 from .errors import ParseError, StructuralError
-from .groebner import vec_dot, vec_is_zero, vec_scale, vec_sub
+from .groebner import vec_dot, vec_is_zero, vec_sub
 from .idealization import IdealizationRing, rho_obstruction
 from .koszul import (
     CertificateEntry,
@@ -157,23 +199,57 @@ def _loc_payload(cert) -> dict:
     return {"c": cert.c, "lift": ser_vec(cert.lift)}
 
 
-def _replay_loc(M: FpModule, base: Poly, fa: dict, fb: dict,
+def _degree(v) -> int:
+    """The largest total degree of an entry of v; -1 for the zero vector."""
+    return max((p.total_degree() for p in v), default=-1)
+
+
+def _top_leads_distinct(xs) -> bool:
+    """Whether the top-degree forms of xs have pairwise distinct leading
+    monomials, the condition of the module docstring's lemma."""
+    leads = set()
+    for x in xs:
+        d = x.total_degree()
+        leads.add(max((m for m in x.terms if sum(m) == d), key=x.ring.mon_key))
+    return len(leads) == len(xs)
+
+
+def _replay_loc(M: FpModule, base_degree: int, base, fa: dict, fb: dict,
                 cert: dict) -> bool:
     """Verify base^(c+b)*num_a - base^(c+a)*num_b == sum(lift * relations)
-    for a nonzero base (M_0 = 0 would make every fraction equal)."""
-    if base.is_zero():
+    for a nonzero base (M_0 = 0 would make every fraction equal) of degree
+    base_degree, after the degree test of the module docstring.  ``base()``
+    returns the base; it is called only once that test has bounded the
+    powers."""
+    if base_degree < 0:
         return False
     ring = M.ring
     rels = list(M.relations.gens)
     na = de_vec(ring, fa["numerator"], M.rank)
     nb = de_vec(ring, fb["numerator"], M.rank)
     lift = de_vec(ring, cert["lift"], len(rels))
-    c = cert["c"]
-    lhs = vec_sub(
-        vec_scale(base ** (c + fb["exponent"]), na),
-        vec_scale(base ** (c + fa["exponent"]), nb),
-    )
-    return vec_is_zero(vec_sub(lhs, vec_dot(lift, rels, ring, M.rank)))
+    a, b, c = fa["exponent"], fb["exponent"], cert["c"]
+    if min(a, b, c) < 0:
+        return False
+    rhs = vec_dot(lift, rels, ring, M.rank)
+    mu = min(a, b)
+    n_1, n_2 = (na, nb) if a <= b else (nb, na)
+    deg_1, deg_2 = _degree(n_1), _degree(n_2)
+    if deg_1 >= 0:
+        deg_1 += abs(a - b) * base_degree
+    if deg_1 == deg_2 >= 0:
+        # the top forms of D's two terms may cancel; form D, whose power
+        # has degree at most deg_2
+        deg_d = _degree(cross_difference(base(), na, a - mu, nb, b - mu, 0))
+    else:
+        deg_d = max(deg_1, deg_2)
+    if deg_d < 0:
+        return c == 0 and vec_is_zero(rhs)
+    if (base_degree == 0 and c != 0
+            or (c + mu) * base_degree + deg_d != _degree(rhs)):
+        return False
+    lhs = cross_difference(base(), na, a, nb, b, c)
+    return vec_is_zero(vec_sub(lhs, rhs))
 
 
 def run_prozero(task: ProzeroTask, session: Session) -> dict:
@@ -274,8 +350,8 @@ def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
             if not pr["equal"]:
                 return "fail"
             y = parse_poly(session.ring, pr["y"])
-            if not _replay_loc(M, y, pr["sigma"], pr["theta"],
-                               pr["loc_certificate"]):
+            if not _replay_loc(M, y.total_degree(), lambda: y, pr["sigma"],
+                               pr["theta"], pr["loc_certificate"]):
                 return None
     return "pass"
 
@@ -290,11 +366,12 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
     full_torsion = all(gamma.contains(b) for b in M.basis_elements())
 
     def torsion_tweak():
-        acc = M.zero()
-        for g in torsion_gens:
-            if rng.random() < 0.5:
-                acc = acc + random_poly(ring, rng, max_deg=1, max_terms=1) * g
-        return acc
+        coeffs = [
+            random_poly(ring, rng, max_deg=1, max_terms=1)
+            if rng.random() < 0.5 else ring.zero()
+            for _ in torsion_gens
+        ]
+        return M.combine(coeffs, torsion_gens)
 
     samples = []
     ok = True
@@ -363,11 +440,13 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
 def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
     """The glue denominator is y = sum(x_i^e), e = compat + cocycle_exponent;
     each chart's restriction identity x_i^e*m - y*m'_i is in the relation
-    span, and the glued m/y equals element/1 in M_y."""
+    span, and the glued m/y equals element/1 in M_y.  The degree tests of
+    the module docstring come before any power."""
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     ring = session.ring
     rels = list(M.relations.gens)
+    lemma = _top_leads_distinct(xs.elements)
     samples = record["certificate"]["samples"]
     if len(samples) != task.samples:
         return None
@@ -375,26 +454,43 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
         glued = sample["glued"]
         if glued is None:
             return "fail"
-        e = glued["compat"] + glued["cocycle_exponent"]
-        y = ring.zero()
-        for x in xs.elements:
-            y = y + x**e
+        compat, n = glued["compat"], glued["cocycle_exponent"]
+        if min(compat, n) < 0 or compat + n < 1:
+            return None
+        e = compat + n
         num = de_vec(ring, glued["numerator"], M.rank)
         primed, lifts = glued["primed"], glued["restriction_lifts"]
         if len(primed) != xs.k or len(lifts) != xs.k:
             return None
-        for x, mp, lift in zip(xs.elements, primed, lifts):
-            lhs = vec_sub(
-                vec_scale(x**e, num), vec_scale(y, de_vec(ring, mp, M.rank))
-            )
+        primed = [de_vec(ring, mp, M.rank) for mp in primed]
+        element = de_vec(ring, sample["element"], M.rank)
+        by_degrees = lemma and e > max(map(_degree, [num, element, *primed]))
+        power = functools.cache(lambda j: xs.elements[j] ** e)
+        for i, (mp, lift) in enumerate(zip(primed, lifts)):
+            minus = tuple(-p for p in mp)
+            vs = [vec_sub(num, mp) if j == i else minus for j in range(xs.k)]
+            terms = [(j, v) for j, v in enumerate(vs) if not vec_is_zero(v)]
             rhs = vec_dot(de_vec(ring, lift, len(rels)), rels, ring, M.rank)
+            if by_degrees and _degree(rhs) != max(
+                    (e * xs.elements[j].total_degree() + _degree(v)
+                     for j, v in terms), default=-1):
+                return None
+            lhs = vec_dot([power(j) for j, _ in terms], [v for _, v in terms],
+                          ring, M.rank)
             if not vec_is_zero(vec_sub(lhs, rhs)):
                 return None
         if not glued["recovers_element"]:
             return "fail"
+
+        @functools.cache
+        def y():
+            return sum(map(power, range(xs.k)), ring.zero())
+
+        y_degree = e * max(x.total_degree() for x in xs.elements)
         fa = {"numerator": glued["numerator"], "exponent": 1}
         fb = {"numerator": sample["element"], "exponent": 0}
-        if not _replay_loc(M, y, fa, fb, glued["recover_certificate"]):
+        if not _replay_loc(M, y_degree if lemma else y().total_degree(), y,
+                           fa, fb, glued["recover_certificate"]):
             return None
         pert = sample.get("perturbed")
         if pert is not None and pert["detected"] is False:
@@ -466,8 +562,8 @@ def replay_diagram(record: dict, task: DiagramTask, session: Session):
         for x, comp in zip(xs.elements, sample["components"]):
             if not comp["equal"]:
                 return "fail"
-            if not _replay_loc(M, x, natural, comp["through"],
-                               comp["loc_certificate"]):
+            if not _replay_loc(M, x.total_degree(), lambda: x, natural,
+                               comp["through"], comp["loc_certificate"]):
                 return None
     return "pass"
 

@@ -1,10 +1,11 @@
 """Independent brute-force oracles for the test suite: degreewise linear
 algebra over exact fields, never touching the Gröbner machinery under test,
 a reference normal-form reduction written with plain polynomial
-arithmetic, a reference saturation chain that takes each link as the
-colon by a power of the ideal, ``kernel_mod`` as the head of the full
-syzygies, and polynomial arithmetic over Q on plain dictionaries of
-``Fraction`` values, independent of the rational field under test."""
+arithmetic, the colon 0 :_M I as the kernel of a stacked map, a reference
+saturation chain that takes each link as the colon by a power of the
+ideal, ``kernel_mod`` as the head of the full syzygies, and polynomial
+arithmetic over Q on plain dictionaries of ``Fraction`` values,
+independent of the rational field under test."""
 
 from fractions import Fraction
 from itertools import product
@@ -205,16 +206,36 @@ def reduce_full_reference(v, basis, leads, ring: PolyRing):
     return tuple(rem), quots
 
 
+def colon_reference(M, polys):
+    """Generators of 0 :_M (polys) as the kernel of m -> (p*m)_p, from M to
+    M^len(polys): one stacked vector per ambient coordinate, with M's
+    relations copied into every block, through ``kernel_mod_reference``."""
+    ring, r = M.ring, M.rank
+    polys = [p for p in polys if not p.is_zero()]
+    zero = [ring.zero()] * r
+    vectors = [
+        tuple(q for p in polys for q in zero[:i] + [p] + zero[i + 1 :])
+        for i in range(r)
+    ]
+    relations = [
+        tuple(zero * b + list(nu) + zero * (len(polys) - 1 - b))
+        for b in range(len(polys))
+        for nu in M.relations.gens
+    ]
+    return kernel_mod_reference(vectors, relations, ring, r * len(polys))
+
+
 def saturate_power_chain_reference(M, polys, cap: int = 64):
     """The chain 0 :_M J^t with every link built from scratch as the colon
-    of M by the power J^t, stopping at the first t whose span equals the
-    next one's.  Returns (t_star, the span of 0 :_M J^t_star in R^rank,
-    M's relations included), for comparison with ``modules.saturate``."""
+    of M by the power J^t (``colon_reference``), stopping at the first t
+    whose span equals the next one's.  Returns (t_star, the span of
+    0 :_M J^t_star in R^rank, M's relations included), for comparison with
+    ``modules.saturate``."""
     from deligne_kit.groebner import FreeSubmodule
-    from deligne_kit.modules import colon_generators, ideal_power
+    from deligne_kit.modules import ideal_power
 
     def span(t):
-        gens = colon_generators(M, ideal_power(polys, t))
+        gens = colon_reference(M, ideal_power(polys, t))
         return FreeSubmodule(
             M.ring, M.rank, list(gens) + list(M.relations.gens)
         )

@@ -3,9 +3,6 @@ Every expected value is either exact by construction or checked against an
 independent brute-force oracle living in oracles.py / inline formulas."""
 
 import random
-from fractions import Fraction
-
-import pytest
 
 from deligne_kit.deligne import (
     CechCocycle,

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 import weakref
 
 import pytest
@@ -13,7 +14,10 @@ from deligne_kit.errors import (
     ParseError,
     StructuralError,
 )
+from deligne_kit.modules import FpModule
+from deligne_kit.rings import QQ, PolyRing
 from deligne_kit.session import parse_session
+from deligne_kit.tasks import _replay_loc
 
 GOOD = """\
 # demo session
@@ -312,6 +316,122 @@ def test_main_replay_forged_record_exits_1(report, tmp_path, capsys, name):
     rep, _ = report
     assert _main_replay(tmp_path, _forge(rep, *FORGERIES[name])) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+# replay work is bounded by degrees (docs/report-schema.md): a record that
+# inflates an exponent fails its replay without the power being raised.
+# This session's probes have bases such as 2*x^3 + 2*y*z^2 + 3*z*w, whose
+# 10^6-th power no replay could form.
+SIZED = """\
+ring Q[x,y,z,w] order grevlex;
+module M = coker [[x*y - z*w, 0, z^2], [0, y*z, x^2 - w^2]];
+module T = coker [[x*y*z, x*w^2]];
+ideal J = (x, y, z, w);
+ideal K = (x^2, y*z, w);
+task deligne-roundtrip K T samples 3 seed 7;
+task sheaf-glue J T samples 3 seed 3;
+task diagram J M samples 2 seed 11;
+"""
+
+
+def _longest_probe(rec):
+    probes = [p for sample in _samples(rec) for p in sample["probes"]]
+    return max(probes, key=lambda p: len(p["y"]))
+
+
+def _first_nonzero_glue(rec):
+    return next(s["glued"] for s in _samples(rec) if s["element"] != ["0"])
+
+
+INFLATED = {
+    "roundtrip-probe-c": (0, lambda r: _longest_probe(r)["loc_certificate"]
+                          .update(c=10**6)),
+    "diagram-chart-c": (2, lambda r: _samples(r)[0]["components"][0]
+                        ["loc_certificate"].update(c=10**6)),
+    "sheaf-recovery-c": (1, lambda r: _first_nonzero_glue(r)
+                         ["recover_certificate"].update(c=10**6)),
+    "sheaf-compat": (1, lambda r: _first_nonzero_glue(r).update(compat=10**6)),
+}
+
+
+@pytest.fixture(scope="module")
+def sized_report():
+    session = parse_session(SIZED)
+    rep = build_report(SIZED, session)
+    assert replay_report(SIZED, session, rep)["ok"] is True
+    return rep
+
+
+@pytest.mark.parametrize("name", list(INFLATED))
+def test_main_replay_rejects_inflated_exponent_quickly(sized_report, tmp_path,
+                                                       capsys, name):
+    index, mutate = INFLATED[name]
+    f = tmp_path / "s.dk"
+    f.write_text(SIZED)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(_forge(sized_report, index, mutate)))
+    out = tmp_path / "replay.json"
+    start = time.monotonic()
+    assert main(["run", str(f), "--replay", str(forged), "--out", str(out)]) == 1
+    assert time.monotonic() - start < 1.0
+    results = json.loads(out.read_text())["results"]
+    assert [r["verified"] for r in results] == [i != index for i in range(3)]
+
+
+# a session whose ideals hold a unit, and covers whose top-degree forms
+# share a leading monomial
+UNIT = """\
+ring Q[x,y];
+module M = coker [[x, 0], [0, y]];
+module T = coker [[x*y^2]];
+ideal U = (1, x);
+ideal D = (x + y, x - y);
+task deligne-roundtrip U M samples 2 seed 3;
+task diagram U M samples 2 seed 5;
+task sheaf-glue U M samples 2 seed 1;
+task sheaf-glue D T samples 3 seed 2;
+"""
+
+
+def test_constant_bases_and_shared_leads_replay(tmp_path, capsys):
+    f = tmp_path / "s.dk"
+    f.write_text(UNIT)
+    path = tmp_path / "report.json"
+    assert main(["run", str(f), "--out", str(path)]) == 0
+    assert main(["run", str(f), "--replay", str(path)]) == 0
+    capsys.readouterr()
+
+
+def _no_power(*_):
+    raise AssertionError("the base was formed before the degree test")
+
+
+def test_replay_loc_degree_rules():
+    R = PolyRing(QQ, ("x", "y"))
+    x, y = R.gens()
+    M = FpModule.quotient_ring(R, [x * y])
+    zero = {"numerator": ["0"], "exponent": 0}
+    # a unit kills no nonzero vector, so the run records c = 0 over a
+    # constant base: 2^c*(x*y) is 2^c times the relation for every c, and
+    # only c = 0 verifies
+    xy = {"numerator": ["x*y"], "exponent": 0}
+    two = R.const(2)
+    assert _replay_loc(M, 0, lambda: two, xy, zero, {"c": 0, "lift": ["1"]})
+    assert not _replay_loc(M, 0, lambda: two, xy, zero, {"c": 1, "lift": ["2"]})
+    # x^c*y/x = 0/1 in M_x: x*y is the relation at c = 1
+    y_x = {"numerator": ["y"], "exponent": 1}
+    assert _replay_loc(M, 1, lambda: x, y_x, zero, {"c": 1, "lift": ["1"]})
+    # a left side of degree 10^9 + 1 against a right side of degree 2:
+    # rejected before the base is formed
+    assert not _replay_loc(M, 1, _no_power, y_x, zero,
+                           {"c": 10**9, "lift": ["1"]})
+    # D = 0 for every c, and the run writes c = 0 there
+    zero_x = {"numerator": ["0"], "exponent": 5}
+    assert _replay_loc(M, 1, _no_power, zero_x, zero, {"c": 0, "lift": ["0"]})
+    assert not _replay_loc(M, 1, _no_power, zero_x, zero,
+                           {"c": 9, "lift": ["0"]})
+    # the zero base
+    assert not _replay_loc(M, -1, _no_power, y_x, zero, {"c": 0, "lift": ["0"]})
 
 
 EXHAUSTED = ("ring Q[x];\nsequence s = (x, x);\n"

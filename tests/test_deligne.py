@@ -22,7 +22,7 @@ from deligne_kit.deligne import (
 )
 from deligne_kit.errors import StructuralError
 from deligne_kit.koszul import SequenceSpec, pro_zero_search
-from deligne_kit.modules import FpModule, hom_module, ideal_as_module
+from deligne_kit.modules import FpModule
 from deligne_kit.rings import QQ, PolyRing
 from deligne_kit.tasks import probe_elements, random_element, random_hom
 

@@ -11,7 +11,6 @@ from deligne_kit.groebner import (
     vec_dot,
     vec_is_zero,
     vec_lead,
-    vec_sub,
 )
 from deligne_kit.rings import (
     GF,

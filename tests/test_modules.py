@@ -11,9 +11,11 @@ from deligne_kit.groebner import (
     vec_is_zero,
     vec_scale,
 )
+from deligne_kit.koszul import SequenceSpec
 from deligne_kit.modules import (
     FpModule,
     ModuleHom,
+    colon_generators,
     hom_module,
     ideal_as_module,
     ideal_power,
@@ -22,7 +24,8 @@ from deligne_kit.modules import (
     saturate,
 )
 from deligne_kit.rings import GF, QQ, PolyRing
-from oracles import saturate_power_chain_reference
+from deligne_kit.tasks import random_hom
+from oracles import colon_reference, saturate_power_chain_reference
 
 
 @pytest.fixture
@@ -53,6 +56,52 @@ def test_hom_certificate_rejects_illdefined(R1):
     B = FpModule.free(R1, 1)                 # R
     with pytest.raises(StructuralError):
         ModuleHom(A, B, [(R1.one(),)])       # 1*x not in 0
+
+
+def _random_module_elements(M, rng, count):
+    return [
+        M.element(tuple(_random_poly(M.ring, rng, 2, 2) for _ in range(M.rank)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_combine_equals_accumulation_and_reduces_once(field, monkeypatch):
+    rng = random.Random(f"combine:{field.name}")
+    ring = PolyRing(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    M = FpModule(ring, 2, [(x * y, z), (y**2, ring.zero()), (z, x)])
+    for count in (0, 1, 4):
+        elements = _random_module_elements(M, rng, count)
+        coeffs = [_random_poly(ring, rng, 1, rng.randint(1, 2)) for _ in elements]
+        if coeffs:
+            coeffs[0] = ring.zero()  # a zero coefficient contributes nothing
+        acc = M.zero()
+        for c, e in zip(coeffs, elements):
+            acc = acc + c * e
+        calls = []
+        real_reduce = FpModule.reduce
+
+        def counting_reduce(self, vec):
+            calls.append(vec)
+            return real_reduce(self, vec)
+
+        monkeypatch.setattr(FpModule, "reduce", counting_reduce)
+        combined = M.combine(coeffs, elements)
+        monkeypatch.setattr(FpModule, "reduce", real_reduce)
+        assert combined == acc
+        assert combined.vec == acc.vec
+        assert len(calls) == 1
+
+
+def test_combine_rejects_elements_of_another_module(R):
+    x, y = R.gens()
+    M = FpModule.quotient_ring(R, [x])
+    N = FpModule.quotient_ring(R, [y])
+    with pytest.raises(StructuralError):
+        M.element((R.one(),)) + N.element((R.one(),))
+    with pytest.raises(StructuralError):
+        M.combine([R.one(), y], [M.element((R.one(),)), N.element((R.one(),))])
 
 
 # ---------------------------------------------------------------- kernels
@@ -143,6 +192,42 @@ def test_hom_evaluator_bilinear_and_welldefined(R):
         assert vec_is_zero(M.reduce(val))
 
 
+def _counting_kernel_mod(monkeypatch):
+    calls = []
+    real = modules.kernel_mod
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "kernel_mod", counting)
+    return calls
+
+
+def test_hom_presentation_built_on_first_use(monkeypatch, R):
+    x, y = R.gens()
+    A = FpModule.quotient_ring(R, [x, y**2])
+    M = FpModule(R, 2, [(x * y, y), (y**2, x)])
+    calls = _counting_kernel_mod(monkeypatch)
+    H = hom_module(A, M)
+    assert len(calls) == 1  # the homs only
+    relations = H.module.relations
+    assert len(calls) == 2  # the presentation, on first access
+    assert H.module.relations is relations
+    assert len(calls) == 2
+
+
+def test_random_hom_builds_no_hom_presentation(monkeypatch):
+    R = PolyRing(QQ, ("x", "y"))
+    x, y = R.gens()
+    M = FpModule(R, 1, [(x**2 * y,)])
+    xs = SequenceSpec((x, y))
+    calls = _counting_kernel_mod(monkeypatch)
+    phi = random_hom(xs, 2, M, random.Random(5))
+    assert len(calls) == 1  # hom_module's, and no presentation
+    assert len(phi.values) == 3
+
+
 # ---------------------------------------------------------------- saturation
 
 
@@ -201,9 +286,19 @@ def test_saturate_unstable_chain_names_ideal_and_cap(monkeypatch, R):
     )
 
 
-def test_saturate_monotone(R1):
-    from deligne_kit.modules import colon_generators
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_colon_generators_match_stacked_reference(field, rank):
+    # 0 :_M I read off Hom(R/I, M) spans what the stacked kernel spans,
+    # modulo M's relations
+    for ring, M, J in _random_saturation_cases(field, rank):
+        rels = list(M.relations.gens)
+        mine = FreeSubmodule(ring, rank, list(colon_generators(M, J)) + rels)
+        ref = FreeSubmodule(ring, rank, list(colon_reference(M, J)) + rels)
+        assert mine.span_equals(ref)
 
+
+def test_saturate_monotone(R1):
     (x,) = R1.gens()
     M = FpModule.quotient_ring(R1, [x**3])
     prev = None
