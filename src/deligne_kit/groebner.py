@@ -4,7 +4,7 @@ and Schreyer syzygies.
 Module terms (position, monomial) are ordered position-over-term (POT):
 earlier positions dominate, ties broken by the ring's monomial order.
 Reduced bases are canonical, so normal forms decide membership and
-equality.
+equality.  Every representation and lift is a ``vec_dot`` of tracked vectors.
 
 Buchberger's loop keeps its S-pairs -- pairs of work vectors whose leads
 share a position -- in a heap and takes the pair with the smallest POT lcm
@@ -94,12 +94,21 @@ def vec_mul_term(coeff, mon, v: Vector) -> Vector:
 
 
 def vec_dot(coeffs, vectors, ring: PolyRing, rank: int) -> Vector:
-    """sum(c_i * v_i) for polynomial coefficients c_i."""
-    acc = zero_vector(ring, rank)
+    """sum(c_i * v_i) in R^rank over zip(coeffs, vectors)."""
+    acc = [ring.zero()] * rank
     for c, v in zip(coeffs, vectors):
-        if not c.is_zero():
-            acc = vec_add(acc, vec_scale(c, v))
-    return acc
+        if c.is_zero():
+            continue
+        for i, a in enumerate(v):
+            if not a.is_zero():
+                acc[i] = acc[i] + c * a
+    return tuple(acc)
+
+
+def unit_vector(ring: PolyRing, rank: int, i: int) -> Vector:
+    """e_i in R^rank; the zero vector when i >= rank."""
+    zero = ring.zero()
+    return tuple(ring.one() if j == i else zero for j in range(rank))
 
 
 def vec_key(v: Vector):
@@ -253,16 +262,11 @@ class FreeSubmodule:
         fld = ring.field
         tracked = self.tracked
 
-        def unit_rep(i):
-            return tuple(
-                ring.one() if j == i else ring.zero() for j in range(tracked)
-            )
-
         work = []   # list of [vector, rep]; entries never change in the loop
         leads = []  # leads[t] = vec_lead(work[t][0])
         for i, g in enumerate(self.gens):
             if not vec_is_zero(g):
-                work.append([g, unit_rep(i)])
+                work.append([g, unit_vector(ring, tracked, i)])
                 leads.append(vec_lead(g, ring))
 
         queue = []    # heap of (POT key of the lcm, i, j, lcm) with i < j
@@ -297,10 +301,8 @@ class FreeSubmodule:
             s_rep = vec_sub(vec_mul_term(ci, mi, ri), vec_mul_term(cj, mj, rj))
             rem, quots = _reduce_full(s_vec, [w[0] for w in work], leads, ring)
             if not vec_is_zero(rem):
-                rep = s_rep
-                for t, q in enumerate(quots):
-                    if not q.is_zero():
-                        rep = vec_sub(rep, vec_scale(q, work[t][1]))
+                reps = [w[1] for w in work]
+                rep = vec_sub(s_rep, vec_dot(quots, reps, ring, tracked))
                 work.append([rem, rep])
                 leads.append(vec_lead(rem, ring))
                 add_pairs(len(work) - 1)
@@ -335,11 +337,8 @@ class FreeSubmodule:
                 [leads[u] for u in u_list],
                 ring,
             )
-            rep = work[t][1]
-            for pos_q, q in enumerate(quots):
-                if not q.is_zero():
-                    rep = vec_sub(rep, vec_scale(q, work[u_list[pos_q]][1]))
-            work[t] = [rem, rep]
+            reps = [work[u][1] for u in u_list]
+            work[t] = [rem, vec_sub(work[t][1], vec_dot(quots, reps, ring, tracked))]
 
         # monic, canonical order (descending leads; work is ascending)
         basis, reps, basis_leads = [], [], []
@@ -376,15 +375,7 @@ class FreeSubmodule:
         self.groebner()
         basis, reps, _, leads = self._gb
         rem, quots = _reduce_full(tuple(v), basis, leads, self.ring)
-        ngens = len(self.gens)
-        lift = [self.ring.zero() for _ in range(ngens)]
-        for t, q in enumerate(quots):
-            if not q.is_zero():
-                rep = reps[t]
-                for i in range(ngens):
-                    if not rep[i].is_zero():
-                        lift[i] = lift[i] + q * rep[i]
-        return rem, tuple(lift)
+        return rem, vec_dot(quots, reps, self.ring, len(self.gens))
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.normal_form(v))
@@ -436,13 +427,13 @@ class FreeSubmodule:
             rem, quots = _reduce_full(s_vec, basis, leads, ring)
             if not vec_is_zero(rem):
                 raise InternalError("S-pair of a Gröbner basis not zero")
-            syz = [ring.zero() for _ in range(s)]
-            syz[i] = syz[i] + ring.term(ci, mi)
-            syz[j] = syz[j] - ring.term(cj, mj)
-            for t, q in enumerate(quots):
-                syz[t] = syz[t] - q
-            if not vec_is_zero(tuple(syz)):
-                basis_syz.append(tuple(syz))
+            tau = vec_sub(
+                vec_mul_term(ci, mi, unit_vector(ring, s, i)),
+                vec_mul_term(cj, mj, unit_vector(ring, s, j)),
+            )
+            syz = vec_sub(tau, quots)
+            if not vec_is_zero(syz):
+                basis_syz.append(syz)
 
         # translate to the original generators:
         #   rows of (I - lift . rep)  and  (basis syzygy) . rep
@@ -457,27 +448,10 @@ class FreeSubmodule:
                 seen.add(k)
                 out.append(vec)
 
-        for jg in range(len(self.gens)):
-            row = [
-                ring.one() if i == jg else ring.zero() for i in range(r)
-            ]
-            for t, q in enumerate(gens_lift[jg]):
-                if not q.is_zero():
-                    rep = reps[t]
-                    for i in range(r):
-                        if not rep[i].is_zero():
-                            row[i] = row[i] - q * rep[i]
-            push(tuple(row))
-
+        for jg, lift in enumerate(gens_lift):
+            push(vec_sub(unit_vector(ring, r, jg), vec_dot(lift, reps, ring, r)))
         for z in basis_syz:
-            row = [ring.zero() for _ in range(r)]
-            for t, zt in enumerate(z):
-                if not zt.is_zero():
-                    rep = reps[t]
-                    for i in range(r):
-                        if not rep[i].is_zero():
-                            row[i] = row[i] + zt * rep[i]
-            push(tuple(row))
+            push(vec_dot(z, reps, ring, r))
 
         self._syzygies = FreeSubmodule(ring, r, out)
         return self._syzygies

@@ -18,6 +18,7 @@ from .groebner import (
     FreeSubmodule,
     Vector,
     kernel_mod,
+    unit_vector,
     vec_dot,
     vec_is_zero,
     vec_sub,
@@ -198,13 +199,9 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
     if key in M.memo:
         return M.memo[key]
     stage = _stage(x, n, M)
-    ring = x.ring
     if i == 0:
-        ker_gens = []
-        for t in range(stage.chain[0].rank):
-            v = [ring.zero()] * stage.chain[0].rank
-            v[t] = ring.one()
-            ker_gens.append(tuple(v))
+        rank = stage.chain[0].rank
+        ker_gens = [unit_vector(x.ring, rank, t) for t in range(rank)]
     else:
         ker_gens = module_kernel(stage.diff[i])
     hom = HomologyModule(stage, i, ker_gens)

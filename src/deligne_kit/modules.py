@@ -12,6 +12,7 @@ from .groebner import (
     FreeSubmodule,
     Vector,
     kernel_mod,
+    unit_vector,
     vec_add,
     vec_dot,
     vec_is_zero,
@@ -78,12 +79,10 @@ class FpModule:
         return self.element(vec_dot(coeffs, vecs, self.ring, self.rank))
 
     def basis_elements(self):
-        out = []
-        for i in range(self.rank):
-            v = [self.ring.zero()] * self.rank
-            v[i] = self.ring.one()
-            out.append(self.element(v))
-        return out
+        return [
+            self.element(unit_vector(self.ring, self.rank, i))
+            for i in range(self.rank)
+        ]
 
     def key(self):
         if self._key is None:
@@ -247,14 +246,11 @@ class HomModule:
         coeffs = h.vec if isinstance(h, ModuleElement) else tuple(h)
         if len(coeffs) != len(self.generators):
             raise StructuralError("wrong number of hom coordinates")
-        ring = self.B.ring
-        cols = [zero_vector(ring, self.B.rank) for _ in range(self.A.rank)]
-        for c, g in zip(coeffs, self.generators):
-            if c.is_zero():
-                continue
-            for j in range(self.A.rank):
-                cols[j] = vec_add(cols[j], vec_scale(c, g[j]))
-        return tuple(cols)
+        return tuple(
+            vec_dot(coeffs, [g[j] for g in self.generators], self.B.ring,
+                    self.B.rank)
+            for j in range(self.A.rank)
+        )
 
     def evaluate(self, h, a) -> ModuleElement:
         """Apply the hom h to the A-element a."""
@@ -271,32 +267,21 @@ def hom_module(A: FpModule, B: FpModule) -> HomModule:
     0 :_M I is Hom_R(R/I, M)."""
     ring = A.ring
     rB, rA = B.rank, A.rank
-    flat_rank = rB * rA
     a_rels = list(A.relations.gens)
     s = len(a_rels)
 
-    # conditions: for each flat matrix unit E_(i,j), its action on every
-    # A-relation, stacked over the relation index
-    cond_vectors = []
-    for j in range(rA):
-        for i in range(rB):
-            stacked = []
-            for rel in a_rels:
-                block = [ring.zero()] * rB
-                block[i] = rel[j]
-                stacked.extend(block)
-            cond_vectors.append(tuple(stacked))
+    # conditions: for each flat matrix unit E_(i,j), its action rel[j]*e_i
+    # on every A-relation, stacked over the relation index
+    cond_vectors = [
+        tuple(p for rel in a_rels
+              for p in vec_scale(rel[j], unit_vector(ring, rB, i)))
+        for j in range(rA)
+        for i in range(rB)
+    ]
     cond_relations = blockdiag_relations(B.relations.gens, rB, s, ring)
-
-    if s == 0:
-        l_gens = [
-            tuple(
-                ring.one() if t == idx else ring.zero() for t in range(flat_rank)
-            )
-            for idx in range(flat_rank)
-        ]
-    else:
-        l_gens = kernel_mod(cond_vectors, cond_relations, ring, rB * s)
+    # with no A-relations the condition vectors have rank 0, and the kernel
+    # is every flat matrix unit
+    l_gens = kernel_mod(cond_vectors, cond_relations, ring, rB * s)
     generators = [
         tuple(tuple(g[j * rB : (j + 1) * rB]) for j in range(rA)) for g in l_gens
     ]

@@ -80,16 +80,30 @@ class RationalField:
         return "Q"
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the prime bases 2..37, which is exact for
+    p < 3.18 * 10^23, beyond every machine word (Sorenson-Webster 2015)."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -99,10 +113,10 @@ class PrimeField:
     characteristic: int
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= 1 << 62:
+            raise StructuralError("prime too large for a machine word")
         if not isinstance(p, int) or not _is_prime(p):
             raise StructuralError(f"{p} is not a prime")
-        if p >= 1 << 62:
-            raise StructuralError("prime too large for a machine word")
         self.p = p
         self.characteristic = p
         self.name = f"F{p}"

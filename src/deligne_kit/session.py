@@ -20,6 +20,11 @@ from .rings import GF, QQ, Poly, PolyRing
 # tokens
 
 _PUNCT = "[](),;=^*+-/"
+# ASCII only, as docs/grammar.md specifies: str.isalpha and str.isdigit
+# accept other scripts and superscripts such as '²', which int() rejects
+_DIGITS = "0123456789"
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_NAME_CHARS = _NAME_START + _DIGITS
 
 
 @dataclass
@@ -54,17 +59,17 @@ def tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(Token("name", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i

@@ -58,6 +58,7 @@ polynomials bound.
 from __future__ import annotations
 
 import functools
+import json
 import random
 
 from .deligne import (
@@ -106,10 +107,27 @@ def ser_vec(v) -> list:
 
 
 def de_vec(ring: PolyRing, items, length: int | None = None) -> tuple:
-    """With `length`, a vector of any other length raises ValueError."""
+    """A vector is a list of polynomial strings; anything else raises
+    TypeError.  With `length`, one of any other length raises ValueError."""
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise TypeError("a vector is a list of polynomial strings")
     if length is not None and len(items) != length:
         raise ValueError(f"vector of length {len(items)}, not {length}")
     return tuple(parse_poly(ring, s) for s in items)
+
+
+def de_int(value) -> int:
+    """A JSON integer; a bool or a float raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def de_flag(value) -> bool:
+    """A JSON boolean; anything else raises TypeError."""
+    if type(value) is not bool:
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +246,7 @@ def _replay_loc(M: FpModule, base_degree: int, base, fa: dict, fb: dict,
     na = de_vec(ring, fa["numerator"], M.rank)
     nb = de_vec(ring, fb["numerator"], M.rank)
     lift = de_vec(ring, cert["lift"], len(rels))
-    a, b, c = fa["exponent"], fb["exponent"], cert["c"]
+    a, b, c = de_int(fa["exponent"]), de_int(fb["exponent"]), de_int(cert["c"])
     if min(a, b, c) < 0:
         return False
     rhs = vec_dot(lift, rels, ring, M.rank)
@@ -347,7 +365,7 @@ def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
         if len(sample["probes"]) != task.probes:
             return None
         for pr in sample["probes"]:
-            if not pr["equal"]:
+            if not de_flag(pr["equal"]):
                 return "fail"
             y = parse_poly(session.ring, pr["y"])
             if not _replay_loc(M, y.total_degree(), lambda: y, pr["sigma"],
@@ -454,7 +472,8 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
         glued = sample["glued"]
         if glued is None:
             return "fail"
-        compat, n = glued["compat"], glued["cocycle_exponent"]
+        compat = de_int(glued["compat"])
+        n = de_int(glued["cocycle_exponent"])
         if min(compat, n) < 0 or compat + n < 1:
             return None
         e = compat + n
@@ -479,7 +498,7 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
                           ring, M.rank)
             if not vec_is_zero(vec_sub(lhs, rhs)):
                 return None
-        if not glued["recovers_element"]:
+        if not de_flag(glued["recovers_element"]):
             return "fail"
 
         @functools.cache
@@ -493,9 +512,10 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
                            fa, fb, glued["recover_certificate"]):
             return None
         pert = sample.get("perturbed")
-        if pert is not None and pert["detected"] is False:
+        detected = None if pert is None else pert["detected"]
+        if detected is not None and not de_flag(detected):
             return "fail"
-        if pert is not None and pert["detected"]:
+        if detected:
             # claimed-nonzero witness: re-reduce against the relations
             if vec_is_zero(M.reduce(de_vec(ring, pert["witness"]))):
                 return None
@@ -554,13 +574,13 @@ def replay_diagram(record: dict, task: DiagramTask, session: Session):
     if len(samples) != task.samples:
         return None
     for sample in samples:
-        if sample["in_torsion"] != sample["zero_cocycle"]:
+        if de_flag(sample["in_torsion"]) != de_flag(sample["zero_cocycle"]):
             return "fail"
         if len(sample["components"]) != xs.k:
             return None
         natural = {"numerator": sample["element"], "exponent": 0}
         for x, comp in zip(xs.elements, sample["components"]):
-            if not comp["equal"]:
+            if not de_flag(comp["equal"]):
                 return "fail"
             if not _replay_loc(M, x.total_degree(), lambda: x, natural,
                                comp["through"], comp["loc_certificate"]):
@@ -619,9 +639,12 @@ def replay_record(record: dict, task, session: Session) -> bool:
         outcome = record["outcome"]
         bounds = task.bounds()
         if task.kind == "prozero" and outcome == "pass":
-            bounds["witness_m"] = record["bounds"]["witness_m"]
-        if (record["kind"], record["label"], record["bounds"]) != (
-                task.kind, task.pretty(), bounds) or outcome not in OUTCOMES:
+            bounds["witness_m"] = de_int(record["bounds"]["witness_m"])
+        # compared as JSON text, which tells 7 from 7.0 and 1 from true
+        claimed = [record["kind"], record["label"], record["bounds"]]
+        given = [task.kind, task.pretty(), bounds]
+        if (json.dumps(claimed, sort_keys=True) != json.dumps(given, sort_keys=True)
+                or outcome not in OUTCOMES):
             return False
         return _REPLAYERS[task.kind](record, task, session) == outcome
     except (KeyError, TypeError, ValueError, ParseError, StructuralError):

@@ -3,7 +3,8 @@ algebra over exact fields, never touching the Gröbner machinery under test,
 a reference normal-form reduction written with plain polynomial
 arithmetic, the colon 0 :_M I as the kernel of a stacked map, a reference
 saturation chain that takes each link as the colon by a power of the
-ideal, ``kernel_mod`` as the head of the full syzygies, and polynomial
+ideal, ``kernel_mod`` as the head of the full syzygies, the linear
+combination sum(c_i * v_i) entry by entry, and polynomial
 arithmetic over Q on plain dictionaries of ``Fraction`` values,
 independent of the rational field under test."""
 
@@ -270,6 +271,19 @@ def kernel_mod_reference(vectors, relations, ring: PolyRing, rank: int):
             seen.add(k)
             out.append(head)
     return out
+
+
+def vec_dot_reference(coeffs, vectors, ring: PolyRing, rank: int):
+    """sum(c_i * v_i) in R^rank, one entry at a time, over the first
+    min(len(coeffs), len(vectors)) terms, zero terms included."""
+    terms = min(len(coeffs), len(vectors))
+    out = []
+    for j in range(rank):
+        acc = ring.zero()
+        for i in range(terms):
+            acc = acc + coeffs[i] * vectors[i][j]
+        out.append(acc)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

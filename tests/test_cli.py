@@ -57,6 +57,24 @@ def test_parse_syntax_error_position():
     assert exc.value.line == 3  # missing semicolon noticed at next statement
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [("ring Q[x];\nideal J = (x^\u00b2);", 2, 14),
+     ("ring Q[x, \u00e9];\nideal J = (x);", 1, 11)],
+    ids=["superscript-digit", "non-ascii-letter"],
+)
+def test_tokens_are_ascii(tmp_path, capsys, text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_session(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    f = tmp_path / "s.dk"
+    f.write_text(text, encoding="utf-8")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"{line}:{column}: unexpected character" in err
+    assert "Traceback" not in err
+
+
 def test_parse_unknown_name():
     with pytest.raises(NameResolutionError):
         parse_session("ring Q[x]; task prozero nosuch degree 1 from 1 cap 2;")
@@ -297,6 +315,28 @@ FORGERIES = {
                                           certificate={"samples": []})),
     "not-recovered": (2, _each_not_recovered),
     "perturbation-undetected": (2, _each_perturbed_undetected),
+    # a field of the wrong JSON type, with a value that compares or parses
+    # like the right one
+    "seed-float": (1, lambda r: r["bounds"].update(seed=7.0)),
+    "witness-m-float": (0, lambda r: r["bounds"].update(witness_m=2.0)),
+    "exponent-true": (1, lambda r: _samples(r)[1]["probes"][0]["sigma"]
+                      .update(exponent=True)),
+    "c-false": (1, lambda r: _samples(r)[0]["probes"][0]["loc_certificate"]
+                .update(c=False)),
+    "equal-one": (1, lambda r: _samples(r)[0]["probes"][0].update(equal=1)),
+    "compat-false": (2, lambda r: _samples(r)[0]["glued"].update(compat=False)),
+    "recovers-element-one":
+        (2, lambda r: _samples(r)[0]["glued"].update(recovers_element=1)),
+    "detected-one": (2, lambda r: _samples(r)[0]["perturbed"]
+                     .update(detected=1)),
+    "in-torsion-zero": (3, lambda r: _samples(r)[1].update(in_torsion=0)),
+    "lift-string": (3, lambda r: _samples(r)[0]["components"][0]
+                    ["loc_certificate"].update(lift="00")),
+    "preimage-chain-string":
+        (0, lambda r: _entry(r).update(preimage_chain="1")),
+    "restriction-lifts-strings":
+        (2, lambda r: _samples(r)[0]["glued"]
+         .update(restriction_lifts=["", ""])),
 }
 
 

@@ -8,6 +8,7 @@ from deligne_kit.errors import InternalError, StructuralError
 from deligne_kit.groebner import (
     FreeSubmodule,
     kernel_mod,
+    unit_vector,
     vec_dot,
     vec_is_zero,
     vec_lead,
@@ -28,6 +29,7 @@ from oracles import (
     reduce_full_reference,
     span_dimension,
     syzygy_vectors_from_kernel,
+    vec_dot_reference,
     vector_degree,
 )
 
@@ -510,3 +512,39 @@ def test_reduce_full_makes_no_polynomial_sums(monkeypatch):
         steps += sum(len(q.terms) for q in quots)
     assert steps > 0
     assert calls[0] == 0
+
+
+# ---------------------------------------------------------------- linear combinations
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_vec_dot_matches_reference(field):
+    # sparse vectors (a third of the entries zero), a third of the
+    # coefficients zero, and as many coefficients as vectors or fewer
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(15)
+    fewer = 0
+    for _ in range(60):
+        rank = rng.randint(0, 4)
+        vectors = [
+            _random_vector(ring, rng, rank) for _ in range(rng.randint(0, 5))
+        ]
+        coeffs = [
+            _random_vector(ring, rng, 1)[0] if rng.random() < 2 / 3
+            else ring.zero()
+            for _ in range(rng.randint(0, len(vectors)))
+        ]
+        fewer += len(coeffs) < len(vectors)
+        got = vec_dot(coeffs, vectors, ring, rank)
+        assert got == vec_dot_reference(coeffs, vectors, ring, rank)
+        assert len(got) == rank
+    assert fewer > 0
+
+
+def test_unit_vector(R):
+    zero, one = R.zero(), R.one()
+    assert unit_vector(R, 3, 0) == (one, zero, zero)
+    assert unit_vector(R, 3, 2) == (zero, zero, one)
+    # an index past the rank, as for an untracked generator, gives zero
+    assert unit_vector(R, 2, 2) == (zero, zero)
+    assert unit_vector(R, 0, 0) == ()

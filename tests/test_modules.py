@@ -152,6 +152,22 @@ def test_hom_cyclic_to_cyclic(R1):
     assert rels.span_equals(FreeSubmodule(R1, 1, [(x,)]))
 
 
+def test_hom_from_free_module_is_every_matrix(R):
+    # Hom(R^2, M) for M = R^2 / (x, y): with no relations on the source
+    # the generators are the four matrix units, columns over B's ambient
+    x, y = R.gens()
+    zero, one = R.zero(), R.one()
+    A = FpModule.free(R, 2)
+    B = FpModule(R, 2, [(x, y)])
+    H = hom_module(A, B)
+    e0, e1 = (one, zero), (zero, one)
+    z = (zero, zero)
+    assert H.generators == ((e0, z), (e1, z), (z, e0), (z, e1))
+    assert H.module.relations.span_equals(
+        FreeSubmodule(R, 4, [(x, y, zero, zero), (zero, zero, x, y)])
+    )
+
+
 def test_hom_ideal_to_ring(R1):
     (x,) = R1.gens()
     # (x) as an abstract module is free; Hom((x), R) = R via phi(x) = 1

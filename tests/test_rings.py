@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from deligne_kit.rings import (
     QQ,
     Poly,
     PolyRing,
+    _is_prime,
     monomial_key,
 )
 
@@ -99,6 +101,33 @@ def test_prime_field_arithmetic():
             F.of(bad)
     with pytest.raises(StructuralError):
         GF(6)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_prime_test_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _prime_by_trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_not_prime(n):
+    # 3825123056546413051 is a strong pseudoprime to every base 2..23
+    assert not _is_prime(n)
+    with pytest.raises(StructuralError, match="not a prime"):
+        GF(n)
+
+
+def test_large_prime_fields_are_decided_quickly():
+    start = time.monotonic()
+    assert GF(2**61 - 1).characteristic == 2**61 - 1
+    assert GF(4611686018427387847).p == (1 << 62) - 57  # largest below 2^62
+    with pytest.raises(StructuralError, match="too large"):
+        GF(2**89 - 1)  # a prime, refused for its size before any test
+    assert time.monotonic() - start < 1
 
 
 def _canonical(c):
