@@ -7,8 +7,6 @@ commutative-diagram check, and sheaf-axiom verification over the cover
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalError, StructuralError
 from .groebner import FreeSubmodule, Vector, vec_is_zero, vec_scale, vec_sub
 from .koszul import ProZeroCertificate, SequenceSpec
@@ -86,14 +84,16 @@ def cross_difference(base: Poly, na, a: int, nb, b: int, c: int) -> Vector:
     )
 
 
-@dataclass
 class LocEqualCertificate:
     """Exact witness that base^(c+b) * m - base^(c+a) * m' lies in the span
     of the relation generators: the raw ambient vector equals
     sum(lift_i * relation_i), replayable by pure polynomial arithmetic."""
 
-    c: int
-    lift: tuple
+    __slots__ = ("c", "lift")
+
+    def __init__(self, c: int, lift: tuple):
+        self.c = c
+        self.lift = lift
 
 
 def loc_equal(f: LocalFraction, g: LocalFraction, certificate: bool = False):
@@ -319,14 +319,17 @@ def sigma_inverse(c: CechCocycle, y: Poly) -> LocalFraction:
 # elementwise rho surjectivity
 
 
-@dataclass
 class RhoObstruction:
     """A syzygy of (x_1^e, ..., x_k^e) whose pairing with the primed
     components survives every escalation up to the cap."""
 
-    witness_syzygy: tuple
-    stage_exponent: int
-    residual: ModuleElement
+    __slots__ = ("witness_syzygy", "stage_exponent", "residual")
+
+    def __init__(self, witness_syzygy: tuple, stage_exponent: int,
+                 residual: ModuleElement):
+        self.witness_syzygy = witness_syzygy
+        self.stage_exponent = stage_exponent
+        self.residual = residual
 
 
 def _power_syzygies(xs: SequenceSpec, e: int):
@@ -429,32 +432,39 @@ def diagram_check(m: ModuleElement, xs: SequenceSpec) -> bool:
     return in_torsion == natural.is_zero()
 
 
-@dataclass
 class Glued:
     """A glued section m / y (denominator exponent 1) with per-chart
     restriction identities x_i^e * m = y * m'_i, exact in the module."""
 
-    y: Poly
-    numerator: ModuleElement
-    exponent: int
-    compat: int
-    cocycle: CechCocycle
-    restriction_lifts: tuple
+    __slots__ = ("y", "numerator", "exponent", "compat", "cocycle",
+                 "restriction_lifts")
+
+    def __init__(self, y: Poly, numerator: ModuleElement, exponent: int,
+                 compat: int, cocycle: CechCocycle, restriction_lifts: tuple):
+        self.y = y
+        self.numerator = numerator
+        self.exponent = exponent
+        self.compat = compat
+        self.cocycle = cocycle
+        self.restriction_lifts = restriction_lifts
 
     def fraction(self) -> LocalFraction:
         return LocalFraction(self.numerator, self.y, self.exponent)
 
 
-@dataclass
 class IncompatibleWitness:
     """A violated pair: (x_i x_j)^t_star (x_j^n m_i - x_i^n m_j) != 0, so no
     power of x_i x_j ever kills the cross difference."""
 
-    i: int
-    j: int
-    exponent: int
-    t_star: int
-    witness: ModuleElement
+    __slots__ = ("i", "j", "exponent", "t_star", "witness")
+
+    def __init__(self, i: int, j: int, exponent: int, t_star: int,
+                 witness: ModuleElement):
+        self.i = i
+        self.j = j
+        self.exponent = exponent
+        self.t_star = t_star
+        self.witness = witness
 
 
 def sheaf_check(sections, cover):

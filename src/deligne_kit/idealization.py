@@ -11,8 +11,6 @@ obstruction witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalError, StructuralError
 from .rings import QQ, Poly, PolyRing, power
 
@@ -178,15 +176,17 @@ def s_annihilator(ring: IdealizationRing, t: int):
     return [ring.s(ring.R.zero(), ring.e(i)) for i in range(t)]
 
 
-@dataclass
 class TransitionWitness:
     """A nonzero stage-m annihilator class with nonzero image at stage n,
     certifying that the H_1 tower transition m -> n is not the zero map."""
 
-    m: int
-    n: int
-    witness: SElement
-    image: SElement
+    __slots__ = ("m", "n", "witness", "image")
+
+    def __init__(self, m: int, n: int, witness: SElement, image: SElement):
+        self.m = m
+        self.n = n
+        self.witness = witness
+        self.image = image
 
     def verify(self) -> bool:
         ring = self.witness.ring
@@ -287,7 +287,6 @@ def pole_order(g: Poly, q: int):
     return q - _x_valuation(g)
 
 
-@dataclass
 class PoleWitness:
     """Per-stage obstruction to a rho-preimage of a target with a pole: any
     stage-n hom value for the target would be (x^(n') * target, e) with
@@ -297,11 +296,16 @@ class PoleWitness:
     ``pairing`` is that principal part in closed form (``principal_part``);
     ``verify`` checks that the product equals it."""
 
-    stage: int
-    effective_stage: int
-    required_value: SElement
-    probe: SElement
-    pairing: SElement
+    __slots__ = ("stage", "effective_stage", "required_value", "probe",
+                 "pairing")
+
+    def __init__(self, stage: int, effective_stage: int,
+                 required_value: SElement, probe: SElement, pairing: SElement):
+        self.stage = stage
+        self.effective_stage = effective_stage
+        self.required_value = required_value
+        self.probe = probe
+        self.pairing = pairing
 
     def verify(self) -> bool:
         ring = self.probe.ring

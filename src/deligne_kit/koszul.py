@@ -9,7 +9,6 @@ subset S component being multiplication by prod_{j in S} x_j^(m-n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -235,17 +234,21 @@ def transport_cycle(x: SequenceSpec, i: int, m: int, n: int, M: FpModule, vec):
     return tuple(out)
 
 
-@dataclass
 class HomologyTransition:
     """The induced map H_i(x^(m); M) -> H_i(x^(n); M) on presentations."""
 
-    x: SequenceSpec
-    i: int
-    stage_m: int
-    stage_n: int
-    source: HomologyModule
-    target: HomologyModule
-    hom: ModuleHom
+    __slots__ = ("x", "i", "stage_m", "stage_n", "source", "target", "hom")
+
+    def __init__(self, x: SequenceSpec, i: int, stage_m: int, stage_n: int,
+                 source: HomologyModule, target: HomologyModule,
+                 hom: ModuleHom):
+        self.x = x
+        self.i = i
+        self.stage_m = stage_m
+        self.stage_n = stage_n
+        self.source = source
+        self.target = target
+        self.hom = hom
 
     def is_zero(self) -> bool:
         return self.hom.is_zero()
@@ -270,7 +273,6 @@ def homology_transition(
 # pro-zero certificates
 
 
-@dataclass
 class CertificateEntry:
     """One homology generator's boundary-preimage witness.
 
@@ -281,22 +283,30 @@ class CertificateEntry:
     where transport_cycle pushes the stage-m cycle through the chain map.
     """
 
-    cycle: Vector
-    preimage_chain: Vector
-    relation_lift: tuple
-    cycle_relation_lift: tuple
+    __slots__ = ("cycle", "preimage_chain", "relation_lift",
+                 "cycle_relation_lift")
+
+    def __init__(self, cycle: Vector, preimage_chain: Vector,
+                 relation_lift: tuple, cycle_relation_lift: tuple):
+        self.cycle = cycle
+        self.preimage_chain = preimage_chain
+        self.relation_lift = relation_lift
+        self.cycle_relation_lift = cycle_relation_lift
 
 
-@dataclass
 class ProZeroCertificate:
     """Witness that H_i(x^(m); M) -> H_i(x^(n); M) is the zero map."""
 
-    x: SequenceSpec
-    i: int
-    base_n: int
-    witness_m: int
-    M: FpModule
-    entries: list
+    __slots__ = ("x", "i", "base_n", "witness_m", "M", "entries")
+
+    def __init__(self, x: SequenceSpec, i: int, base_n: int, witness_m: int,
+                 M: FpModule, entries: list):
+        self.x = x
+        self.i = i
+        self.base_n = base_n
+        self.witness_m = witness_m
+        self.M = M
+        self.entries = entries
 
     def verify(self) -> bool:
         """Replay every boundary identity exactly: pure polynomial
@@ -340,14 +350,16 @@ class ProZeroCertificate:
         return True
 
 
-@dataclass
 class SearchExhausted:
     """Bounded search gave no certificate up to m_max; not a disproof."""
 
-    x: SequenceSpec
-    i: int
-    base_n: int
-    m_max: int
+    __slots__ = ("x", "i", "base_n", "m_max")
+
+    def __init__(self, x: SequenceSpec, i: int, base_n: int, m_max: int):
+        self.x = x
+        self.i = i
+        self.base_n = base_n
+        self.m_max = m_max
 
 
 def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):

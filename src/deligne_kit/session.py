@@ -4,8 +4,6 @@ comments.  See docs/grammar.md for the token set and statement forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     DimensionError,
     NameResolutionError,
@@ -25,14 +23,19 @@ _PUNCT = "[](),;=^*+-/"
 _DIGITS = "0123456789"
 _NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _NAME_CHARS = _NAME_START + _DIGITS
+# int() and str() refuse longer decimal strings on Python 3.11+ (and on
+# 3.10.7+); docs/grammar.md states the limit
+_MAX_DIGITS = 4300
 
 
-@dataclass
 class Token:
-    kind: str  # 'name' | 'int' | 'punct' | 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # 'name' | 'int' | 'punct' | 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
     @property
     def end_col(self):
@@ -89,16 +92,33 @@ def tokenize(text: str):
 # task declarations
 
 
-@dataclass
-class ProzeroTask:
-    sequence: str
-    degree: int
-    from_n: int
-    cap: int
-    module: str = "R"
-    allow_exhausted: bool = False
+class _Record:
+    """Field-wise equality: records of the same class are equal when every
+    slot holds equal values (a printed session parses back to an equal
+    one)."""
 
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
+
+
+class ProzeroTask(_Record):
+    __slots__ = ("sequence", "degree", "from_n", "cap", "module",
+                 "allow_exhausted")
     kind = "prozero"
+
+    def __init__(self, sequence: str, degree: int, from_n: int, cap: int,
+                 module: str = "R", allow_exhausted: bool = False):
+        self.sequence = sequence
+        self.degree = degree
+        self.from_n = from_n
+        self.cap = cap
+        self.module = module
+        self.allow_exhausted = allow_exhausted
 
     def pretty(self) -> str:
         parts = [
@@ -115,15 +135,17 @@ class ProzeroTask:
         return {"degree": self.degree, "from": self.from_n, "cap": self.cap}
 
 
-@dataclass
-class RoundtripTask:
-    ideal: str
-    module: str
-    samples: int
-    seed: int
-    probes: int = 5
-
+class RoundtripTask(_Record):
+    __slots__ = ("ideal", "module", "samples", "seed", "probes")
     kind = "deligne-roundtrip"
+
+    def __init__(self, ideal: str, module: str, samples: int, seed: int,
+                 probes: int = 5):
+        self.ideal = ideal
+        self.module = module
+        self.samples = samples
+        self.seed = seed
+        self.probes = probes
 
     def pretty(self) -> str:
         s = (
@@ -139,14 +161,15 @@ class RoundtripTask:
                 "seed": self.seed}
 
 
-@dataclass
-class SheafGlueTask:
-    ideal: str
-    module: str
-    samples: int
-    seed: int
-
+class SheafGlueTask(_Record):
+    __slots__ = ("ideal", "module", "samples", "seed")
     kind = "sheaf-glue"
+
+    def __init__(self, ideal: str, module: str, samples: int, seed: int):
+        self.ideal = ideal
+        self.module = module
+        self.samples = samples
+        self.seed = seed
 
     def pretty(self) -> str:
         return (
@@ -158,14 +181,15 @@ class SheafGlueTask:
         return {"samples": self.samples, "seed": self.seed}
 
 
-@dataclass
-class DiagramTask:
-    ideal: str
-    module: str
-    samples: int
-    seed: int
-
+class DiagramTask(_Record):
+    __slots__ = ("ideal", "module", "samples", "seed")
     kind = "diagram"
+
+    def __init__(self, ideal: str, module: str, samples: int, seed: int):
+        self.ideal = ideal
+        self.module = module
+        self.samples = samples
+        self.seed = seed
 
     def pretty(self) -> str:
         return (
@@ -177,12 +201,13 @@ class DiagramTask:
         return {"samples": self.samples, "seed": self.seed}
 
 
-@dataclass
-class IdealizationTask:
-    poles: tuple
-    cap: int
-
+class IdealizationTask(_Record):
+    __slots__ = ("poles", "cap")
     kind = "idealization"
+
+    def __init__(self, poles: tuple, cap: int):
+        self.poles = poles
+        self.cap = cap
 
     def pretty(self) -> str:
         poles = ", ".join(str(p) for p in self.poles)
@@ -192,14 +217,22 @@ class IdealizationTask:
         return {"cap": self.cap, "poles": list(self.poles)}
 
 
-@dataclass
-class Session:
-    ring: PolyRing
-    modules: dict = field(default_factory=dict)
-    ideals: dict = field(default_factory=dict)
-    sequences: dict = field(default_factory=dict)
-    tasks: list = field(default_factory=list)
-    module_matrices: dict = field(default_factory=dict)
+class Session(_Record):
+    # modules last: each is built from its matrix, and comparing two
+    # modules compares Groebner bases
+    __slots__ = ("ring", "module_matrices", "ideals", "sequences", "tasks",
+                 "modules")
+
+    def __init__(self, ring: PolyRing, modules: dict | None = None,
+                 ideals: dict | None = None, sequences: dict | None = None,
+                 tasks: list | None = None,
+                 module_matrices: dict | None = None):
+        self.ring = ring
+        self.modules = {} if modules is None else modules
+        self.ideals = {} if ideals is None else ideals
+        self.sequences = {} if sequences is None else sequences
+        self.tasks = [] if tasks is None else tasks
+        self.module_matrices = {} if module_matrices is None else module_matrices
 
     def pretty(self) -> str:
         lines = []
@@ -223,16 +256,6 @@ class Session:
         for t in self.tasks:
             lines.append(t.pretty())
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Session)
-            and other.ring == self.ring
-            and other.module_matrices == self.module_matrices
-            and other.ideals == self.ideals
-            and other.sequences == self.sequences
-            and other.tasks == self.tasks
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +297,12 @@ class _Parser:
         if t.kind != "int":
             self.fail("expected an integer", t)
         self.next()
-        return int(t.text)
+        return self.int_value(t.text, t)
+
+    def int_value(self, digits: str, tok: Token) -> int:
+        if len(digits) > _MAX_DIGITS:
+            self.fail(f"integer literal longer than {_MAX_DIGITS} digits", tok)
+        return int(digits)
 
     def expect_keyword(self, word: str):
         t = self.peek()
@@ -347,7 +375,7 @@ class _Parser:
             return inner
         if t.kind == "int":
             self.next()
-            num = int(t.text)
+            num = self.int_value(t.text, t)
             nxt = self.peek()
             if nxt.kind == "punct" and nxt.text == "/":
                 self.next()
@@ -452,7 +480,7 @@ class _Parser:
         if t.text == "Q":
             fld = QQ
         elif t.text.startswith("F") and t.text[1:].isdigit():
-            fld = GF(int(t.text[1:]))
+            fld = GF(self.int_value(t.text[1:], t))
         else:
             self.fail(f"unknown field {t.text!r}", t)
         self.expect_punct("[")

@@ -1,10 +1,14 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
 
 import pytest
 
+import deligne_kit
 from deligne_kit.cli import build_report, main, record_digest, replay_report
 from deligne_kit import idealization
 from deligne_kit.errors import (
@@ -16,7 +20,7 @@ from deligne_kit.errors import (
 )
 from deligne_kit.modules import FpModule
 from deligne_kit.rings import QQ, PolyRing
-from deligne_kit.session import parse_session
+from deligne_kit.session import DiagramTask, SheafGlueTask, parse_session
 from deligne_kit.tasks import _replay_loc
 
 GOOD = """\
@@ -75,6 +79,29 @@ def test_tokens_are_ascii(tmp_path, capsys, text, line, column):
     assert "Traceback" not in err
 
 
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [(f"ring Q[x];\nideal J = ({_LONG}*x);\n", 2, 12),
+     (f"ring Q[x];\nideal J = (x^{_LONG});\n", 2, 14),
+     (f"ring F{_LONG}[x];\n", 1, 6)],
+    ids=["coefficient", "exponent", "field"],
+)
+def test_main_long_integer_literal_exits_2(tmp_path, capsys, text, line, column):
+    f = tmp_path / "s.dk"
+    f.write_text(text)
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"{line}:{column}: integer literal longer than 4300 digits" in err
+
+
+def test_parse_accepts_literal_at_digit_limit():
+    s = parse_session(f"ring Q[x]; ideal J = ({'7' * 4300}*x);")
+    assert s.ideals["J"][0].terms[(1,)] == int("7" * 4300)
+
+
 def test_parse_unknown_name():
     with pytest.raises(NameResolutionError):
         parse_session("ring Q[x]; task prozero nosuch degree 1 from 1 cap 2;")
@@ -100,6 +127,27 @@ def test_parse_print_parse_fixpoint():
     s2 = parse_session(s1.pretty())
     assert s1 == s2
     assert s1.pretty() == s2.pretty()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("cap 10;", "cap 11;"),
+     ("seed 7;", "seed 8;"),
+     ("cap 10;", "cap 10 allow-exhausted;"),
+     ("[0, y]]", "[0, x]]"),
+     ("J = (x, y)", "J = (x, y^2)")],
+    ids=["cap", "seed", "allow-exhausted", "matrix-entry", "ideal-generator"],
+)
+def test_sessions_differing_in_one_field_are_unequal(old, new):
+    assert GOOD.count(old) == 1
+    assert parse_session(GOOD) == parse_session(GOOD)
+    assert parse_session(GOOD) != parse_session(GOOD.replace(old, new))
+
+
+def test_tasks_of_different_kinds_are_unequal():
+    assert SheafGlueTask("J", "R", 2, 3) == SheafGlueTask("J", "R", 2, 3)
+    assert SheafGlueTask("J", "R", 2, 3) != DiagramTask("J", "R", 2, 3)
+    assert DiagramTask("J", "R", 2, 3) != SheafGlueTask("J", "R", 2, 3)
 
 
 def test_prime_field_ring():
@@ -730,3 +778,23 @@ def test_internal_error_exits_3_with_task_label(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "task idealization poles (1) cap 2;" in err
     assert "pole witness failed verification" in err
+
+
+def test_cli_import_adds_no_introspection_modules():
+    """``dataclasses`` imports inspect, ast, dis, tokenize and linecache,
+    which nothing in the package uses and every CLI call would pay for at
+    start-up.  The check is on the modules the import adds, since Python
+    3.13 loads linecache at start-up."""
+    probe = (
+        "import sys; before = set(sys.modules); import deligne_kit.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(deligne_kit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    added = set(out.split())
+    assert "deligne_kit.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                        "linecache"}
