@@ -39,8 +39,8 @@ def build_report(session_text: str, session) -> dict:
         start = time.monotonic()
         try:
             record = run_task(task, session)
-        except InternalError as ex:
-            raise InternalError(f"{task.pretty()}: {ex}") from ex
+        except (InternalError, StructuralError) as ex:
+            raise type(ex)(f"{task.pretty()}: {ex}") from ex
         record["digest"] = record_digest(record)
         record["time_ms"] = round((time.monotonic() - start) * 1000.0, 3)
         records.append(record)

@@ -88,7 +88,19 @@ def koszul_differential_columns(x: SequenceSpec, n: int, mrank: int, i: int):
 
 class KoszulStage:
     """The complex K(x^(n); M): chain module i is M^(k choose i), blocks
-    indexed by sorted i-subsets of the sequence positions."""
+    indexed by sorted i-subsets of the sequence positions.
+
+    Each d_i must send the relations of chain i into those of chain i-1.
+    With nu_1, ..., nu_s the relations of M, chain i's relation (S, nu) is
+    nu placed in block S, and by the sign rule
+        d(nu e_S) = sum over j in S of (-1)^pos(j,S) x_j^n nu e_(S\\j),
+    a combination of chain i-1's relations (S\\j, nu).  So the lift of
+    relation (S, nu) is column (S, nu) of the same differential on R^s:
+    ``koszul_differential_columns(x, n, s, i)``.  ``ModuleHom`` checks
+    every relation's image against its lift as an exact polynomial
+    identity, which proves the membership without a Gröbner basis of the
+    chain relations; a failure is an InternalError naming the degree.
+    d o d = 0 is checked on every column as well."""
 
     def __init__(self, x: SequenceSpec, n: int, M: FpModule):
         if n < 1:
@@ -110,14 +122,20 @@ class KoszulStage:
 
         # differentials d_i : chain[i] -> chain[i-1], i = 1..k
         self.diff = [None]
+        nrels = len(M.relations.gens)
         for i in range(1, k + 1):
             cols = koszul_differential_columns(x, n, M.rank, i)
-            self.diff.append(ModuleHom(self.chain[i], self.chain[i - 1], cols))
+            lifts = koszul_differential_columns(x, n, nrels, i)
+            try:
+                d = ModuleHom(self.chain[i], self.chain[i - 1], cols, lifts)
+            except InternalError as ex:
+                raise InternalError(f"Koszul differential d_{i}: {ex}") from ex
+            self.diff.append(d)
 
         for i in range(2, k + 1):
             for col in self.diff[i].columns:
                 if not vec_is_zero(self.diff[i - 1].apply_raw(col)):
-                    raise InternalError("d o d != 0")
+                    raise InternalError(f"d_{i - 1} o d_{i} != 0")
 
     def boundary_columns(self, i: int):
         """Ambient generators of im(d_{i+1}) inside chain[i]."""
@@ -213,15 +231,21 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
 
 
 def transition_multipliers(x: SequenceSpec, i: int, m: int, n: int):
-    """For each i-subset S, the factor prod_{j in S} x_j^(m-n)."""
+    """For each i-subset S, the factor prod_{j in S} x_j^(m-n); memoised
+    on the ring, since a search transports every cycle by the same
+    factors."""
     ring = x.ring
-    out = []
-    for S in combinations(range(x.k), i):
-        f = ring.one()
-        for j in S:
-            f = f * x.elements[j] ** (m - n)
-        out.append(f)
-    return out
+    key = ("transition_multipliers", x.key(), i, m - n)
+    if key not in ring.memo:
+        pw = x.powers(m - n)
+        out = []
+        for S in combinations(range(x.k), i):
+            f = ring.one()
+            for j in S:
+                f = f * pw[j]
+            out.append(f)
+        ring.memo[key] = tuple(out)
+    return ring.memo[key]
 
 
 def transport_cycle(x: SequenceSpec, i: int, m: int, n: int, M: FpModule, vec):

@@ -158,10 +158,17 @@ class ModuleElement:
 class ModuleHom:
     """A homomorphism between presented modules, given on ambient basis
     vectors by columns.  Construction checks that every source relation
-    maps into the target relations and keeps no lift; nothing is built on
-    first use."""
+    maps into the target relations.  Without ``relation_lifts`` that is a
+    membership test against the Gröbner basis of the target relations, and
+    a failure is bad input (StructuralError).  ``relation_lifts``, one per
+    source relation, are the caller's claim of coefficients on the target
+    relation generators: each image must equal its lift's combination of
+    them as an exact polynomial identity, no basis is built, and a failure
+    is a broken invariant of the caller (InternalError).  It keeps no lift;
+    nothing is built on first use."""
 
-    def __init__(self, source: FpModule, target: FpModule, columns):
+    def __init__(self, source: FpModule, target: FpModule, columns,
+                 relation_lifts=None):
         columns = [tuple(c) for c in columns]
         if len(columns) != source.rank:
             raise StructuralError("one column per source coordinate required")
@@ -171,12 +178,21 @@ class ModuleHom:
         self.source = source
         self.target = target
         self.columns = tuple(columns)
-        for rel in source.relations.gens:
-            image = vec_dot(rel, self.columns, target.ring, target.rank)
-            if not target.relations.contains(image):
-                raise StructuralError(
-                    "relation does not map into target relations"
-                )
+        rels = source.relations.gens
+        if relation_lifts is None:
+            for rel in rels:
+                if not target.relations.contains(self.apply_raw(rel)):
+                    raise StructuralError(
+                        "relation does not map into target relations"
+                    )
+            return
+        if len(relation_lifts) != len(rels):
+            raise InternalError("one relation lift per source relation required")
+        targets = target.relations.gens
+        for r, (rel, lift) in enumerate(zip(rels, relation_lifts)):
+            combo = vec_dot(lift, targets, target.ring, target.rank)
+            if self.apply_raw(rel) != combo:
+                raise InternalError(f"relation {r} does not map to its lift")
 
     def apply_raw(self, vec) -> Vector:
         return vec_dot(tuple(vec), self.columns, self.target.ring, self.target.rank)

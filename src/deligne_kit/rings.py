@@ -18,6 +18,15 @@ from fractions import Fraction
 
 from .errors import StructuralError
 
+# The most decimal digits of an integer that a session or a report may
+# hold: the parser refuses a longer literal, and a polynomial with a longer
+# coefficient (a numerator or denominator over Q) is not printed, so every
+# report the run writes is one replay can read.  It is the limit of int()
+# and str() on Python 3.11+ (and 3.10.7+); docs/grammar.md and
+# docs/report-schema.md state it.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
+
 
 # ---------------------------------------------------------------------------
 # coefficient fields
@@ -502,6 +511,12 @@ class Poly:
             ms = self._mon_str(mon)
             neg = c < 0
             mag = -c if neg else c
+            # an int is its own numerator, over 1
+            if mag.numerator >= _DIGIT_BOUND or mag.denominator >= _DIGIT_BOUND:
+                raise StructuralError(
+                    f"a coefficient has more than {MAX_DIGITS} digits, so "
+                    "the polynomial cannot be written for replay"
+                )
             if ms:
                 body = ms if mag == self.ring.field.one else f"{mag}*{ms}"
             else:

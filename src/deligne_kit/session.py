@@ -11,7 +11,7 @@ from .errors import (
     StructuralError,
 )
 from .modules import FpModule
-from .rings import GF, QQ, Poly, PolyRing
+from .rings import GF, MAX_DIGITS, QQ, Poly, PolyRing
 
 
 # ---------------------------------------------------------------------------
@@ -23,9 +23,6 @@ _PUNCT = "[](),;=^*+-/"
 _DIGITS = "0123456789"
 _NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _NAME_CHARS = _NAME_START + _DIGITS
-# int() and str() refuse longer decimal strings on Python 3.11+ (and on
-# 3.10.7+); docs/grammar.md states the limit
-_MAX_DIGITS = 4300
 
 
 class Token:
@@ -300,8 +297,8 @@ class _Parser:
         return self.int_value(t.text, t)
 
     def int_value(self, digits: str, tok: Token) -> int:
-        if len(digits) > _MAX_DIGITS:
-            self.fail(f"integer literal longer than {_MAX_DIGITS} digits", tok)
+        if len(digits) > MAX_DIGITS:
+            self.fail(f"integer literal longer than {MAX_DIGITS} digits", tok)
         return int(digits)
 
     def expect_keyword(self, word: str):

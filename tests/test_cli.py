@@ -97,6 +97,29 @@ def test_main_long_integer_literal_exits_2(tmp_path, capsys, text, line, column)
     assert f"{line}:{column}: integer literal longer than 4300 digits" in err
 
 
+_NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "body, task",
+    [(f"ring Q[x];\nsequence s = ({_NINES}*x^2 + x, x);\n",
+      "task prozero s degree 1 from 1 cap 3 allow-exhausted;"),
+     (f"ring Q[x,y];\nideal J = (x + {_NINES}*y, y);\n",
+      "task deligne-roundtrip J R samples 1 seed 1;")],
+    ids=["prozero", "roundtrip"],
+)
+def test_main_refuses_coefficient_replay_cannot_read(tmp_path, capsys, body, task):
+    # every literal is within the limit, but the result's coefficients are
+    # not: the run is refused, naming the task, instead of a traceback
+    f = tmp_path / "s.dk"
+    f.write_text(body + task + "\n")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {task}: ")
+    assert "more than 4300 digits" in err
+    assert "Traceback" not in err
+
+
 def test_parse_accepts_literal_at_digit_limit():
     s = parse_session(f"ring Q[x]; ideal J = ({'7' * 4300}*x);")
     assert s.ideals["J"][0].terms[(1,)] == int("7" * 4300)

@@ -1,20 +1,24 @@
+import hashlib
 import random
 
 import pytest
 
 from deligne_kit import deligne, koszul
-from deligne_kit.errors import StructuralError
+from deligne_kit.errors import InternalError, StructuralError
 from deligne_kit.groebner import FreeSubmodule, vec_is_zero
 from deligne_kit.koszul import (
     ProZeroCertificate,
     SearchExhausted,
     SequenceSpec,
+    _stage,
     homology_transition,
     koszul_homology,
     pro_zero_search,
+    transition_multipliers,
 )
-from deligne_kit.modules import FpModule, colon_generators
+from deligne_kit.modules import FpModule, ModuleHom, colon_generators, module_kernel
 from deligne_kit.rings import GF, QQ, PolyRing
+from deligne_kit.session import parse_session
 
 
 @pytest.fixture
@@ -47,6 +51,60 @@ def test_d_squared_zero_three_vars():
     for i in range(2, xs.k + 1):
         for col in st.diff[i].columns:
             assert vec_is_zero(st.diff[i - 1].apply_raw(col))
+
+
+_RANK_2 = """\
+ring F32003[x,y,z,w] order grevlex;
+module P = coker [[x^2, y*z], [z*w, 0]];
+module M = coker [[x*y - z*w, 0, z^2], [0, y*z, x^2 - w^2]];
+sequence t = (x, y, z);
+"""
+
+# count and sha256 of the printed generators of module_kernel(stage.diff[i])
+# for P at stage 2, i = 1, 2, 3: the kernel reads only the columns and the
+# target relation generators, so how the stage checks its relations must
+# not move it
+_P_KERNEL_DIGESTS = {
+    1: (11, "fb4c4b08e3af15b3b8fc37f33c18ca54fedf31267486a723a78838787898f544"),
+    2: (11, "88cfae8f4cf614cc0128fed81ace5dcbd9017d345edc3f8f10fc165c1d7e304e"),
+    3: (4, "e620a4405e6bd9106c6f042093ac8ca5de5a68ab5bef7b6486a4cb9cff1d1833"),
+}
+
+
+def test_stage_builds_no_chain_relation_basis():
+    s = parse_session(_RANK_2)
+    P = s.modules["P"]
+    st = _stage(SequenceSpec(s.sequences["t"]), 2, P)
+    assert all(c.relations._gb is None for c in st.chain)
+    for i, (count, digest) in _P_KERNEL_DIGESTS.items():
+        gens = module_kernel(st.diff[i])
+        text = repr([[str(p) for p in g] for g in gens])
+        assert len(gens) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the membership test builds the same kernel
+    for i in range(1, 4):
+        d = st.diff[i]
+        checked = ModuleHom(d.source, d.target, d.columns)
+        assert module_kernel(checked) == module_kernel(d)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_stage_checks_each_relation_against_its_lift(monkeypatch, degree):
+    # M has rank 2 and three relations, so only the module's differential
+    # has width 2; its relation lifts are untouched
+    s = parse_session(_RANK_2)
+    M = s.modules["M"]
+    real = koszul.koszul_differential_columns
+
+    def swapped(x, n, width, i):
+        cols = real(x, n, width, i)
+        if width == M.rank and i == degree:
+            cols[0] = tuple(cols[0][t ^ 1] for t in range(len(cols[0])))
+        return cols
+
+    monkeypatch.setattr(koszul, "koszul_differential_columns", swapped)
+    with pytest.raises(InternalError, match=f"d_{degree}: relation 0 "):
+        _stage(SequenceSpec(s.sequences["t"]), 1, M)
 
 
 def test_homology_out_of_range(R):
@@ -353,6 +411,22 @@ def test_pro_zero_search_builds_boundary_span_at_stage_n_only(monkeypatch, R, R1
 
 
 # ---------------------------------------------------------------- memos
+
+
+def test_transition_multipliers_memoised_per_ring():
+    # 32005 is 2 mod 32003: the same text gives each session's own factors
+    text = "sequence s = (32005*x, x*y);"
+    sessions = [parse_session(f"ring {f}[x,y]; {text}") for f in ("Q", "F32003")]
+    for sess, c in zip(sessions, (32005, 2)):
+        ring = sess.ring
+        x, y = ring.gens()
+        s = SequenceSpec(sess.sequences["s"])
+        first = transition_multipliers(s, 1, 3, 1)
+        assert transition_multipliers(s, 1, 5, 3) is first
+        assert ring.memo[("transition_multipliers", s.key(), 1, 2)] is first
+        assert list(first) == [c**2 * x**2, x**2 * y**2]
+        assert all(p.ring is ring for p in first)
+        assert transition_multipliers(s, 2, 3, 1) == (c**2 * x**4 * y**2,)
 
 
 def test_memos_do_not_leak_between_rings():

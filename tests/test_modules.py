@@ -58,6 +58,22 @@ def test_hom_certificate_rejects_illdefined(R1):
         ModuleHom(A, B, [(R1.one(),)])       # 1*x not in 0
 
 
+def test_hom_relation_lifts_checked_exactly(R1):
+    (x,) = R1.gens()
+    A = FpModule.quotient_ring(R1, [x**2])   # R/(x^2)
+    B = FpModule.quotient_ring(R1, [x])      # R/(x)
+    # multiplication by x + 1 sends x^2 to x*(x^2 + x): lift (x^2 + x)
+    h = ModuleHom(A, B, [(x + R1.one(),)], relation_lifts=[(x**2 + x,)])
+    assert B.relations._gb is None
+    with pytest.raises(InternalError, match="relation 0 does not map"):
+        ModuleHom(A, B, [(x + R1.one(),)], relation_lifts=[(x**2,)])
+    with pytest.raises(InternalError, match="one relation lift"):
+        ModuleHom(A, B, [(x + R1.one(),)], relation_lifts=[])
+    # the membership test accepts the same map and builds the basis
+    assert ModuleHom(A, B, h.columns).columns == h.columns
+    assert B.relations._gb is not None
+
+
 def _random_module_elements(M, rng, count):
     return [
         M.element(tuple(_random_poly(M.ring, rng, 2, 2) for _ in range(M.rank)))

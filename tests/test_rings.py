@@ -13,6 +13,7 @@ from deligne_kit.rings import (
     _is_prime,
     monomial_key,
 )
+from deligne_kit.session import parse_poly
 
 from oracles import (
     fraction_add,
@@ -232,6 +233,22 @@ def test_poly_over_prime_field():
     (x,) = R.gens()
     assert (x + R.const(4)) + (x + R.const(1)) == 2 * x
     assert (2 * x) * (3 * x) == x * x
+
+
+@pytest.mark.parametrize("coeff", [
+    -(10**4300), 10**4300 + 1, Fraction(1, 10**4300), Fraction(10**4300, 3),
+], ids=["int", "int-plus-one", "denominator", "numerator"])
+def test_str_refuses_coefficient_over_digit_limit(R, coeff):
+    x, _ = R.gens()
+    with pytest.raises(StructuralError, match="more than 4300 digits"):
+        str(R.const(coeff) * x + x**2)
+
+
+def test_str_at_digit_limit_parses_back(R):
+    x, y = R.gens()
+    top = 10**4300 - 1
+    p = R.const(top) * x - R.poly({(0, 1): Fraction(1, top)})
+    assert parse_poly(R, str(p)) == p
 
 
 def test_str_sorted_by_order(R):
