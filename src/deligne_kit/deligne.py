@@ -8,7 +8,7 @@ commutative-diagram check, and sheaf-axiom verification over the cover
 from __future__ import annotations
 
 from .errors import InternalError, StructuralError
-from .groebner import FreeSubmodule, Vector, vec_is_zero, vec_scale, vec_sub
+from .groebner import Vector, vec_is_zero, vec_scale, vec_sub
 from .koszul import ProZeroCertificate, SequenceSpec
 from .modules import (
     FpModule,
@@ -16,6 +16,7 @@ from .modules import (
     SaturationResult,
     ideal_as_module,
     ideal_power,
+    ideal_span,
     radical_lift,
     saturate,
 )
@@ -135,7 +136,7 @@ def alpha_map(f: LocalFraction, x: Poly, witness) -> LocalFraction:
 def find_radical_witness(x: Poly, y: Poly, cap: int = 16):
     """Search k <= cap with x^k in (y); returns (k, r) with x^k = y*r."""
     ring = x.ring
-    sub = FreeSubmodule(ring, 1, [(y,)])
+    sub = ideal_span(ring, [y])
     power = ring.one()
     for k in range(1, cap + 1):
         power = power * x
@@ -261,8 +262,7 @@ class IdealTransformElement:
                     "values violate a power-generator syzygy"
                 )
         self.values = values
-        ring = xs.ring
-        self._gen_span = FreeSubmodule(ring, 1, [(g,) for g in gens])
+        self._gen_span = ideal_span(xs.ring, gens)
 
     @classmethod
     def tau(cls, xs: SequenceSpec, m: ModuleElement,
@@ -333,12 +333,7 @@ class RhoObstruction:
 
 
 def _power_syzygies(xs: SequenceSpec, e: int):
-    key = ("power_syzygies", xs.key(), e)
-    memo = xs.ring.memo
-    if key not in memo:
-        sub = FreeSubmodule(xs.ring, 1, [(x**e,) for x in xs.elements])
-        memo[key] = sub.syzygies().gens
-    return memo[key]
+    return ideal_span(xs.ring, xs.powers(e)).syzygies().gens
 
 
 def rho_preimage(c: CechCocycle, escalation_cap: int,
@@ -369,7 +364,7 @@ def rho_preimage(c: CechCocycle, escalation_cap: int,
     def build(e, primed):
         N = max(1, xs.k * (e - 1) + 1)
         gens = ideal_power(xs.elements, N)
-        span = FreeSubmodule(xs.ring, 1, [(x**e,) for x in xs.elements])
+        span = ideal_span(xs.ring, xs.powers(e))
         values = []
         for g in gens:
             rem, lift = span.normal_form_lift((g,))

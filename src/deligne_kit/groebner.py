@@ -32,16 +32,21 @@ it.  A kept pair is its own witness.  A pair skipped because of k has
 tau_ij = (lcm_ij/lcm_ik) tau_ik - (lcm_ij/lcm_jk) tau_jk, up to unit
 factors, and (i, k) and (j, k) were taken earlier.  By Schreyer's theorem
 the lifts of generators of Syz(LT) generate Syz(basis) (Eisenbud,
-Commutative Algebra, 15.10; Cox-Little-O'Shea, IVA 2.10).
+Commutative Algebra, 15.10; Cox-Little-O'Shea, IVA 2.10).  The
+translation back to the generators also needs each generator written in
+the basis; ``syzygies()``, the only reader, reduces the generators then,
+so ``groebner()`` alone reduces none of them.
 
 Normal forms (``_reduce_full``) copy the input vector once into one plain
 dict per position and update it, the remainder and each quotient in place;
-they become polynomials only at the end.  Positions are taken in POT order
-and an empty one is skipped: a basis vector whose lead is at position pos
-is zero before pos, so a finished position stays empty.  At each step the
-largest monomial at the current position is reduced by the first basis
-lead, in the order the leads are passed, at that position that divides it,
-and otherwise moved to the remainder.
+they become polynomials only at the end.  The quotients come back as
+{t: q_t} holding only the nonzero ones, in index order, and every consumer
+combines just those pairs (``_sparse_dot``).  Positions are taken in POT
+order and an empty one is skipped: a basis vector whose lead is at
+position pos is zero before pos, so a finished position stays empty.  At
+each step the largest monomial at the current position is reduced by the
+first basis lead, in the order the leads are passed, at that position that
+divides it, and otherwise moved to the remainder.
 """
 
 from __future__ import annotations
@@ -105,6 +110,11 @@ def vec_dot(coeffs, vectors, ring: PolyRing, rank: int) -> Vector:
     return tuple(acc)
 
 
+def _sparse_dot(quots, vectors, ring: PolyRing, rank: int) -> Vector:
+    """sum(q_t * vectors[t]) over the quotient dict {t: q_t}."""
+    return vec_dot(quots.values(), [vectors[t] for t in quots], ring, rank)
+
+
 def unit_vector(ring: PolyRing, rank: int, i: int) -> Vector:
     """e_i in R^rank; the zero vector when i >= rank."""
     zero = ring.zero()
@@ -136,9 +146,10 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
     """Full normal form of v against nonzero basis vectors, whose leads
     (vec_lead of each) the caller passes in.
 
-    Returns (remainder, quotients) with v = remainder + sum(q_t * basis_t)
-    exactly; no remainder term is divisible by a basis lead.  See the
-    module docstring for the order of the steps.
+    Returns (remainder, {t: q_t}) with v = remainder + sum(q_t * basis_t)
+    exactly, the nonzero quotients only, keys ascending; no remainder term
+    is divisible by a basis lead.  See the module docstring for the order
+    of the steps.
     """
     fld = ring.field
     fsub, fmul, fdiv, zero = fld.sub, fld.mul, fld.div, fld.zero
@@ -146,7 +157,7 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
     rank = len(v)
     cur = [dict(p.terms) for p in v]
     rem = [{} for _ in range(rank)]
-    quots = [{} for _ in basis]
+    quots = {}
     for pos in range(rank):
         d = cur[pos]
         if not d:
@@ -165,7 +176,10 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
             qmon = monomial_div(mon, bmon)
             qc = fdiv(coeff, bcoeff)
             # the lead falls at every step, so qmon is new to quots[t]
-            quots[t][qmon] = qc
+            q = quots.get(t)
+            if q is None:
+                quots[t] = q = {}
+            q[qmon] = qc
             b = basis[t]
             # b is zero before pos; its lead cancels d[mon] exactly
             for j in range(pos, rank):
@@ -180,7 +194,7 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
                         dj[m] = s
     return (
         tuple(Poly(ring, p) for p in rem),
-        [Poly(ring, q) for q in quots],
+        {t: Poly(ring, quots[t]) for t in sorted(quots)},
     )
 
 
@@ -239,10 +253,9 @@ class FreeSubmodule:
                 f"tracked {tracked} outside 0..{len(gens)} generators"
             )
         self.tracked = tracked
-        # (basis, reps, lifts, leads), published in one assignment:
+        # (basis, reps, leads), published in one assignment:
         #   basis  reduced GB vectors, monic, in descending lead order
         #   reps   each basis vector as combination of the tracked gens
-        #   lifts  each generator as combination of basis
         #   leads  vec_lead of each basis vector
         self._gb = None
         self._syzygies = None
@@ -302,7 +315,7 @@ class FreeSubmodule:
             rem, quots = _reduce_full(s_vec, [w[0] for w in work], leads, ring)
             if not vec_is_zero(rem):
                 reps = [w[1] for w in work]
-                rep = vec_sub(s_rep, vec_dot(quots, reps, ring, tracked))
+                rep = vec_sub(s_rep, _sparse_dot(quots, reps, ring, tracked))
                 work.append([rem, rep])
                 leads.append(vec_lead(rem, ring))
                 add_pairs(len(work) - 1)
@@ -338,7 +351,8 @@ class FreeSubmodule:
                 ring,
             )
             reps = [work[u][1] for u in u_list]
-            work[t] = [rem, vec_sub(work[t][1], vec_dot(quots, reps, ring, tracked))]
+            rep = vec_sub(work[t][1], _sparse_dot(quots, reps, ring, tracked))
+            work[t] = [rem, rep]
 
         # monic, canonical order (descending leads; work is ascending)
         basis, reps, basis_leads = [], [], []
@@ -348,20 +362,12 @@ class FreeSubmodule:
             reps.append(vec_scale_coeff(c, rep))
             basis_leads.append((pos, mon, fld.one))
 
-        # express each original generator in the basis
-        lifts = []
-        for g in self.gens:
-            rem, quots = _reduce_full(g, basis, basis_leads, ring)
-            if not vec_is_zero(rem):
-                raise InternalError("generator does not reduce to zero")
-            lifts.append(tuple(quots))
-
-        self._gb = (tuple(basis), tuple(reps), tuple(lifts), tuple(basis_leads))
+        self._gb = (tuple(basis), tuple(reps), tuple(basis_leads))
 
     # -- normal forms ----------------------------------------------------
     def normal_form(self, v) -> Vector:
         self.groebner()
-        basis, _, _, leads = self._gb
+        basis, _, leads = self._gb
         rem, _ = _reduce_full(tuple(v), basis, leads, self.ring)
         return rem
 
@@ -373,9 +379,9 @@ class FreeSubmodule:
                 f"{len(self.gens)} generators"
             )
         self.groebner()
-        basis, reps, _, leads = self._gb
+        basis, reps, leads = self._gb
         rem, quots = _reduce_full(tuple(v), basis, leads, self.ring)
-        return rem, vec_dot(quots, reps, self.ring, len(self.gens))
+        return rem, _sparse_dot(quots, reps, self.ring, len(self.gens))
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.normal_form(v))
@@ -399,15 +405,16 @@ class FreeSubmodule:
         self.groebner()
         ring = self.ring
         fld = ring.field
-        basis, reps, gens_lift, leads = self._gb
-        s = len(basis)
+        basis, reps, leads = self._gb
         r = self.tracked
+        zero, one = ring.zero(), ring.one()
 
         # Schreyer generators: syzygies among the basis elements, one per
-        # same-position pair the chain criterion keeps, in POT-lcm order
+        # same-position pair the chain criterion keeps, in POT-lcm order,
+        # each {t: z_t} = tau_ij - quotients
         pairs = []
-        for i in range(s):
-            for j in range(i + 1, s):
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
                 if leads[i][0] == leads[j][0]:
                     lcm = monomial_lcm(leads[i][1], leads[j][1])
                     pairs.append((_pot_key(ring, leads[i][0], lcm), i, j, lcm))
@@ -427,16 +434,14 @@ class FreeSubmodule:
             rem, quots = _reduce_full(s_vec, basis, leads, ring)
             if not vec_is_zero(rem):
                 raise InternalError("S-pair of a Gröbner basis not zero")
-            tau = vec_sub(
-                vec_mul_term(ci, mi, unit_vector(ring, s, i)),
-                vec_mul_term(cj, mj, unit_vector(ring, s, j)),
-            )
-            syz = vec_sub(tau, quots)
-            if not vec_is_zero(syz):
-                basis_syz.append(syz)
+            syz = {t: -q for t, q in quots.items()}
+            syz[i] = syz.get(i, zero) + one.mul_term(ci, mi)
+            syz[j] = syz.get(j, zero) - one.mul_term(cj, mj)
+            basis_syz.append(syz)
 
         # translate to the original generators:
-        #   rows of (I - lift . rep)  and  (basis syzygy) . rep
+        #   rows of (I - lift . rep), lift = each generator in the basis,
+        #   and (basis syzygy) . rep
         out = []
         seen = set()
 
@@ -448,10 +453,14 @@ class FreeSubmodule:
                 seen.add(k)
                 out.append(vec)
 
-        for jg, lift in enumerate(gens_lift):
-            push(vec_sub(unit_vector(ring, r, jg), vec_dot(lift, reps, ring, r)))
+        for jg, g in enumerate(self.gens):
+            rem, lift = _reduce_full(g, basis, leads, ring)
+            if not vec_is_zero(rem):
+                raise InternalError("generator does not reduce to zero")
+            lifted = _sparse_dot(lift, reps, ring, r)
+            push(vec_sub(unit_vector(ring, r, jg), lifted))
         for z in basis_syz:
-            push(vec_dot(z, reps, ring, r))
+            push(_sparse_dot(z, reps, ring, r))
 
         self._syzygies = FreeSubmodule(ring, r, out)
         return self._syzygies

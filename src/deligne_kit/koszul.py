@@ -114,11 +114,15 @@ class KoszulStage:
         k = x.k
         self.subsets = [koszul_subsets(k, i) for i in range(k + 1)]
 
+        # M^b does not depend on n, so every stage shares M's copy
         self.chain = []
-        for i in range(k + 1):
-            blocks = len(self.subsets[i])
-            rels = blockdiag_relations(M.relations.gens, M.rank, blocks, ring)
-            self.chain.append(FpModule(ring, M.rank * blocks, rels))
+        for subs in self.subsets:
+            key = ("chain", len(subs))
+            if key not in M.memo:
+                rels = blockdiag_relations(M.relations.gens, M.rank, len(subs),
+                                           ring)
+                M.memo[key] = FpModule(ring, M.rank * len(subs), rels)
+            self.chain.append(M.memo[key])
 
         # differentials d_i : chain[i] -> chain[i-1], i = 1..k
         self.diff = [None]
@@ -411,13 +415,19 @@ def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):
         stage_m = _stage(x, m, M)
         entries = []
         for z, (chain, rel_lift) in zip(cycles, lifts):
+            # d_i(z) lifted block by block against M's relations: the
+            # block-outer order of blockdiag_relations, and the same lift as
+            # against the chain relations, whose basis is M's in each block
+            cyc_lift = []
             if i >= 1:
                 dz = stage_m.diff[i].apply_raw(z)
-                rem, cyc_lift = stage_m.chain[i - 1].relations.normal_form_lift(dz)
-                if not vec_is_zero(rem):
-                    raise InternalError("representative is not a cycle")
-            else:
-                cyc_lift = ()
+                r = M.rank
+                for b in range(len(stage_m.subsets[i - 1])):
+                    block = dz[b * r : (b + 1) * r]
+                    rem, lift = M.relations.normal_form_lift(block)
+                    if not vec_is_zero(rem):
+                        raise InternalError("representative is not a cycle")
+                    cyc_lift.extend(lift)
             entries.append(
                 CertificateEntry(
                     cycle=tuple(z),

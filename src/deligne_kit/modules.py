@@ -29,8 +29,9 @@ class FpModule:
     canonical normal form, so equality is syntactic.
 
     ``memo`` holds the results that depend on this module (torsion
-    submodules, Koszul stages and homology), keyed by a tag and the other
-    inputs; results that depend only on the ring live on the ``PolyRing``.
+    submodules, Koszul chain modules, stages and homology), keyed by a tag
+    and the other inputs; results that depend only on the ring live on the
+    ``PolyRing``.
     """
 
     def __init__(self, ring: PolyRing, rank: int, relations=None):
@@ -336,6 +337,20 @@ def ideal_power(xs, n: int):
     return out
 
 
+def ideal_span(ring: PolyRing, polys) -> FreeSubmodule:
+    """The rank-1 span of ideal generators, memoised on the ring by their
+    keys: the one construction of such a span, so callers with the same
+    generators share one Gröbner basis and its syzygies.  Every call checks
+    the generators' ring, so a memo hit accepts no foreign generator."""
+    polys = tuple(polys)
+    if any(p.ring != ring for p in polys):
+        raise StructuralError("ideal generators must share the ring")
+    key = ("ideal_span", tuple(p.key() for p in polys))
+    if key not in ring.memo:
+        ring.memo[key] = FreeSubmodule(ring, 1, [(p,) for p in polys])
+    return ring.memo[key]
+
+
 def colon_generators(M: FpModule, polys):
     """Generators (ambient vectors) of 0 :_M I = {m : p*m = 0 in M for every
     p in I}: a hom R/I -> M is its value on 1, so they are the generators
@@ -411,13 +426,10 @@ def radical_lift(y: Poly, xs, exponent: int):
     if not xs:
         raise StructuralError("empty sequence")
     ring = y.ring
-    member = FreeSubmodule(ring, 1, [(x,) for x in xs])
-    rem, _ = member.normal_form_lift((y,))
-    if not vec_is_zero(rem):
+    if not ideal_span(ring, xs).contains((y,)):
         raise StructuralError("element does not lie in the ideal")
     e = exponent
-    gens = [x**e for x in xs]
-    target = FreeSubmodule(ring, 1, [(g,) for g in gens])
+    target = ideal_span(ring, [x**e for x in xs])
     bound = max(1, len(xs) * (e - 1) + 1)
     power = ring.one()
     for d in range(1, bound + 1):
@@ -437,8 +449,7 @@ def ideal_as_module(xs, n: int):
     key = ("ideal_as_module", tuple(g.key() for g in gens))
     if key in ring.memo:
         return ring.memo[key]
-    sub = FreeSubmodule(ring, 1, [(g,) for g in gens])
-    syz = sub.syzygies()
+    syz = ideal_span(ring, gens).syzygies()
     mod = FpModule(ring, len(gens), list(syz.gens))
     ring.memo[key] = (mod, gens)
     return mod, gens

@@ -232,8 +232,8 @@ class PolyRing:
     """A polynomial ring over Q or F_p with a fixed monomial order.
 
     ``memo`` holds the results that depend only on this ring (ideal powers,
-    presented ideal powers, power syzygies), keyed by a tag and polynomial
-    keys; results that depend on a module live on the ``FpModule``.  A memo
+    ideal spans, presented ideal powers, transition multipliers), keyed by
+    a tag and polynomial keys; results that depend on a module live on the ``FpModule``.  A memo
     is dropped with its owner, so nothing leaks between rings.
     """
 

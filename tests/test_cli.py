@@ -669,6 +669,37 @@ task prozero s degree 1 from 1 cap 6 module P;
 task prozero s degree 2 from 1 cap 4 module P;
 """
 
+# the seed-1 sessions of the tower and transform benchmark workloads
+BENCH_TOWER = """\
+ring F32003[x,y,z,w] order grevlex;
+module T = coker [[(21179*x)*(23593*y)*(18686*z), (21179*x)*(29011*w)^2]];
+module N = coker [[(21179*x)*(23593*y), (18686*z)^2]];
+module P = coker [[(21179*x)^2, (23593*y)*(18686*z)], [(18686*z)*(29011*w), 0]];
+module M = coker [[(21179*x)*(23593*y) - (18686*z)*(29011*w), 0, (18686*z)^2], [0, (23593*y)*(18686*z), (21179*x)^2 - (29011*w)^2]];
+sequence d = ((21179*x)^2, (21179*x)*(23593*y), (23593*y)^2);
+sequence s = ((21179*x), (23593*y), (18686*z), (29011*w));
+sequence t = ((21179*x), (23593*y), (18686*z));
+sequence u = ((21179*x)*(23593*y), (18686*z)*(29011*w));
+sequence xx = ((21179*x), (21179*x));
+task prozero d degree 1 from 1 cap 4;
+task prozero s degree 2 from 1 cap 3 module T allow-exhausted;
+task prozero t degree 3 from 1 cap 3 module N;
+task prozero t degree 1 from 1 cap 3 module P;
+task prozero u degree 1 from 1 cap 3 module M allow-exhausted;
+task prozero xx degree 1 from 1 cap 3;
+"""
+
+BENCH_TRANSFORM = """\
+ring Q[x,y,z,w] order grevlex;
+module M = coker [[x*y - z*w, 0, z^2], [0, y*z, x^2 - w^2]];
+module T = coker [[x*y*z, x*w^2]];
+ideal J = (x, y, z, w);
+ideal K = (x^2, y*z, w);
+task deligne-roundtrip K T samples 3 seed 7;
+task sheaf-glue J T samples 3 seed 3;
+task diagram J M samples 2 seed 11;
+"""
+
 # Record digests pinned across changes that must not move a certificate; a
 # change that legitimately changes lift coefficients updates them and says
 # so in CHANGES.md.
@@ -684,6 +715,19 @@ PINNED_DIGESTS = {
         "2bb5bea71c53f28a36e804af43073d771f782ea4ff37f5dff4aaf2ff7023f7c8",
         "3481edcdc5771321e4176137c4cb3264dad67105aacc21b678516e98039b11b3",
         "d1edce147c6e704d3c74cfcacf03cc80eb51e3ac3d0f2fc15f33d2b9df53eccc",
+    ]),
+    "bench-tower": (BENCH_TOWER, [
+        "982dd7c324f296e122738e875439377a3c267dc455fb8535b0521b01e5b2c50c",
+        "fbb2aab4a22d74ef8de1762e6ac7bf6f0869459e5263b4f72bebf68532619f03",
+        "7aae3c84347e81c07174730b53dcf90155c1e5015c1d8ebb8cc11c64967d23cb",
+        "1edf8f7affb4cfb2d2a48b4f5bcd232d64352daf671a9f62c672e11aa814b55d",
+        "ec162f7ac123b12fdf724b25436f1ca29d3c5ee618b13ab8f8fbfd946acd227f",
+        "0d159c0563cfaa7f634e64daf441e5033f1216b34367b76213cd9198199c179b",
+    ]),
+    "bench-transform": (BENCH_TRANSFORM, [
+        "b23e068ba905629acacb2460324bf918c1ee671a26cd58f54a2b0b73fca8f201",
+        "0e4289bb643e3c6f16cec1ceb04751fafefda643361a78cf7edd9c4d45957b83",
+        "7a8746f6a1d0d6dbda0e6ce5d6df68da7bafa05d95304f356f2ed6386a72a2c5",
     ]),
 }
 

@@ -331,8 +331,8 @@ def _module_with_square():
                          ids=["product", "chain"])
 def test_pair_criteria_stay_on(monkeypatch, make):
     # Without criteria every same-position pair of the generators is
-    # reduced, and each generator is lifted once more at the end, so the
-    # count of full reductions could not fall below the pair count.
+    # reduced, so the count of full reductions could not fall below the
+    # pair count.
     ring, rank, gens = make()
     calls = [0]
     reduce_full = groebner._reduce_full
@@ -344,6 +344,33 @@ def test_pair_criteria_stay_on(monkeypatch, make):
     monkeypatch.setattr(groebner, "_reduce_full", counting)
     FreeSubmodule(ring, rank, gens).groebner()
     assert calls[0] < _same_position_pairs(gens, ring)
+
+
+def test_groebner_alone_lifts_no_generator(monkeypatch):
+    # Writing each generator in the finished basis is work for syzygies(),
+    # its only reader: groebner() reduces no generator against the whole
+    # basis, and syzygies() then reduces each generator once.
+    ring, rank, gens = _module_with_square()
+    S = FreeSubmodule(ring, rank, gens)
+    calls = []
+    reduce_full = groebner._reduce_full
+
+    def recording(v, basis, *rest):
+        calls.append((v, len(basis)))
+        return reduce_full(v, basis, *rest)
+
+    monkeypatch.setattr(groebner, "_reduce_full", recording)
+    S.groebner()
+    size = len(S.basis())
+
+    def generator_lifts():
+        return sum(
+            1 for v, n in calls if n == size and any(v is g for g in S.gens)
+        )
+
+    assert calls and generator_lifts() == 0
+    S.syzygies()
+    assert generator_lifts() == len(gens)
 
 
 # ---------------------------------------------------------------- Schreyer pairs
@@ -399,16 +426,18 @@ def test_schreyer_chain_criterion_stays_on(monkeypatch, R):
     x, y = R.gens()
     gens = [(x**2,), (x * y,), (y**2,)]
     S = FreeSubmodule(R, 1, gens).groebner()
-    calls = [0]
+    pairs, lifts = [0], [0]
     reduce_full = groebner._reduce_full
 
-    def counting(*args):
-        calls[0] += 1
-        return reduce_full(*args)
+    def counting(v, *args):
+        # syzygies() also writes each generator in the basis, once
+        (lifts if any(v is g for g in S.gens) else pairs)[0] += 1
+        return reduce_full(v, *args)
 
     monkeypatch.setattr(groebner, "_reduce_full", counting)
     Z = S.syzygies()
-    assert calls[0] == 2 < _same_position_pairs(gens, R)
+    assert pairs[0] == 2 < _same_position_pairs(gens, R)
+    assert lifts[0] == len(gens)
     assert Z.contains((y, -x, R.zero())) and Z.contains((R.zero(), y, -x))
 
 
@@ -459,6 +488,14 @@ def _reduction_cases(field, rank):
             yield ring, _random_vector(ring, rng, rank, terms=5), basis
 
 
+def _dense_quotients(quots, size, ring):
+    # the quotient dict holds no zero entry, and its keys ascend
+    assert list(quots) == sorted(quots)
+    assert all(0 <= t < size for t in quots)
+    assert not any(q.is_zero() for q in quots.values())
+    return [quots.get(t, ring.zero()) for t in range(size)]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_reduce_full_matches_reference(field, rank):
@@ -467,9 +504,10 @@ def test_reduce_full_matches_reference(field, rank):
         v_terms = [dict(p.terms) for p in v]
         basis_terms = [[dict(p.terms) for p in b] for b in basis]
         rem, quots = groebner._reduce_full(v, basis, leads, ring)
+        quots = _dense_quotients(quots, len(basis), ring)
         ref_rem, ref_quots = reduce_full_reference(v, basis, leads, ring)
         assert rem == ref_rem
-        assert list(quots) == list(ref_quots)
+        assert quots == list(ref_quots)
         # inputs untouched by the in-place kernel
         assert [p.terms for p in v] == v_terms
         assert [[p.terms for p in b] for b in basis] == basis_terms
@@ -509,6 +547,7 @@ def test_reduce_full_makes_no_polynomial_sums(monkeypatch):
     for ring, v, basis in cases:
         leads = [vec_lead(b, ring) for b in basis]
         _, quots = groebner._reduce_full(v, basis, leads, ring)
+        quots = _dense_quotients(quots, len(basis), ring)
         steps += sum(len(q.terms) for q in quots)
     assert steps > 0
     assert calls[0] == 0

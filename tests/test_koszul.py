@@ -16,7 +16,14 @@ from deligne_kit.koszul import (
     pro_zero_search,
     transition_multipliers,
 )
-from deligne_kit.modules import FpModule, ModuleHom, colon_generators, module_kernel
+from deligne_kit.modules import (
+    FpModule,
+    ModuleHom,
+    blockdiag_relations,
+    colon_generators,
+    ideal_span,
+    module_kernel,
+)
 from deligne_kit.rings import GF, QQ, PolyRing
 from deligne_kit.session import parse_session
 
@@ -86,6 +93,60 @@ def test_stage_builds_no_chain_relation_basis():
         d = st.diff[i]
         checked = ModuleHom(d.source, d.target, d.columns)
         assert module_kernel(checked) == module_kernel(d)
+
+
+_TOWER = """\
+ring F32003[x,y,z,w] order grevlex;
+module T = coker [[x*y*z, x*w^2]];
+module N = coker [[x*y, z^2]];
+module P = coker [[x^2, y*z], [z*w, 0]];
+module M = coker [[x*y - z*w, 0, z^2], [0, y*z, x^2 - w^2]];
+sequence s = (x, y, z, w);
+sequence t = (x, y, z);
+sequence u = (x*y, z*w);
+"""
+
+# (module, sequence, degree) of passing searches from 1 with cap 3, one per
+# module of the tower benchmark
+_TOWER_SEARCHES = [("T", "s", 2), ("N", "t", 3), ("P", "t", 1), ("M", "u", 2)]
+
+
+@pytest.mark.parametrize("name, seq, degree", _TOWER_SEARCHES,
+                         ids=[c[0] for c in _TOWER_SEARCHES])
+def test_cycle_lift_blockwise_equals_chain_lift(name, seq, degree):
+    # pro_zero_search lifts d_i(z) block by block against M's relations;
+    # the lift against the stacked chain relations, in the block-outer
+    # order of blockdiag_relations, is the same vector
+    s = parse_session(_TOWER)
+    M = s.modules[name]
+    x = SequenceSpec(s.sequences[seq])
+    cert = pro_zero_search(x, degree, 1, M, 3)
+    assert isinstance(cert, ProZeroCertificate) and cert.entries
+    stage = _stage(x, cert.witness_m, M)
+    blocks = len(stage.subsets[degree - 1])
+    rels = blockdiag_relations(M.relations.gens, M.rank, blocks, M.ring)
+    chain = FreeSubmodule(M.ring, M.rank * blocks, rels)
+    for e in cert.entries:
+        rem, lift = chain.normal_form_lift(stage.diff[degree].apply_raw(e.cycle))
+        assert vec_is_zero(rem)
+        assert e.cycle_relation_lift == tuple(lift)
+
+
+def test_search_shares_chain_modules_and_builds_no_chain_basis():
+    # the chain modules M^(k choose i) come from M's memo, one per block
+    # count for every stage, and a full search, exhausted or not, builds
+    # no Gröbner basis of their relations
+    s = parse_session(_TOWER)
+    for name, seq, degree in _TOWER_SEARCHES + [("M", "u", 1)]:
+        M = s.modules[name]
+        x = SequenceSpec(s.sequences[seq])
+        pro_zero_search(x, degree, 1, M, 3)
+        stages = [v for k, v in M.memo.items() if k[0] == "stage"]
+        for st in stages:
+            assert all(a is b for a, b in zip(st.chain, stages[0].chain))
+            assert all(c.relations._gb is None for c in st.chain)
+    # the exhausted search on M ran to its cap: stages 1, 2 and 3
+    assert len(stages) == 3
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -431,13 +492,13 @@ def test_transition_multipliers_memoised_per_ring():
 
 def test_memos_do_not_leak_between_rings():
     # same exponent data, different order or different names: each ring
-    # must get its own stages, homology and power syzygies
+    # must get its own stages, homology, ideal spans and power syzygies
     rings = [
         PolyRing(QQ, ("x", "y"), order="grevlex"),
         PolyRing(QQ, ("x", "y"), order="lex"),
         PolyRing(QQ, ("a", "b"), order="grevlex"),
     ]
-    modules = []
+    modules, spans = [], []
     for ring in rings:
         u, v = ring.gens()
         s = SequenceSpec((u, v))
@@ -449,6 +510,14 @@ def test_memos_do_not_leak_between_rings():
         assert cert.witness_m == 2
         for syz in deligne._power_syzygies(s, 2):
             assert all(p.ring == ring for p in syz)
+        span = ideal_span(ring, s.powers(2))
+        spans.append(span)
+        assert span.ring is ring and span is ring.memo[
+            ("ideal_span", tuple(p.key() for p in s.powers(2)))
+        ]
+        assert all(p.ring is ring for b in span.basis() for p in b)
+    # equal generator keys, three rings: three spans
+    assert len({id(span) for span in spans}) == len(rings)
     # a module and a sequence from different rings are refused, even when
     # the module already holds homology for an equal-looking sequence
     with pytest.raises(StructuralError):

@@ -19,6 +19,7 @@ from deligne_kit.modules import (
     hom_module,
     ideal_as_module,
     ideal_power,
+    ideal_span,
     module_kernel,
     radical_lift,
     saturate,
@@ -478,6 +479,35 @@ def test_radical_lift_examples(R, R1):
 
     d, lift = radical_lift(t, (t,), 1)
     assert d == 1 and lift[0] == R1.one()
+
+
+def test_radical_lift_computes_its_bases_once(monkeypatch, R):
+    # both spans of radical_lift, (x, y) and (x^3, y^3), come from the
+    # ring's memo: a second call with the same (xs, e) builds no basis
+    x, y = R.gens()
+    built = []
+    compute = FreeSubmodule._compute_basis
+
+    def counting(self):
+        built.append(self)
+        return compute(self)
+
+    monkeypatch.setattr(FreeSubmodule, "_compute_basis", counting)
+    first = radical_lift(x + y, (x, y), 3)
+    assert first[0] == 5 and len(built) == 2
+    assert radical_lift(x + y, (x, y), 3) == first
+    radical_lift(x - 2 * y, (x, y), 3)
+    assert len(built) == 2
+    assert built == [ideal_span(R, (x, y)), ideal_span(R, (x**3, y**3))]
+
+
+def test_ideal_span_refuses_foreign_generators(R, R1):
+    x, y = R.gens()
+    ideal_span(R, (x, y))
+    with pytest.raises(StructuralError):
+        ideal_span(R, (R1.gen(0), y))
+    with pytest.raises(StructuralError):
+        radical_lift(R1.gen(0), (x, y), 2)
 
 
 def test_radical_lift_requires_membership(R):
