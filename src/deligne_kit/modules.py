@@ -363,7 +363,8 @@ class SaturationResult:
     """The J-power torsion submodule 0 :_M J^infinity with its
     stabilization index and a membership test.  ``span`` is the preimage of
     the torsion in R^rank (generators plus M's relations), whose basis the
-    chain has already computed."""
+    chain has already computed; when the torsion is zero it is M's own
+    relation submodule, ``M.relations``."""
 
     def __init__(self, module: FpModule, ideal_polys, t_star: int, generators,
                  span: FreeSubmodule):
@@ -393,8 +394,14 @@ def saturate(M: FpModule, J) -> SaturationResult:
     so ``t_star`` is the power-chain index and the torsion submodule is the
     same; only its generating set may differ.  The chain ascends, so it has
     stopped (t_star = t) once every generator of N_(t+1) lies in N_t: one
-    containment test each.  Greuel-Pfister, *A Singular Introduction to
-    Commutative Algebra*, on quotients and saturation."""
+    containment test each.  The chain starts at N_0 = 0, whose span is
+    rel(M) and whose quotient is M itself, so the first test asks whether
+    N_1 = 0 :_M J is zero in M, as it is when J holds a nonzerodivisor on M.
+    Then N_2 = N_1 :_M J = 0 :_M J = N_1, and the chain is stable at
+    t_star = 1, the power-chain index, with N_1's generators and M's own
+    relations as the span: one colon kernel, no second.  Greuel-Pfister,
+    *A Singular Introduction to Commutative Algebra*, on quotients and
+    saturation."""
     if isinstance(J, FreeSubmodule):
         if J.rank != 1:
             raise StructuralError("saturation ideal must have ambient rank 1")
@@ -405,14 +412,16 @@ def saturate(M: FpModule, J) -> SaturationResult:
     if not polys:
         raise StructuralError("saturation with the zero ideal")
     ring = M.ring
-    gens = colon_generators(M, polys)
-    for t in range(1, _MAX_COLON_CHAIN):
-        span = FreeSubmodule(ring, M.rank, list(gens) + list(M.relations.gens))
-        quotient = FpModule(ring, M.rank, span.basis())
+    span, quotient = M.relations, M  # N_0 = 0
+    for t in range(_MAX_COLON_CHAIN):
         next_gens = colon_generators(quotient, polys)
         if all(span.contains(g) for g in next_gens):
+            if t == 0:  # N_1 = 0, so N_2 = 0 :_M J = N_1
+                return SaturationResult(M, polys, 1, next_gens, span)
             return SaturationResult(M, polys, t, gens, span)
         gens = next_gens
+        span = FreeSubmodule(ring, M.rank, list(gens) + list(M.relations.gens))
+        quotient = FpModule(ring, M.rank, span.basis())
     raise InternalError(
         f"colon chain 0 :_M J^t failed to stabilize by t = {_MAX_COLON_CHAIN}"
         f" for J = ({', '.join(str(p) for p in polys)})"

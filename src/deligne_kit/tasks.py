@@ -592,6 +592,8 @@ def run_idealization(task: IdealizationTask, session: Session) -> dict:
     """rho_obstruction verifies the witness of every pole at every stage
     1..cap; the witnesses are closed forms of (pole, cap), so the record
     carries none of them."""
+    if task.cap < 1:
+        raise StructuralError("cap must be >= 1")
     ring = IdealizationRing(session.ring.field)
     for p in task.poles:
         if p < 1:

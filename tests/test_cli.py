@@ -120,6 +120,17 @@ def test_main_refuses_coefficient_replay_cannot_read(tmp_path, capsys, body, tas
     assert "Traceback" not in err
 
 
+def test_main_idealization_cap_0_exits_2(tmp_path, capsys):
+    # a cap of 0 certifies no stage, so there is no obstruction to claim
+    task = "task idealization poles (1) cap 0;"
+    f = tmp_path / "s.dk"
+    f.write_text(f"ring Q[x];\n{task}\n")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {task}: cap must be >= 1")
+    assert "Traceback" not in err
+
+
 def test_parse_accepts_literal_at_digit_limit():
     s = parse_session(f"ring Q[x]; ideal J = ({'7' * 4300}*x);")
     assert s.ideals["J"][0].terms[(1,)] == int("7" * 4300)
@@ -739,6 +750,41 @@ def test_pinned_digests(name):
     assert [r["digest"] for r in rep["records"]] == [
         "sha256:" + d for d in digests
     ]
+
+
+def test_bench_transform_work_counts(monkeypatch):
+    """The Gröbner work of the seed-1 transform session: 21 computed bases
+    and 11 ``kernel_mod`` calls, counted by wrapping
+    ``FreeSubmodule._compute_basis`` and every module's binding of
+    ``kernel_mod``, so that work added or removed anywhere shows here.
+
+    The counts move with any change to the algebra.  When one moves them
+    on purpose, recount at the change's parent: copy this test into a
+    ``git archive`` copy of the parent commit and run it there with
+    ``-k test_bench_transform_work_counts``; the failed assertion shows the
+    parent's counts.  Record both pairs in CHANGES.md, then pin the new
+    counts here."""
+    from deligne_kit import groebner, koszul, modules
+    from deligne_kit.groebner import FreeSubmodule
+
+    bases, kernels = [], []
+    real_compute = FreeSubmodule._compute_basis
+    real_kernel = groebner.kernel_mod
+
+    def counting_compute(self):
+        bases.append(self)
+        return real_compute(self)
+
+    def counting_kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(FreeSubmodule, "_compute_basis", counting_compute)
+    for mod in (groebner, koszul, modules):
+        monkeypatch.setattr(mod, "kernel_mod", counting_kernel)
+    rep = build_report(BENCH_TRANSFORM, parse_session(BENCH_TRANSFORM))
+    assert rep["ok"] is True
+    assert (len(bases), len(kernels)) == (21, 11)
 
 
 @pytest.mark.parametrize("text", [TOWER, TRANSFORM], ids=["tower", "transform"])

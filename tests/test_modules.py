@@ -388,23 +388,93 @@ def test_saturate_matches_power_chain_reference(field, rank):
     rng = random.Random(f"saturate-elements:{field.name}:{rank}")
     for ring, M, J in _random_saturation_cases(field, rank):
         res = saturate(M, J)
-        t_ref, span_ref = saturate_power_chain_reference(M, J)
-        assert res.t_star == t_ref
-        assert res.span.span_equals(span_ref)
-        for g in res.generators:
-            assert span_ref.contains(g)
-        # random vectors, and random multiples of a reference generator
-        for i in range(8):
-            if i % 2:
-                g = rng.choice(span_ref.gens)
-                v = vec_scale(_random_poly(ring, rng, 1, 2), g)
-            else:
-                v = tuple(_random_poly(ring, rng, 2, 2) for _ in range(rank))
-            answers.add(res.contains(v))
-            assert res.contains(v) == span_ref.contains(v)
+        _assert_matches_power_chain(res, M, J, rng, answers)
         chains.append(res.t_star)
     assert max(chains) >= 2  # some case runs more than one colon
     assert answers == {True, False}
+
+
+def _assert_matches_power_chain(res, M, J, rng, answers):
+    # the same stabilization index, the same torsion span and the same
+    # membership as the power chain, on random vectors and random multiples
+    # of a reference generator; adds each membership answer to `answers`
+    t_ref, span_ref = saturate_power_chain_reference(M, J)
+    assert res.t_star == t_ref
+    assert res.span.span_equals(span_ref)
+    for g in res.generators:
+        assert span_ref.contains(g)
+    for i in range(8):
+        if i % 2 and span_ref.gens:
+            g = rng.choice(span_ref.gens)
+            v = vec_scale(_random_poly(M.ring, rng, 1, 2), g)
+        else:
+            v = tuple(_random_poly(M.ring, rng, 2, 2) for _ in range(M.rank))
+        answers.add(res.contains(v))
+        assert res.contains(v) == span_ref.contains(v)
+
+
+def _torsion_free_cases(field):
+    # modules on which J holds a nonzerodivisor, so that 0 :_M J = 0 and the
+    # chain stops at its first colon: free modules of rank 1-3 under every
+    # ideal of the random cases, and rank-2 modules whose relations involve
+    # only y and z (so M is flat over k[x]) with x in J
+    ring = PolyRing(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    for rank in (1, 2, 3):
+        for J in [[x], [x, y], [y, x * z, y], [x, y, z, x * y + z]]:
+            yield ring, FpModule.free(ring, rank), J
+    yield ring, FpModule(ring, 2, [(y**2 - z, zero)]), [x]
+    yield ring, FpModule(ring, 2, [(y**2 - z, y), (y * z, z**2)]), [x]
+    yield ring, FpModule(ring, 2, [(y * z, z**2 - y), (zero, y**3)]), [x, y * z]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_saturate_torsion_free_matches_power_chain_reference(field):
+    # a zero first colon: t_star = 1 and the span is rel(M), as the power
+    # chain finds
+    answers = set()
+    rng = random.Random(f"saturate-torsion-free:{field.name}")
+    for ring, M, J in _torsion_free_cases(field):
+        res = saturate(M, J)
+        assert res.t_star == 1
+        _assert_matches_power_chain(res, M, J, rng, answers)
+    assert answers == {True, False}
+
+
+def test_saturate_zero_colon_takes_one_colon_and_builds_no_span(monkeypatch):
+    # N_1 = 0 :_M J lies in rel(M), so N_2 = N_1: no second colon, and the
+    # span is M's own relation submodule, whose basis already exists
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    M = FpModule(ring, 2, [(y**2 - z, ring.zero())])
+    M.relations.basis()
+    colons, bases, inside = [], [], []
+    real_colon = modules.colon_generators
+    real_compute = FreeSubmodule._compute_basis
+
+    def counting_colon(N, polys):
+        colons.append(N)
+        inside.append(N)
+        try:
+            return real_colon(N, polys)
+        finally:
+            inside.pop()
+
+    def counting_compute(self):
+        if not inside:
+            bases.append(self)
+        return real_compute(self)
+
+    monkeypatch.setattr(modules, "colon_generators", counting_colon)
+    monkeypatch.setattr(FreeSubmodule, "_compute_basis", counting_compute)
+    res = saturate(M, [x])
+    assert len(colons) == 1 and colons[0] is M
+    assert res.t_star == 1
+    assert res.span is M.relations
+    assert res.contains((y**2 - z, ring.zero()))
+    assert not res.contains((ring.zero(), x))
+    assert bases == []
 
 
 def test_saturate_needs_no_ideal_power(monkeypatch, R):
