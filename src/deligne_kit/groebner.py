@@ -19,23 +19,39 @@ pair is skipped, without being reduced, by either criterion:
   the other coordinates survive, e.g. (x, 1) and (y, 0) have the S-vector
   (0, y), which is a new basis element.
 
+The S-vector of a pair is the ``vec_dot`` of the two work vectors with the
+monomial coefficients (lcm/lt_i, -lcm/lt_j) (``_s_coefficients``); its
+combination of the tracked generators, the same ``vec_dot`` of the two
+representations, is formed only when the S-vector leaves a nonzero
+remainder, that is, for a new basis element.
+
 Schreyer syzygies (``FreeSubmodule.syzygies``) take the same-position
 pairs of the reduced basis in the same order, smallest POT lcm first, ties
 broken by (i, j), and skip a pair by the same chain criterion
 (``_chain_skips``); the product criterion is not used there.  Each kept
 pair (i, j) gives the lead-term syzygy tau_ij = (lcm/lt_i) e_i -
-(lcm/lt_j) e_j, lifted by reducing its S-vector to zero.  The kept tau
-still generate Syz(LT), the syzygies of the lead terms: the tau_ij of all
-same-position pairs generate it, and every pair is, by induction on the
-order in which pairs are taken, in the span of the kept tau taken before
-it.  A kept pair is its own witness.  A pair skipped because of k has
-tau_ij = (lcm_ij/lcm_ik) tau_ik - (lcm_ij/lcm_jk) tau_jk, up to unit
-factors, and (i, k) and (j, k) were taken earlier.  By Schreyer's theorem
+(lcm/lt_j) e_j, whose two entries are the S-vector's coefficients, lifted
+by reducing its S-vector to zero.  The kept tau still generate Syz(LT),
+the syzygies of the lead terms: the tau_ij of all same-position pairs
+generate it, and every pair is, by induction on the order in which pairs
+are taken, in the span of the kept tau taken before it.  A kept pair is
+its own witness.  A pair skipped because of k has tau_ij =
+(lcm_ij/lcm_ik) tau_ik - (lcm_ij/lcm_jk) tau_jk, up to unit factors, and
+(i, k) and (j, k) were taken earlier.  By Schreyer's theorem
 the lifts of generators of Syz(LT) generate Syz(basis) (Eisenbud,
 Commutative Algebra, 15.10; Cox-Little-O'Shea, IVA 2.10).  The
 translation back to the generators also needs each generator written in
 the basis; ``syzygies()``, the only reader, reduces the generators then,
 so ``groebner()`` alone reduces none of them.
+
+``vec_dot`` adds each product of a term of c_i and a term of an entry of
+v_i in place into one plain dict per coordinate, dropping a coefficient
+that cancels to zero; each coordinate becomes a polynomial once, at the
+end, and an empty one is the ring's one shared zero (``PolyRing.zero``).
+Every c_i must lie in the given ring and share it with each entry it
+multiplies.  It and ``_reduce_full`` inline the monomial product,
+divisibility test and quotient (``rings``) in their inner loops, the two
+loops where the call was measured to matter.
 
 Normal forms (``_reduce_full``) copy the input vector once into one plain
 dict per position and update it, the remainder and each quotient in place;
@@ -52,6 +68,7 @@ divides it, and otherwise moved to the remainder.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 
 from .errors import InternalError, StructuralError
 from .rings import (
@@ -75,7 +92,7 @@ def zero_vector(ring: PolyRing, rank: int) -> Vector:
 
 
 def vec_is_zero(v: Vector) -> bool:
-    return all(p.is_zero() for p in v)
+    return not any(p.terms for p in v)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -94,20 +111,46 @@ def vec_scale_coeff(c, v: Vector) -> Vector:
     return tuple(a.scale(c) for a in v)
 
 
-def vec_mul_term(coeff, mon, v: Vector) -> Vector:
-    return tuple(a.mul_term(coeff, mon) for a in v)
-
-
 def vec_dot(coeffs, vectors, ring: PolyRing, rank: int) -> Vector:
-    """sum(c_i * v_i) in R^rank over zip(coeffs, vectors)."""
-    acc = [ring.zero()] * rank
+    """sum(c_i * v_i) in R^rank over zip(coeffs, vectors), accumulated
+    into one plain dict per coordinate that some product reaches; each
+    becomes a polynomial once, at the end, and every other coordinate is
+    the ring's zero.  Every c_i and every entry it multiplies must lie in
+    ``ring``."""
+    fld = ring.field
+    fadd, fmul, fzero = fld.add, fld.mul, fld.zero
+    acc = {}  # coordinate -> {monomial: coefficient}
     for c, v in zip(coeffs, vectors):
-        if c.is_zero():
+        if not c.terms:
             continue
+        if c.ring is not ring and c.ring != ring:
+            raise StructuralError("mixed rings")
+        cterms = c.terms.items()
         for i, a in enumerate(v):
-            if not a.is_zero():
-                acc[i] = acc[i] + c * a
-    return tuple(acc)
+            if not a.terms:
+                continue
+            c._check(a)
+            d = acc.get(i)
+            if d is None:
+                acc[i] = d = {}
+            for m1, c1 in cterms:
+                for m2, c2 in a.terms.items():
+                    m = tuple(map(add, m1, m2))  # monomial_mul, inlined
+                    t = fmul(c1, c2)
+                    cur = d.get(m)
+                    if cur is None:
+                        d[m] = t
+                    else:
+                        t = fadd(cur, t)
+                        if t == fzero:
+                            del d[m]
+                        else:
+                            d[m] = t
+    out = [ring.zero()] * rank
+    for i, d in acc.items():
+        if d:
+            out[i] = Poly(ring, d)
+    return tuple(out)
 
 
 def _sparse_dot(quots, vectors, ring: PolyRing, rank: int) -> Vector:
@@ -167,13 +210,14 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
         while d:
             mon = max(d, key=key)
             coeff = d[mon]
+            # monomial_divides and monomial_div, inlined
             for t, bmon, bcoeff in here:
-                if monomial_divides(bmon, mon):
+                if all(map(le, bmon, mon)):
                     break
             else:
                 r[mon] = d.pop(mon)
                 continue
-            qmon = monomial_div(mon, bmon)
+            qmon = tuple(map(sub, mon, bmon))
             qc = fdiv(coeff, bcoeff)
             # the lead falls at every step, so qmon is new to quots[t]
             q = quots.get(t)
@@ -185,16 +229,28 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
             for j in range(pos, rank):
                 dj = cur[j]
                 for m, c in b[j].terms.items():
-                    m = monomial_mul(m, qmon)
+                    m = tuple(map(add, m, qmon))  # monomial_mul, inlined
                     old = dj.get(m, zero)
                     s = fsub(old, fmul(c, qc))
                     if s == zero:
                         del dj[m]
                     else:
                         dj[m] = s
+    zero_poly = ring.zero()
     return (
-        tuple(Poly(ring, p) for p in rem),
+        tuple(Poly(ring, p) if p else zero_poly for p in rem),
         {t: Poly(ring, quots[t]) for t in sorted(quots)},
+    )
+
+
+def _s_coefficients(ring: PolyRing, lcm, lead_i, lead_j):
+    """The monomial coefficients (lcm/lt_i, -lcm/lt_j) of the S-vector of
+    two leads (pos, mon, coeff) at one position, whose lcm is given."""
+    fld = ring.field
+    ci, cj = fld.inv(lead_i[2]), fld.neg(fld.inv(lead_j[2]))
+    return (
+        Poly(ring, {monomial_div(lcm, lead_i[1]): ci}),
+        Poly(ring, {monomial_div(lcm, lead_j[1]): cj}),
     )
 
 
@@ -300,21 +356,19 @@ class FreeSubmodule:
         while queue:
             _, i, j, lcm = heapq.heappop(queue)
             done.add((i, j))
-            _, mon_i, c_i = leads[i]
-            _, mon_j, c_j = leads[j]
-            if self.rank == 1 and lcm == monomial_mul(mon_i, mon_j):
+            lead_i, lead_j = leads[i], leads[j]
+            if self.rank == 1 and lcm == monomial_mul(lead_i[1], lead_j[1]):
                 continue  # product criterion
             if _chain_skips(i, j, lcm, leads, done):
                 continue  # chain criterion
-            vi, ri = work[i]
-            vj, rj = work[j]
-            mi, ci = monomial_div(lcm, mon_i), fld.inv(c_i)
-            mj, cj = monomial_div(lcm, mon_j), fld.inv(c_j)
-            s_vec = vec_sub(vec_mul_term(ci, mi, vi), vec_mul_term(cj, mj, vj))
-            s_rep = vec_sub(vec_mul_term(ci, mi, ri), vec_mul_term(cj, mj, rj))
+            (vi, ri), (vj, rj) = work[i], work[j]
+            s = _s_coefficients(ring, lcm, lead_i, lead_j)
+            s_vec = vec_dot(s, (vi, vj), ring, self.rank)
             rem, quots = _reduce_full(s_vec, [w[0] for w in work], leads, ring)
             if not vec_is_zero(rem):
+                # the combination is needed only for a new basis element
                 reps = [w[1] for w in work]
+                s_rep = vec_dot(s, (ri, rj), ring, tracked)
                 rep = vec_sub(s_rep, _sparse_dot(quots, reps, ring, tracked))
                 work.append([rem, rep])
                 leads.append(vec_lead(rem, ring))
@@ -404,10 +458,9 @@ class FreeSubmodule:
             return self._syzygies
         self.groebner()
         ring = self.ring
-        fld = ring.field
         basis, reps, leads = self._gb
         r = self.tracked
-        zero, one = ring.zero(), ring.one()
+        zero = ring.zero()
 
         # Schreyer generators: syzygies among the basis elements, one per
         # same-position pair the chain criterion keeps, in POT-lcm order,
@@ -426,17 +479,14 @@ class FreeSubmodule:
             li, lj = leads[i], leads[j]
             if _chain_skips(i, j, lcm, leads, done):
                 continue  # chain criterion
-            mi, ci = monomial_div(lcm, li[1]), fld.inv(li[2])
-            mj, cj = monomial_div(lcm, lj[1]), fld.inv(lj[2])
-            s_vec = vec_sub(
-                vec_mul_term(ci, mi, basis[i]), vec_mul_term(cj, mj, basis[j])
-            )
+            si, sj = _s_coefficients(ring, lcm, li, lj)
+            s_vec = vec_dot((si, sj), (basis[i], basis[j]), ring, self.rank)
             rem, quots = _reduce_full(s_vec, basis, leads, ring)
             if not vec_is_zero(rem):
                 raise InternalError("S-pair of a Gröbner basis not zero")
             syz = {t: -q for t, q in quots.items()}
-            syz[i] = syz.get(i, zero) + one.mul_term(ci, mi)
-            syz[j] = syz.get(j, zero) - one.mul_term(cj, mj)
+            syz[i] = syz.get(i, zero) + si
+            syz[j] = syz.get(j, zero) + sj
             basis_syz.append(syz)
 
         # translate to the original generators:

@@ -40,7 +40,9 @@ class IdealizationRing:
         return SElement(self, self.R.term(1, (n,)), self.e_zero())
 
     def __eq__(self, other):
-        return isinstance(other, IdealizationRing) and other.field == self.field
+        return other is self or (
+            isinstance(other, IdealizationRing) and other.field == self.field
+        )
 
     def __hash__(self):
         return hash(("idealization", self.field))

@@ -4,6 +4,13 @@ Coefficients are arbitrary-precision rationals or elements of a prime field
 F_p; polynomials are sparse maps from exponent vectors to nonzero
 coefficients.  Monomial orders: grevlex (default) and lex.
 
+A monomial is a plain tuple of exponents.  Each monomial operation has one
+definition, which maps an ``operator`` function over the two tuples:
+``tuple(map(add, a, b))`` multiplies, ``all(map(le, a, b))`` tests
+divisibility, ``tuple(map(sub, a, b))`` divides and ``tuple(map(max, a,
+b))`` takes the lcm.  A ring binds its order's sort key once, as
+``ring.mon_key``.
+
 A rational is stored in one canonical form: a plain ``int`` when it is
 integral, otherwise a ``fractions.Fraction`` in lowest terms with
 denominator > 1.  Most coefficients met in practice are integers, and int
@@ -15,6 +22,7 @@ the form.  An element of F_p is an int in [0, p).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, neg, sub
 
 from .errors import StructuralError
 
@@ -189,39 +197,44 @@ def GF(p: int) -> PrimeField:
 # ---------------------------------------------------------------------------
 # monomials: plain exponent tuples
 
-MONOMIAL_ORDERS = ("grevlex", "lex")
-
-
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
     """True if a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a, b):
     if not monomial_divides(b, a):
         raise StructuralError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(a):
     return sum(a)
 
 
+def _grevlex_key(mon):
+    return (sum(mon), tuple(map(neg, reversed(mon))))
+
+
+# one sort key per order; max() under the key is the leading monomial.  A
+# monomial is already a tuple, and lex compares it as one.
+_MONOMIAL_KEYS = {"grevlex": _grevlex_key, "lex": tuple}
+
+
 def monomial_key(mon, order: str):
     """Sort key; max() under this key is the leading monomial."""
-    if order == "grevlex":
-        return (sum(mon), tuple(-e for e in reversed(mon)))
-    if order == "lex":
-        return tuple(mon)
-    raise StructuralError(f"unknown monomial order {order!r}")
+    key = _MONOMIAL_KEYS.get(order)
+    if key is None:
+        raise StructuralError(f"unknown monomial order {order!r}")
+    return key(mon)
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +256,17 @@ class PolyRing:
             raise StructuralError("a ring needs at least one variable")
         if len(set(variables)) != len(variables):
             raise StructuralError("variable names must be distinct")
-        if order not in MONOMIAL_ORDERS:
+        if order not in _MONOMIAL_KEYS:
             raise StructuralError(f"unknown monomial order {order!r}")
         self.field = field
         self.variables = variables
         self.order = order
+        # the order's sort key, bound once: ``ring.mon_key(mon)``
+        self.mon_key = _MONOMIAL_KEYS[order]
         self.nvars = len(variables)
         self._zero_mon = (0,) * self.nvars
+        self._zero = Poly(self, {})
         self.memo: dict = {}
-
-    def mon_key(self, mon):
-        return monomial_key(mon, self.order)
 
     def poly(self, terms) -> "Poly":
         """Build a polynomial from {exponent tuple: coefficient}."""
@@ -276,7 +289,8 @@ class PolyRing:
         return Poly(self, clean)
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        """The ring's one zero polynomial, shared: a Poly is immutable."""
+        return self._zero
 
     def one(self) -> "Poly":
         return Poly(self, {self._zero_mon: self.field.one})
@@ -295,7 +309,7 @@ class PolyRing:
         return self.poly({tuple(mon): coeff})
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables

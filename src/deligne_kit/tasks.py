@@ -319,7 +319,16 @@ def replay_prozero(record: dict, task: ProzeroTask, session: Session):
     return "pass" if cert.verify() else None
 
 
+def _require_positive(**bounds):
+    """A task whose sample count, probe count or cap is below 1 checks
+    nothing, so it has nothing to claim; its run and replay refuse it."""
+    for name, n in bounds.items():
+        if n < 1:
+            raise StructuralError(f"{name} must be >= 1")
+
+
 def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
+    _require_positive(samples=task.samples, probes=task.probes)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     rng = random.Random(task.seed)
@@ -357,6 +366,7 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
 
 def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
     """Both fractions of a probe have the probe y as their base."""
+    _require_positive(samples=task.samples, probes=task.probes)
     M = session.modules[task.module]
     samples = record["certificate"]["samples"]
     if len(samples) != task.samples:
@@ -375,6 +385,7 @@ def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
 
 
 def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
+    _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     ring = session.ring
@@ -460,6 +471,7 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
     each chart's restriction identity x_i^e*m - y*m'_i is in the relation
     span, and the glued m/y equals element/1 in M_y.  The degree tests of
     the module docstring come before any power."""
+    _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     ring = session.ring
@@ -523,6 +535,7 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
 
 
 def run_diagram(task: DiagramTask, session: Session) -> dict:
+    _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     rng = random.Random(task.seed)
@@ -568,6 +581,7 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
 def replay_diagram(record: dict, task: DiagramTask, session: Session):
     """Chart i compares the natural element/1 with the through fraction,
     both over the base x_i."""
+    _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     samples = record["certificate"]["samples"]
@@ -592,8 +606,7 @@ def run_idealization(task: IdealizationTask, session: Session) -> dict:
     """rho_obstruction verifies the witness of every pole at every stage
     1..cap; the witnesses are closed forms of (pole, cap), so the record
     carries none of them."""
-    if task.cap < 1:
-        raise StructuralError("cap must be >= 1")
+    _require_positive(cap=task.cap)
     ring = IdealizationRing(session.ring.field)
     for p in task.poles:
         if p < 1:

@@ -21,7 +21,7 @@ from deligne_kit.errors import (
 from deligne_kit.modules import FpModule
 from deligne_kit.rings import QQ, PolyRing
 from deligne_kit.session import DiagramTask, SheafGlueTask, parse_session
-from deligne_kit.tasks import _replay_loc
+from deligne_kit.tasks import _replay_loc, replay_record
 
 GOOD = """\
 # demo session
@@ -129,6 +129,41 @@ def test_main_idealization_cap_0_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {task}: cap must be >= 1")
     assert "Traceback" not in err
+
+
+_NOTHING_CHECKED = [
+    ("task deligne-roundtrip J R samples 0 seed 1;", "samples",
+     {"samples": []}),
+    ("task deligne-roundtrip J R samples 1 seed 1 probes 0;", "probes",
+     {"samples": [{"stage": 1, "values": [["x"]], "probes": []}]}),
+    ("task sheaf-glue J R samples 0 seed 1;", "samples",
+     {"samples": [], "torsion_only": False}),
+    ("task diagram J R samples 0 seed 1;", "samples", {"samples": []}),
+]
+
+
+@pytest.mark.parametrize("task, bound, _", _NOTHING_CHECKED,
+                         ids=["roundtrip", "probes", "sheaf", "diagram"])
+def test_main_nothing_to_check_exits_2(tmp_path, capsys, task, bound, _):
+    # no sample or no probe checks nothing, so there is no pass to claim
+    f = tmp_path / "s.dk"
+    f.write_text(f"ring Q[x,y];\nideal J = (x, y);\n{task}\n")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {task}: {bound} must be >= 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task, _, certificate", _NOTHING_CHECKED,
+                         ids=["roundtrip", "probes", "sheaf", "diagram"])
+def test_replay_refuses_pass_with_nothing_checked(task, _, certificate):
+    # a written record of such a task, empty as its bounds allow, does not
+    # verify either
+    session = parse_session(f"ring Q[x,y];\nideal J = (x, y);\n{task}\n")
+    t = session.tasks[0]
+    record = {"kind": t.kind, "label": t.pretty(), "outcome": "pass",
+              "bounds": t.bounds(), "certificate": certificate}
+    assert replay_record(record, t, session) is False
 
 
 def test_parse_accepts_literal_at_digit_limit():
@@ -785,6 +820,42 @@ def test_bench_transform_work_counts(monkeypatch):
     rep = build_report(BENCH_TRANSFORM, parse_session(BENCH_TRANSFORM))
     assert rep["ok"] is True
     assert (len(bases), len(kernels)) == (21, 11)
+
+
+def test_bench_tower_work_counts(monkeypatch):
+    """The Gröbner work of the seed-1 tower session: 22 computed bases, 12
+    ``kernel_mod`` calls and 678 ``_reduce_full`` calls, counted by
+    wrapping ``FreeSubmodule._compute_basis``, every module's binding of
+    ``kernel_mod`` and ``groebner._reduce_full``.  A change to the
+    arithmetic kernel alone leaves all three where they are.  Recount at a
+    change's parent as ``test_bench_transform_work_counts`` says."""
+    from deligne_kit import groebner, koszul, modules
+    from deligne_kit.groebner import FreeSubmodule
+
+    bases, kernels, reductions = [], [], []
+    real_compute = FreeSubmodule._compute_basis
+    real_kernel = groebner.kernel_mod
+    real_reduce = groebner._reduce_full
+
+    def counting_compute(self):
+        bases.append(self)
+        return real_compute(self)
+
+    def counting_kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+
+    def counting_reduce(*args):
+        reductions.append(args)
+        return real_reduce(*args)
+
+    monkeypatch.setattr(FreeSubmodule, "_compute_basis", counting_compute)
+    for mod in (groebner, koszul, modules):
+        monkeypatch.setattr(mod, "kernel_mod", counting_kernel)
+    monkeypatch.setattr(groebner, "_reduce_full", counting_reduce)
+    rep = build_report(BENCH_TOWER, parse_session(BENCH_TOWER))
+    assert rep["ok"] is True
+    assert (len(bases), len(kernels), len(reductions)) == (22, 12, 678)
 
 
 @pytest.mark.parametrize("text", [TOWER, TRANSFORM], ids=["tower", "transform"])

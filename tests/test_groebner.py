@@ -580,6 +580,55 @@ def test_vec_dot_matches_reference(field):
     assert fewer > 0
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_vec_dot_with_cancellation_matches_reference(field):
+    # c_0*v_0 + 1*v_1 + c_2*v_2, where v_1 is -c_0*v_0 on some coordinates
+    # (whole coordinates cancel), -c_0*v_0 plus a random entry on others
+    # (some terms cancel) and random elsewhere; coefficients and entries
+    # are zero now and then
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(f"vec_dot:{field.name}")
+    one = ring.one()
+    emptied = 0
+    for _ in range(60):
+        rank = rng.randint(1, 4)
+        v0, v2 = (_random_vector(ring, rng, rank) for _ in range(2))
+        c0, c2 = _random_vector(ring, rng, 2)
+        extra = _random_vector(ring, rng, rank)
+        v1 = []
+        for a, e in zip(v0, extra):
+            kind = rng.randrange(3)
+            neg = -(c0 * a)
+            v1.append(neg if kind == 0 else neg + e if kind == 1 else e)
+        coeffs, vectors = [c0, one, c2], [v0, tuple(v1), v2]
+        got = vec_dot(coeffs, vectors, ring, rank)
+        assert got == vec_dot_reference(coeffs, vectors, ring, rank)
+        assert all(p.ring is ring for p in got)
+        # every empty coordinate is one shared zero
+        zeros = [p for p in got if p.is_zero()]
+        assert all(p is zeros[0] for p in zeros)
+        emptied += len(zeros)
+    assert emptied > 0
+
+
+def test_vec_dot_refuses_mixed_rings(R):
+    x, y = R.gens()
+    for other in (PolyRing(QQ, ("x", "y"), order="lex"),
+                  PolyRing(GF(32003), ("x", "y"))):
+        u = other.gen(0)
+        # the coefficient and the entry it multiplies differ
+        with pytest.raises(StructuralError):
+            vec_dot([x], [(u,)], R, 1)
+        with pytest.raises(StructuralError):
+            vec_dot([y, u], [(x,), (R.zero(), u)], R, 2)
+        # both agree, but the sum is asked for in another ring
+        with pytest.raises(StructuralError):
+            vec_dot([u], [(u,)], R, 1)
+    # an equal ring built apart is the same ring
+    twin = PolyRing(QQ, ("x", "y"))
+    assert vec_dot([x], [(twin.gen(1),)], R, 1) == (x * y,)
+
+
 def test_unit_vector(R):
     zero, one = R.zero(), R.one()
     assert unit_vector(R, 3, 0) == (one, zero, zero)

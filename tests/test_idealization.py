@@ -231,6 +231,18 @@ def test_prime_field_backend():
         assert w.verify()
 
 
+def test_equal_idealization_rings_built_apart_compare_equal():
+    a, b = IdealizationRing(QQ), IdealizationRing(QQ)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a == a
+    assert a != IdealizationRing(GF(5)) and a != a.R
+    # an element of one acts on the other's polynomials
+    assert a.e(2).acted(b.x) == a.e(1)
+    with pytest.raises(StructuralError):
+        a.e(2).acted(IdealizationRing(GF(5)).x)
+
+
 def test_s_pow_matches_repeated_multiplication(S):
     rng = random.Random(23)
     for _ in range(8):

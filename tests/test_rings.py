@@ -11,7 +11,11 @@ from deligne_kit.rings import (
     Poly,
     PolyRing,
     _is_prime,
+    monomial_div,
+    monomial_divides,
     monomial_key,
+    monomial_lcm,
+    monomial_mul,
 )
 from deligne_kit.session import parse_poly
 
@@ -86,6 +90,58 @@ def test_order_total_and_multiplicative(order):
         a, b, c = tri
         if _cmp(a, b, order) <= 0 and _cmp(b, c, order) <= 0:
             assert _cmp(a, c, order) <= 0
+
+
+@pytest.mark.parametrize("nvars", [1, 4])
+def test_monomial_helpers_match_zip_forms(nvars):
+    # each helper against the plain zip-generator form of its operation
+    rng = random.Random(f"monomials:{nvars}")
+    mons = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(25)]
+    names = "xyzw"[:nvars]
+    lex, grevlex = (PolyRing(QQ, names, order=o) for o in ("lex", "grevlex"))
+    refused = 0
+    for a in mons:
+        assert monomial_key(a, "lex") == lex.mon_key(a) == tuple(a)
+        assert monomial_key(a, "grevlex") == grevlex.mon_key(a) == (
+            sum(a), tuple(-e for e in reversed(a)))
+        for b in mons:
+            assert monomial_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+            assert monomial_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            divides = all(x <= y for x, y in zip(b, a))
+            assert monomial_divides(b, a) is divides
+            if divides:
+                assert monomial_div(a, b) == tuple(x - y for x, y in zip(a, b))
+            else:
+                refused += 1
+                with pytest.raises(StructuralError):
+                    monomial_div(a, b)
+    assert refused > 0
+
+
+def test_monomial_div_refuses_a_non_divisor():
+    assert monomial_div((2, 1), (1, 1)) == (1, 0)
+    with pytest.raises(StructuralError):
+        monomial_div((1, 0), (0, 1))
+    with pytest.raises(StructuralError):
+        monomial_div((3,), (4,))
+    with pytest.raises(StructuralError):
+        monomial_key((1, 0), "revlex")
+
+
+def test_equal_rings_built_apart_compare_equal():
+    a = PolyRing(QQ, ("x", "y"))
+    b = PolyRing(QQ, ("x", "y"))
+    assert a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a == a and hash(a) == hash(a)
+    assert a.gen(0) == b.gen(0)
+    for other in (PolyRing(QQ, ("x", "y"), order="lex"),
+                  PolyRing(QQ, ("y", "x")),
+                  PolyRing(QQ, ("x", "y", "z")),
+                  PolyRing(GF(5), ("x", "y"))):
+        assert a != other and not a == other
+        assert a.gen(0) != other.gen(0)
+    assert a != "Q[x,y]/grevlex"
 
 
 # ---------------------------------------------------------------- fields
