@@ -8,7 +8,14 @@ commutative-diagram check, and sheaf-axiom verification over the cover
 from __future__ import annotations
 
 from .errors import InternalError, StructuralError
-from .groebner import Vector, vec_is_zero, vec_scale, vec_sub
+from .groebner import (
+    Vector,
+    vec_degree,
+    vec_dot,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 from .koszul import ProZeroCertificate, SequenceSpec
 from .modules import (
     FpModule,
@@ -17,6 +24,7 @@ from .modules import (
     ideal_as_module,
     ideal_power,
     ideal_span,
+    least_power,
     radical_lift,
     saturate,
 )
@@ -69,7 +77,7 @@ def kill_exponent(M: FpModule, base: Poly, elem: ModuleElement):
     return c
 
 
-def cross_difference(base: Poly, na, a: int, nb, b: int, c: int) -> Vector:
+def _cross_difference(base: Poly, na, a: int, nb, b: int, c: int) -> Vector:
     """base^(c+b)*na - base^(c+a)*nb, the cross difference of na/base^a and
     nb/base^b killed by base^c, built as base^(c+mu)*D with mu = min(a, b)
     and D = base^(b-mu)*na - base^(a-mu)*nb; no power scales a zero vector."""
@@ -86,9 +94,10 @@ def cross_difference(base: Poly, na, a: int, nb, b: int, c: int) -> Vector:
 
 
 class LocEqualCertificate:
-    """Exact witness that base^(c+b) * m - base^(c+a) * m' lies in the span
-    of the relation generators: the raw ambient vector equals
-    sum(lift_i * relation_i), replayable by pure polynomial arithmetic."""
+    """Exact witness that na/base^a = nb/base^b in M_base: the kill exponent
+    c and a lift with base^(c+b)*na - base^(c+a)*nb = sum(lift_i *
+    relation_i) as raw ambient vectors, checked by ``verify`` with
+    polynomial arithmetic alone."""
 
     __slots__ = ("c", "lift")
 
@@ -96,9 +105,56 @@ class LocEqualCertificate:
         self.c = c
         self.lift = lift
 
+    def verify(self, M: FpModule, base_degree: int, base, na, a: int, nb,
+               b: int) -> bool:
+        """Whether the identity holds for the raw vectors na and nb over a
+        nonzero base of degree base_degree (M_0 = 0 would make every
+        fraction equal).  ``base()`` returns the base; it is called only
+        once the degree test below has bounded the powers.
 
-def loc_equal(f: LocalFraction, g: LocalFraction, certificate: bool = False):
-    """Equality in M_base: some base power kills the cross difference."""
+        The identity reads L = sum(lift_i * relation_i), whose right side
+        costs no power.  Over a field deg(f*g) = deg f + deg g (the degree
+        of a vector is the largest degree of an entry, -1 for zero), so L
+        can equal the right side only if both have the same degree, and
+        deg L is read off the degrees of na and nb.  L = base^(c+mu)*D with
+        mu = min(a, b) and D = base^k*n_1 - n_2, where k = |a - b| and n_1
+        is the numerator of the smaller exponent.  D = 0 makes L = 0; the
+        run's kill exponent of a zero difference is 0, so c = 0 and a zero
+        right side are required.  Otherwise deg L = (c + mu)*deg(base) +
+        deg D, and deg D = max(k*deg(base) + deg n_1, deg n_2) unless the
+        two are equal; then k*deg(base) <= deg n_2 and D is computed
+        outright.  A constant base is a unit, and no power of a unit kills
+        a nonzero vector, so the run records c = 0, which is required; the
+        powers of D are then scalars.  Every power raised after the test
+        has a degree that the degrees of na, nb and the lift bound."""
+        c = self.c
+        if base_degree < 0 or min(a, b, c) < 0:
+            return False
+        rhs = vec_dot(self.lift, M.relations.gens, M.ring, M.rank)
+        mu = min(a, b)
+        n_1, n_2 = (na, nb) if a <= b else (nb, na)
+        deg_1, deg_2 = vec_degree(n_1), vec_degree(n_2)
+        if deg_1 >= 0:
+            deg_1 += abs(a - b) * base_degree
+        if deg_1 == deg_2 >= 0:
+            # the top forms of D's two terms may cancel; form D, whose power
+            # has degree at most deg_2
+            deg_d = vec_degree(
+                _cross_difference(base(), na, a - mu, nb, b - mu, 0))
+        else:
+            deg_d = max(deg_1, deg_2)
+        if deg_d < 0:
+            return c == 0 and vec_is_zero(rhs)
+        if (base_degree == 0 and c != 0
+                or (c + mu) * base_degree + deg_d != vec_degree(rhs)):
+            return False
+        lhs = _cross_difference(base(), na, a, nb, b, c)
+        return vec_is_zero(vec_sub(lhs, rhs))
+
+
+def loc_equal(f: LocalFraction, g: LocalFraction):
+    """Equality in M_base: the certificate of the least base power that
+    kills the cross difference, or None when no power does."""
     if f.module != g.module:
         raise StructuralError("fractions over different modules")
     if f.base != g.base:
@@ -107,18 +163,16 @@ def loc_equal(f: LocalFraction, g: LocalFraction, certificate: bool = False):
     base = f.base
 
     def cross(c):
-        return cross_difference(base, f.numerator.vec, f.exponent,
-                                g.numerator.vec, g.exponent, c)
+        return _cross_difference(base, f.numerator.vec, f.exponent,
+                                 g.numerator.vec, g.exponent, c)
 
     c = kill_exponent(M, base, M.element(cross(0)))
-    if not certificate:
-        return c is not None
     if c is None:
-        return False, None
+        return None
     rem, lift = M.relations.normal_form_lift(cross(c))
     if not vec_is_zero(rem):
         raise InternalError("kill exponent certificate failed")
-    return True, LocEqualCertificate(c=c, lift=tuple(lift))
+    return LocEqualCertificate(c=c, lift=tuple(lift))
 
 
 def alpha_map(f: LocalFraction, x: Poly, witness) -> LocalFraction:
@@ -135,15 +189,9 @@ def alpha_map(f: LocalFraction, x: Poly, witness) -> LocalFraction:
 
 def find_radical_witness(x: Poly, y: Poly, cap: int = 16):
     """Search k <= cap with x^k in (y); returns (k, r) with x^k = y*r."""
-    ring = x.ring
-    sub = ideal_span(ring, [y])
-    power = ring.one()
-    for k in range(1, cap + 1):
-        power = power * x
-        rem, lift = sub.normal_form_lift((power,))
-        if vec_is_zero(rem):
-            return k, lift[0]
-    raise StructuralError(f"no witness x^k = y*r with k <= {cap}")
+    k, lift = least_power(x, ideal_span(x.ring, [y]), cap,
+                          f"no witness x^k = y*r with k <= {cap}")
+    return k, lift[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +214,13 @@ class CechCocycle:
     verified at construction; an incompatible pair raises
     IncompatibleComponents."""
 
-    def __init__(self, cover: SequenceSpec, exponent: int, components, module=None):
+    def __init__(self, cover: SequenceSpec, exponent: int, components):
         components = tuple(components)
         if len(components) != cover.k:
             raise StructuralError("one component per cover element required")
         if exponent < 0:
             raise StructuralError("negative cocycle exponent")
-        M = module if module is not None else components[0].module
+        M = components[0].module
         for m in components:
             if m.module != M:
                 raise StructuralError("components of different modules")
@@ -216,13 +264,11 @@ class CechCocycle:
         )
 
     def is_zero(self) -> bool:
-        zero = self.module.zero()
+        """m_i / x_i^n = 0 in M_(x_i) exactly when a power of x_i kills
+        m_i."""
         return all(
-            loc_equal(
-                self.component_fraction(i),
-                LocalFraction(zero, self.cover.elements[i], 0),
-            )
-            for i in range(self.cover.k)
+            kill_exponent(self.module, x, m) is not None
+            for x, m in zip(self.cover.elements, self.components)
         )
 
     def equals(self, other: "CechCocycle") -> bool:
@@ -230,6 +276,7 @@ class CechCocycle:
             return False
         return all(
             loc_equal(self.component_fraction(i), other.component_fraction(i))
+            is not None
             for i in range(self.cover.k)
         )
 
@@ -295,7 +342,7 @@ def rho_eval(phi: IdealTransformElement) -> CechCocycle:
     comps = [
         phi.evaluate(x**n) for x in phi.xs.elements
     ]
-    return CechCocycle(phi.xs, n, comps, module=phi.module)
+    return CechCocycle(phi.xs, n, comps)
 
 
 def theta_probe(phi: IdealTransformElement, y: Poly) -> LocalFraction:
@@ -482,7 +529,7 @@ def sheaf_check(sections, cover):
         (x ** (n - s.exponent)) * s.numerator for s, x in zip(sections, xs)
     ]
     try:
-        cocycle = CechCocycle(cover, n, comps, module=M)
+        cocycle = CechCocycle(cover, n, comps)
     except IncompatibleComponents as bad:
         xij = xs[bad.i] * xs[bad.j]
         t_star = base_torsion(M, xij).t_star

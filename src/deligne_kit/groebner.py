@@ -95,6 +95,11 @@ def vec_is_zero(v: Vector) -> bool:
     return not any(p.terms for p in v)
 
 
+def vec_degree(v: Vector) -> int:
+    """The largest total degree of an entry of v; -1 for the zero vector."""
+    return max((p.total_degree() for p in v), default=-1)
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 

@@ -41,12 +41,7 @@ class FpModule:
         self.rank = rank
         if relations is None:
             relations = []
-        if isinstance(relations, FreeSubmodule):
-            if relations.rank != rank or relations.ring != ring:
-                raise StructuralError("relation submodule has wrong ambient")
-            self.relations = relations
-        else:
-            self.relations = FreeSubmodule(ring, rank, relations)
+        self.relations = FreeSubmodule(ring, rank, relations)
         self.memo: dict = {}
         self._key = None
 
@@ -384,7 +379,7 @@ _MAX_COLON_CHAIN = 256
 
 def saturate(M: FpModule, J) -> SaturationResult:
     """Ascending chain N_t = 0 :_M J^t until stabilization (Noetherian, so
-    guaranteed); accepts a rank-1 FreeSubmodule or a list of polynomials.
+    guaranteed); J is a list of polynomials.
 
     Each link is one colon by J itself, N_(t+1) = N_t :_M J, taken as
     ``colon_generators`` of M/N_t, whose relations are the reduced basis of
@@ -402,13 +397,7 @@ def saturate(M: FpModule, J) -> SaturationResult:
     relations as the span: one colon kernel, no second.  Greuel-Pfister,
     *A Singular Introduction to Commutative Algebra*, on quotients and
     saturation."""
-    if isinstance(J, FreeSubmodule):
-        if J.rank != 1:
-            raise StructuralError("saturation ideal must have ambient rank 1")
-        polys = [g[0] for g in J.gens]
-    else:
-        polys = list(J)
-    polys = list({p.key(): p for p in polys if not p.is_zero()}.values())
+    polys = list({p.key(): p for p in J if not p.is_zero()}.values())
     if not polys:
         raise StructuralError("saturation with the zero ideal")
     ring = M.ring
@@ -438,15 +427,23 @@ def radical_lift(y: Poly, xs, exponent: int):
     if not ideal_span(ring, xs).contains((y,)):
         raise StructuralError("element does not lie in the ideal")
     e = exponent
-    target = ideal_span(ring, [x**e for x in xs])
-    bound = max(1, len(xs) * (e - 1) + 1)
-    power = ring.one()
+    d, lift = least_power(y, ideal_span(ring, [x**e for x in xs]),
+                          max(1, len(xs) * (e - 1) + 1),
+                          "radical lift not found within the pigeonhole bound")
+    return d, tuple(lift)
+
+
+def least_power(f: Poly, span: FreeSubmodule, bound: int, failure: str):
+    """The smallest d <= bound with f^d in the rank-1 span, and the lift
+    of f^d on its generators; raises StructuralError(failure) when no
+    d <= bound has one."""
+    power = f.ring.one()
     for d in range(1, bound + 1):
-        power = power * y
-        rem, lift = target.normal_form_lift((power,))
+        power = power * f
+        rem, lift = span.normal_form_lift((power,))
         if vec_is_zero(rem):
-            return d, tuple(lift)
-    raise StructuralError("radical lift not found within the pigeonhole bound")
+            return d, lift
+    raise StructuralError(failure)
 
 
 def ideal_as_module(xs, n: int):

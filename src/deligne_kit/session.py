@@ -395,33 +395,23 @@ class _Parser:
             return ring.gen(ring.variables.index(t.text))
         self.fail("expected a polynomial", t)
 
-    def poly_list(self, ring: PolyRing):
-        self.expect_punct("(")
-        out = [self.poly_expr(ring)]
+    def delimited(self, opening: str, item, closing: str) -> list:
+        """`opening item (, item)* closing`, each item read by item()."""
+        self.expect_punct(opening)
+        out = [item()]
         while self.peek().kind == "punct" and self.peek().text == ",":
             self.next()
-            out.append(self.poly_expr(ring))
-        self.expect_punct(")")
+            out.append(item())
+        self.expect_punct(closing)
         return out
 
+    def poly_list(self, ring: PolyRing):
+        return self.delimited("(", lambda: self.poly_expr(ring), ")")
+
     def matrix(self, ring: PolyRing):
-        self.expect_punct("[")
-        rows = []
-        while True:
-            self.expect_punct("[")
-            row = [self.poly_expr(ring)]
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                row.append(self.poly_expr(ring))
-            self.expect_punct("]")
-            rows.append(row)
-            t = self.peek()
-            if t.kind == "punct" and t.text == ",":
-                self.next()
-                continue
-            break
-        self.expect_punct("]")
-        return rows
+        return self.delimited(
+            "[", lambda: self.delimited("[", lambda: self.poly_expr(ring), "]"),
+            "]")
 
     # -- statements ---------------------------------------------------------
     def parse_session(self) -> Session:
@@ -480,12 +470,7 @@ class _Parser:
             fld = GF(self.int_value(t.text[1:], t))
         else:
             self.fail(f"unknown field {t.text!r}", t)
-        self.expect_punct("[")
-        names = [self.expect_name().text]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.next()
-            names.append(self.expect_name().text)
-        self.expect_punct("]")
+        names = self.delimited("[", lambda: self.expect_name().text, "]")
         order = "grevlex"
         if self.peek().kind == "name" and self.peek().text == "order":
             self.next()
@@ -591,12 +576,7 @@ class _Parser:
             )
         if kind == "idealization":
             self.expect_keyword("poles")
-            self.expect_punct("(")
-            poles = [self.expect_int()]
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                poles.append(self.expect_int())
-            self.expect_punct(")")
+            poles = self.delimited("(", self.expect_int, ")")
             self.expect_keyword("cap")
             cap = self.expect_int()
             self.expect_punct(";")

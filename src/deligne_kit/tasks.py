@@ -22,18 +22,10 @@ degree of a vector is the largest degree of an entry, -1 for zero), so L
 can equal the right side only if both have the same degree; replay reads
 deg L off the degrees of the record's polynomials and rejects a mismatch.
 Every power it then raises has a degree that the degrees of the record's
-polynomials bound.
+polynomials bound.  The localization identities (roundtrip probes,
+diagram charts, the sheaf-glue recovery) are checked, degree test
+included, by ``deligne.LocEqualCertificate.verify``.
 
-- Localization (roundtrip probes, diagram charts, the sheaf-glue
-  recovery): L = base^(c+b)*n_a - base^(c+a)*n_b = base^(c+mu)*D with
-  mu = min(a, b) and D = base^k*n_1 - n_2, where k = |a - b| and n_1 is
-  the numerator of the smaller exponent.  D = 0 makes L = 0; the run's
-  kill exponent of a zero difference is 0, so replay requires c = 0 and a
-  zero right side.  Otherwise deg L = (c + mu)*deg(base) + deg D, and
-  deg D = max(k*deg(base) + deg n_1, deg n_2) unless the two are equal;
-  then k*deg(base) <= deg n_2 and D is computed outright.  A constant base
-  is a unit, and no power of a unit kills a nonzero vector, so the run
-  records c = 0, which replay requires; the powers of D are then scalars.
 - Sheaf-glue restriction at chart i: with y = sum(x_j^e),
   L = x_i^e*m - y*m'_i = sum_j x_j^e*v_j, v_i = m - m'_i and v_j = -m'_i.
   Lemma: if the top-degree forms of x_1, ..., x_k have pairwise distinct
@@ -46,9 +38,10 @@ polynomials bound.
   lm(h_j)^e*lm(w_j) differ pairwise: lm(h_j)^e and lm(h_l)^e differ in
   some exponent by at least e, lm(w_j) and lm(w_l) in every exponent by
   less.  So the largest survives.  With v_j = 1 the lemma gives
-  deg y = e*max(deg x_j) for e >= 1, which the recovery check uses
-  without forming y; y is formed only when a check needs one of its
-  powers, and then its degree is bounded.
+  deg y = e*max(deg x_j) for e >= 1, which the recovery check passes to
+  ``verify`` as the degree of its base without forming y; y is formed
+  only when a check needs one of its powers, and then its degree is
+  bounded.
 - A cover whose top-degree forms share a leading monomial falls outside
   the lemma: replay checks its sheaf-glue identities without the degree
   test and forms y outright.  docs/report-schema.md lists what replay
@@ -67,7 +60,7 @@ from .deligne import (
     IdealTransformElement,
     IncompatibleWitness,
     LocalFraction,
-    cross_difference,
+    LocEqualCertificate,
     gamma_torsion,
     loc_equal,
     rho_eval,
@@ -76,7 +69,7 @@ from .deligne import (
     theta_probe,
 )
 from .errors import ParseError, StructuralError
-from .groebner import vec_dot, vec_is_zero, vec_sub
+from .groebner import vec_degree, vec_dot, vec_is_zero, vec_sub
 from .idealization import IdealizationRing, rho_obstruction
 from .koszul import (
     CertificateEntry,
@@ -145,10 +138,10 @@ def _small_monomials(ring: PolyRing, max_deg: int):
     return out
 
 
-def random_poly(ring: PolyRing, rng: random.Random, max_deg=2, max_terms=2,
-                allow_zero=True) -> Poly:
+def random_poly(ring: PolyRing, rng: random.Random, max_deg=2,
+                max_terms=2) -> Poly:
     mons = _small_monomials(ring, max_deg)
-    nterms = rng.randint(0 if allow_zero else 1, max_terms)
+    nterms = rng.randint(0, max_terms)
     terms = {}
     for _ in range(nterms):
         mon = mons[rng.randrange(len(mons))]
@@ -157,14 +150,11 @@ def random_poly(ring: PolyRing, rng: random.Random, max_deg=2, max_terms=2,
         else:
             c = rng.randrange(ring.field.characteristic)
         terms[mon] = terms.get(mon, 0) + c
-    p = ring.poly(terms)
-    if p.is_zero() and not allow_zero:
-        return ring.one()
-    return p
+    return ring.poly(terms)
 
 
-def random_element(M: FpModule, rng: random.Random, max_deg=2):
-    vec = [random_poly(M.ring, rng, max_deg=max_deg) for _ in range(M.rank)]
+def random_element(M: FpModule, rng: random.Random):
+    vec = [random_poly(M.ring, rng) for _ in range(M.rank)]
     return M.element(vec)
 
 
@@ -213,13 +203,24 @@ def _fraction_payload(f: LocalFraction) -> dict:
     return {"numerator": ser_vec(f.numerator.vec), "exponent": f.exponent}
 
 
-def _loc_payload(cert) -> dict:
+def _read_fraction(M: FpModule, payload: dict) -> tuple:
+    """The numerator vector and the exponent of a fraction payload."""
+    return (de_vec(M.ring, payload["numerator"], M.rank),
+            de_int(payload["exponent"]))
+
+
+def _loc_payload(cert: LocEqualCertificate | None) -> dict | None:
+    if cert is None:
+        return None
     return {"c": cert.c, "lift": ser_vec(cert.lift)}
 
 
-def _degree(v) -> int:
-    """The largest total degree of an entry of v; -1 for the zero vector."""
-    return max((p.total_degree() for p in v), default=-1)
+def _read_loc(M: FpModule, payload: dict) -> LocEqualCertificate:
+    """The certificate of a {c, lift} payload, one lift entry per relation."""
+    return LocEqualCertificate(
+        de_int(payload["c"]),
+        de_vec(M.ring, payload["lift"], len(M.relations.gens)),
+    )
 
 
 def _top_leads_distinct(xs) -> bool:
@@ -230,44 +231,6 @@ def _top_leads_distinct(xs) -> bool:
         d = x.total_degree()
         leads.add(max((m for m in x.terms if sum(m) == d), key=x.ring.mon_key))
     return len(leads) == len(xs)
-
-
-def _replay_loc(M: FpModule, base_degree: int, base, fa: dict, fb: dict,
-                cert: dict) -> bool:
-    """Verify base^(c+b)*num_a - base^(c+a)*num_b == sum(lift * relations)
-    for a nonzero base (M_0 = 0 would make every fraction equal) of degree
-    base_degree, after the degree test of the module docstring.  ``base()``
-    returns the base; it is called only once that test has bounded the
-    powers."""
-    if base_degree < 0:
-        return False
-    ring = M.ring
-    rels = list(M.relations.gens)
-    na = de_vec(ring, fa["numerator"], M.rank)
-    nb = de_vec(ring, fb["numerator"], M.rank)
-    lift = de_vec(ring, cert["lift"], len(rels))
-    a, b, c = de_int(fa["exponent"]), de_int(fb["exponent"]), de_int(cert["c"])
-    if min(a, b, c) < 0:
-        return False
-    rhs = vec_dot(lift, rels, ring, M.rank)
-    mu = min(a, b)
-    n_1, n_2 = (na, nb) if a <= b else (nb, na)
-    deg_1, deg_2 = _degree(n_1), _degree(n_2)
-    if deg_1 >= 0:
-        deg_1 += abs(a - b) * base_degree
-    if deg_1 == deg_2 >= 0:
-        # the top forms of D's two terms may cancel; form D, whose power
-        # has degree at most deg_2
-        deg_d = _degree(cross_difference(base(), na, a - mu, nb, b - mu, 0))
-    else:
-        deg_d = max(deg_1, deg_2)
-    if deg_d < 0:
-        return c == 0 and vec_is_zero(rhs)
-    if (base_degree == 0 and c != 0
-            or (c + mu) * base_degree + deg_d != _degree(rhs)):
-        return False
-    lhs = cross_difference(base(), na, a, nb, b, c)
-    return vec_is_zero(vec_sub(lhs, rhs))
 
 
 def run_prozero(task: ProzeroTask, session: Session) -> dict:
@@ -343,15 +306,15 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
         for y in probes:
             sig = sigma_inverse(cocycle, y)
             the = theta_probe(phi, y)
-            equal, cert = loc_equal(sig, the, certificate=True)
-            ok = ok and equal
+            cert = loc_equal(sig, the)
+            ok = ok and cert is not None
             probe_records.append(
                 {
                     "y": str(y),
                     "sigma": _fraction_payload(sig),
                     "theta": _fraction_payload(the),
-                    "equal": equal,
-                    "loc_certificate": _loc_payload(cert) if equal else None,
+                    "equal": cert is not None,
+                    "loc_certificate": _loc_payload(cert),
                 }
             )
         samples.append(
@@ -378,8 +341,10 @@ def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
             if not de_flag(pr["equal"]):
                 return "fail"
             y = parse_poly(session.ring, pr["y"])
-            if not _replay_loc(M, y.total_degree(), lambda: y, pr["sigma"],
-                               pr["theta"], pr["loc_certificate"]):
+            cert = _read_loc(M, pr["loc_certificate"])
+            if not cert.verify(M, y.total_degree(), lambda: y,
+                               *_read_fraction(M, pr["sigma"]),
+                               *_read_fraction(M, pr["theta"])):
                 return None
     return "pass"
 
@@ -414,10 +379,8 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
         res = sheaf_check(sections, xs)
         entry = {"element": ser_vec(m.vec), "exponents": exps}
         if isinstance(res, Glued):
-            back = loc_equal(
-                res.fraction(), LocalFraction(m, res.y, 0), certificate=True
-            )
-            glue_ok = back[0]
+            back = loc_equal(res.fraction(), LocalFraction(m, res.y, 0))
+            glue_ok = back is not None
             entry["glued"] = {
                 "numerator": ser_vec(res.numerator.vec),
                 "compat": res.compat,
@@ -428,7 +391,7 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
                 ],
                 "restriction_lifts": [ser_vec(l) for l in res.restriction_lifts],
                 "recovers_element": glue_ok,
-                "recover_certificate": _loc_payload(back[1]) if glue_ok else None,
+                "recover_certificate": _loc_payload(back),
             }
             ok = ok and glue_ok
         else:
@@ -470,7 +433,8 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
     """The glue denominator is y = sum(x_i^e), e = compat + cocycle_exponent;
     each chart's restriction identity x_i^e*m - y*m'_i is in the relation
     span, and the glued m/y equals element/1 in M_y.  The degree tests of
-    the module docstring come before any power."""
+    the module docstring and of ``LocEqualCertificate.verify`` come before
+    any power."""
     _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
@@ -495,15 +459,16 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
             return None
         primed = [de_vec(ring, mp, M.rank) for mp in primed]
         element = de_vec(ring, sample["element"], M.rank)
-        by_degrees = lemma and e > max(map(_degree, [num, element, *primed]))
+        by_degrees = lemma and e > max(map(vec_degree,
+                                           [num, element, *primed]))
         power = functools.cache(lambda j: xs.elements[j] ** e)
         for i, (mp, lift) in enumerate(zip(primed, lifts)):
             minus = tuple(-p for p in mp)
             vs = [vec_sub(num, mp) if j == i else minus for j in range(xs.k)]
             terms = [(j, v) for j, v in enumerate(vs) if not vec_is_zero(v)]
             rhs = vec_dot(de_vec(ring, lift, len(rels)), rels, ring, M.rank)
-            if by_degrees and _degree(rhs) != max(
-                    (e * xs.elements[j].total_degree() + _degree(v)
+            if by_degrees and vec_degree(rhs) != max(
+                    (e * xs.elements[j].total_degree() + vec_degree(v)
                      for j, v in terms), default=-1):
                 return None
             lhs = vec_dot([power(j) for j, _ in terms], [v for _, v in terms],
@@ -518,10 +483,9 @@ def replay_sheaf(record: dict, task: SheafGlueTask, session: Session):
             return sum(map(power, range(xs.k)), ring.zero())
 
         y_degree = e * max(x.total_degree() for x in xs.elements)
-        fa = {"numerator": glued["numerator"], "exponent": 1}
-        fb = {"numerator": sample["element"], "exponent": 0}
-        if not _replay_loc(M, y_degree if lemma else y().total_degree(), y,
-                           fa, fb, glued["recover_certificate"]):
+        cert = _read_loc(M, glued["recover_certificate"])
+        if not cert.verify(M, y_degree if lemma else y().total_degree(), y,
+                           num, 1, element, 0):
             return None
         pert = sample.get("perturbed")
         detected = None if pert is None else pert["detected"]
@@ -550,17 +514,15 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
         comps = []
         commutes = True
         for i in range(xs.k):
-            equal, cert = loc_equal(
-                natural.component_fraction(i),
-                through.component_fraction(i),
-                certificate=True,
+            cert = loc_equal(
+                natural.component_fraction(i), through.component_fraction(i)
             )
-            commutes = commutes and equal
+            commutes = commutes and cert is not None
             comps.append(
                 {
                     "through": _fraction_payload(through.component_fraction(i)),
-                    "equal": equal,
-                    "loc_certificate": _loc_payload(cert) if equal else None,
+                    "equal": cert is not None,
+                    "loc_certificate": _loc_payload(cert),
                 }
             )
         torsion = gamma.contains(m)
@@ -592,12 +554,15 @@ def replay_diagram(record: dict, task: DiagramTask, session: Session):
             return "fail"
         if len(sample["components"]) != xs.k:
             return None
-        natural = {"numerator": sample["element"], "exponent": 0}
+        element = None
         for x, comp in zip(xs.elements, sample["components"]):
             if not de_flag(comp["equal"]):
                 return "fail"
-            if not _replay_loc(M, x.total_degree(), lambda: x, natural,
-                               comp["through"], comp["loc_certificate"]):
+            if element is None:
+                element = de_vec(M.ring, sample["element"], M.rank)
+            cert = _read_loc(M, comp["loc_certificate"])
+            if not cert.verify(M, x.total_degree(), lambda: x, element, 0,
+                               *_read_fraction(M, comp["through"])):
                 return None
     return "pass"
 

@@ -11,6 +11,7 @@ import pytest
 import deligne_kit
 from deligne_kit.cli import build_report, main, record_digest, replay_report
 from deligne_kit import idealization
+from deligne_kit.deligne import LocEqualCertificate
 from deligne_kit.errors import (
     DimensionError,
     InternalError,
@@ -21,7 +22,7 @@ from deligne_kit.errors import (
 from deligne_kit.modules import FpModule
 from deligne_kit.rings import QQ, PolyRing
 from deligne_kit.session import DiagramTask, SheafGlueTask, parse_session
-from deligne_kit.tasks import _replay_loc, replay_record
+from deligne_kit.tasks import replay_record
 
 GOOD = """\
 # demo session
@@ -567,28 +568,31 @@ def test_replay_loc_degree_rules():
     R = PolyRing(QQ, ("x", "y"))
     x, y = R.gens()
     M = FpModule.quotient_ring(R, [x * y])
-    zero = {"numerator": ["0"], "exponent": 0}
+    zero = ((R.zero(),), 0)
+
+    def verify(base_degree, base, fa, c, lift):
+        cert = LocEqualCertificate(c, tuple(lift))
+        return cert.verify(M, base_degree, base, *fa, *zero)
+
     # a unit kills no nonzero vector, so the run records c = 0 over a
     # constant base: 2^c*(x*y) is 2^c times the relation for every c, and
     # only c = 0 verifies
-    xy = {"numerator": ["x*y"], "exponent": 0}
+    xy = ((x * y,), 0)
     two = R.const(2)
-    assert _replay_loc(M, 0, lambda: two, xy, zero, {"c": 0, "lift": ["1"]})
-    assert not _replay_loc(M, 0, lambda: two, xy, zero, {"c": 1, "lift": ["2"]})
+    assert verify(0, lambda: two, xy, 0, [R.one()])
+    assert not verify(0, lambda: two, xy, 1, [R.const(2)])
     # x^c*y/x = 0/1 in M_x: x*y is the relation at c = 1
-    y_x = {"numerator": ["y"], "exponent": 1}
-    assert _replay_loc(M, 1, lambda: x, y_x, zero, {"c": 1, "lift": ["1"]})
+    y_x = ((y,), 1)
+    assert verify(1, lambda: x, y_x, 1, [R.one()])
     # a left side of degree 10^9 + 1 against a right side of degree 2:
     # rejected before the base is formed
-    assert not _replay_loc(M, 1, _no_power, y_x, zero,
-                           {"c": 10**9, "lift": ["1"]})
+    assert not verify(1, _no_power, y_x, 10**9, [R.one()])
     # D = 0 for every c, and the run writes c = 0 there
-    zero_x = {"numerator": ["0"], "exponent": 5}
-    assert _replay_loc(M, 1, _no_power, zero_x, zero, {"c": 0, "lift": ["0"]})
-    assert not _replay_loc(M, 1, _no_power, zero_x, zero,
-                           {"c": 9, "lift": ["0"]})
+    zero_x = ((R.zero(),), 5)
+    assert verify(1, _no_power, zero_x, 0, [R.zero()])
+    assert not verify(1, _no_power, zero_x, 9, [R.zero()])
     # the zero base
-    assert not _replay_loc(M, -1, _no_power, y_x, zero, {"c": 0, "lift": ["0"]})
+    assert not verify(-1, _no_power, y_x, 0, [R.zero()])
 
 
 EXHAUSTED = ("ring Q[x];\nsequence s = (x, x);\n"

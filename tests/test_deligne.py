@@ -8,6 +8,7 @@ from deligne_kit.deligne import (
     IdealTransformElement,
     IncompatibleWitness,
     LocalFraction,
+    LocEqualCertificate,
     RhoObstruction,
     alpha_map,
     diagram_check,
@@ -23,7 +24,7 @@ from deligne_kit.deligne import (
 from deligne_kit.errors import StructuralError
 from deligne_kit.koszul import SequenceSpec, pro_zero_search
 from deligne_kit.modules import FpModule
-from deligne_kit.rings import QQ, PolyRing
+from deligne_kit.rings import GF, QQ, PolyRing
 from deligne_kit.tasks import probe_elements, random_element, random_hom
 
 
@@ -79,12 +80,30 @@ def test_loc_equal_certificate_identity(R1):
     M = FpModule.quotient_ring(R1, [x**3])
     f = LocalFraction(M.element((x**2 + x,)), x, 1)
     g = LocalFraction(M.element((x,)), x, 0)
-    equal, cert = loc_equal(f, g, certificate=True)
-    assert equal
+    cert = loc_equal(f, g)
+    assert cert is not None
     # replay: x^(c+0)*(x^2+x) - x^(c+1)*x = lift * x^3, exactly
     lhs = (x**cert.c) * (x**2 + x) - (x ** (cert.c + 1)) * x
     rhs = cert.lift[0] * x**3
     assert lhs == rhs
+    raw = (f.numerator.vec, 1, g.numerator.vec, 0)
+    assert cert.verify(M, 1, lambda: x, *raw)
+    changed_c = LocEqualCertificate(cert.c + 1, cert.lift)
+    assert not changed_c.verify(M, 1, lambda: x, *raw)
+    changed_lift = LocEqualCertificate(cert.c, (cert.lift[0] + R1.one(),))
+    assert not changed_lift.verify(M, 1, lambda: x, *raw)
+
+
+def test_loc_equal_returns_none_for_unequal_fractions(R):
+    x, y = R.gens()
+    M = FpModule.quotient_ring(R, [x * y])
+    # y/1 = 0 in M_x, since x*y = 0, but x/1 is not: no power of x kills x
+    assert loc_equal(LocalFraction(M.element((y,)), x, 0),
+                     LocalFraction(M.zero(), x, 0)) is not None
+    assert loc_equal(LocalFraction(M.element((x,)), x, 0),
+                     LocalFraction(M.zero(), x, 0)) is None
+    assert loc_equal(LocalFraction(M.element((x,)), x, 1),
+                     LocalFraction(M.element((x + R.one(),)), x, 1)) is None
 
 
 # ---------------------------------------------------------------- alpha
@@ -358,6 +377,38 @@ def test_gamma_is_kernel_of_cocycle_map(R):
         m = random_element(M, rng)
         natural = CechCocycle.from_global(xs, m)
         assert g.contains(m) == natural.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_cocycle_is_zero_agrees_with_loc_equal(field):
+    # is_zero tests kill exponents; per component it must agree with
+    # loc_equal against the zero fraction over the component's chart
+    R = PolyRing(field, ("x", "y"))
+    x, y = R.gens()
+    xs = SequenceSpec((x, y))
+    answers = set()
+    for M in (
+        FpModule.quotient_ring(R, [x * y]),
+        FpModule(R, 2, [(x, R.zero()), (R.zero(), y**2)]),
+        FpModule(R, 2, [(x**2 * y, x * y), (R.zero(), y**3)]),
+    ):
+        rng = random.Random(f"is-zero:{field.name}:{M.rank}")
+        cocycles = [rho_eval(random_hom(xs, rng.choice((1, 2)), M, rng))
+                    for _ in range(3)]
+        cocycles += [CechCocycle.from_global(xs, random_element(M, rng),
+                                             rng.randint(0, 2))
+                     for _ in range(5)]
+        for c in cocycles:
+            per_chart = []
+            for i, (x_i, m_i) in enumerate(zip(xs.elements, c.components)):
+                zero = LocalFraction(M.zero(), x_i, 0)
+                equal = loc_equal(c.component_fraction(i), zero) is not None
+                chart = CechCocycle(SequenceSpec((x_i,)), c.exponent, [m_i])
+                assert chart.is_zero() == equal
+                per_chart.append(equal)
+                answers.add(equal)
+            assert c.is_zero() == all(per_chart)
+    assert answers == {True, False}
 
 
 def test_diagram_check_fixtures(R):

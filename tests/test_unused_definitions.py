@@ -1,5 +1,6 @@
-"""Every top-level function and class in src/deligne_kit/ is read somewhere
-outside its own definition: in src/, tests/, perfbench/ or README.md.  An
+"""Every top-level function and class in src/deligne_kit/, and every method
+of a top-level class other than a dunder, is read somewhere outside its own
+definition: in src/, tests/, perfbench/ or README.md.  An
 import is not a read, nor is a docstring; a name counts as read where a
 Python file loads it, takes it as an attribute, or spells it in a string
 constant (perfbench names the functions it wraps in strings), and where
@@ -48,18 +49,28 @@ def reads(path: Path):
     return out
 
 
+def _span(node):
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return node.name, first, node.end_lineno
+
+
 def definitions(source: str):
-    """(name, first line, last line) of each top-level function and class."""
+    """(name, first line, last line) of each top-level function and class,
+    and of each method of a top-level class whose name is not a dunder."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield node.name, first, node.end_lineno
+        if isinstance(node, functions + (ast.ClassDef,)):
+            yield _span(node)
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, functions)
+                        and not re.fullmatch(r"__\w+__", member.name)):
+                    yield _span(member)
 
 
 def unread(defining: Path, sources, readme: str):
-    """The top-level definitions of `defining` that no source reads
-    outside their own lines and that README does not mention."""
+    """The definitions of `defining` that no source reads outside their own
+    lines and that README does not mention."""
     found = set()
     own = list(definitions(defining.read_text(encoding="utf-8")))
     for path in sources:
@@ -89,7 +100,12 @@ def test_checker_finds_unread_definitions(tmp_path):
         "def used():\n"
         "    return 1\n"
         "class Named:\n"
-        "    pass\n"
+        "    def __init__(self):\n"
+        "        self.read()\n"
+        "    def read(self):\n"
+        "        return 1\n"
+        "    def unread(self):\n"
+        "        return self.unread\n"
         "def mentioned():\n"
         "    pass\n"
         "x = used()\n"
@@ -99,4 +115,5 @@ def test_checker_finds_unread_definitions(tmp_path):
         "from mod import helper, mentioned\n"
         "SPANS = ('Named.__init__',)\n"
     )
-    assert unread(defining, [defining, other], "call `mentioned`") == ["helper"]
+    assert unread(defining, [defining, other], "call `mentioned`") == [
+        "helper", "unread"]
