@@ -399,9 +399,7 @@ def rho_preimage(c: CechCocycle, escalation_cap: int,
     base_e = c.compat_exponent() + n
 
     def attempt(e):
-        primed = [
-            (x ** (e - n)) * m for x, m in zip(xs.elements, c.components)
-        ]
+        primed = c.primed_components(e - n)
         for s in _power_syzygies(xs, e):
             acc = M.combine(s, primed)
             if not acc.is_zero():

@@ -61,13 +61,16 @@ combines just those pairs (``_sparse_dot``).  Positions are taken in POT
 order and an empty one is skipped: a basis vector whose lead is at
 position pos is zero before pos, so a finished position stays empty.  At
 each step the largest monomial at the current position is reduced by the
-first basis lead, in the order the leads are passed, at that position that
-divides it, and otherwise moved to the remainder.
+first lead in table order at that position that divides it, and otherwise
+moved to the remainder.  Each basis has one lead table (``_lead_table``),
+and reduction, the chain criterion and both pair loops read only the group
+``table[pos]`` of a position.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
 from operator import add, le, sub
 
 from .errors import InternalError, StructuralError
@@ -173,7 +176,7 @@ def vec_key(v: Vector):
     return tuple(p.key() for p in v)
 
 
-def vec_lead(v: Vector, ring: PolyRing):
+def vec_lead(v: Vector):
     """Leading module term (pos, mon, coeff) under POT, or None."""
     for pos, p in enumerate(v):
         if not p.is_zero():
@@ -186,13 +189,22 @@ def _pot_key(ring: PolyRing, pos: int, mon):
     return (-pos, ring.mon_key(mon))
 
 
+def _lead_table(leads, rank: int):
+    """table[pos] lists (t, mon, coeff) for each lead leads[t] = (pos, mon,
+    coeff), t ascending; a position that holds no lead has an empty list."""
+    table = [[] for _ in range(rank)]
+    for t, (pos, mon, coeff) in enumerate(leads):
+        table[pos].append((t, mon, coeff))
+    return table
+
+
 # ---------------------------------------------------------------------------
 # reduction
 
 
-def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
-    """Full normal form of v against nonzero basis vectors, whose leads
-    (vec_lead of each) the caller passes in.
+def _reduce_full(v: Vector, basis, table, ring: PolyRing):
+    """Full normal form of v against nonzero basis vectors, whose lead
+    table (``_lead_table`` of their leads) the caller passes in.
 
     Returns (remainder, {t: q_t}) with v = remainder + sum(q_t * basis_t)
     exactly, the nonzero quotients only, keys ascending; no remainder term
@@ -210,7 +222,7 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
         d = cur[pos]
         if not d:
             continue
-        here = [(t, bl[1], bl[2]) for t, bl in enumerate(leads) if bl[0] == pos]
+        here = table[pos]
         r = rem[pos]
         while d:
             mon = max(d, key=key)
@@ -250,7 +262,8 @@ def _reduce_full(v: Vector, basis, leads, ring: PolyRing):
 
 def _s_coefficients(ring: PolyRing, lcm, lead_i, lead_j):
     """The monomial coefficients (lcm/lt_i, -lcm/lt_j) of the S-vector of
-    two leads (pos, mon, coeff) at one position, whose lcm is given."""
+    two leads at one position, whose lcm is given; a lead is read as
+    (_, mon, coeff), so a vec_lead or a lead table entry will do."""
     fld = ring.field
     ci, cj = fld.inv(lead_i[2]), fld.neg(fld.inv(lead_j[2]))
     return (
@@ -259,19 +272,17 @@ def _s_coefficients(ring: PolyRing, lcm, lead_i, lead_j):
     )
 
 
-def _chain_skips(i, j, lcm, leads, done) -> bool:
-    """The chain criterion for the same-position pair (i, j): a third lead
-    at that position divides the lcm, and both of its pairs with i and j
-    are in done, the pairs already taken (as (min, max) index tuples)."""
-    pos = leads[i][0]
+def _chain_skips(i, j, lcm, group, done) -> bool:
+    """The chain criterion for the pair (i, j) of one lead table group: a
+    third lead there divides the lcm, and both of its pairs with i and j are
+    in done, the pairs already taken (as (min, max) index tuples)."""
     return any(
         k != i
         and k != j
-        and lk[0] == pos
-        and monomial_divides(lk[1], lcm)
+        and monomial_divides(kmon, lcm)
         and (min(i, k), max(i, k)) in done
         and (min(j, k), max(j, k)) in done
-        for k, lk in enumerate(leads)
+        for k, kmon, _ in group
     )
 
 
@@ -314,10 +325,11 @@ class FreeSubmodule:
                 f"tracked {tracked} outside 0..{len(gens)} generators"
             )
         self.tracked = tracked
-        # (basis, reps, leads), published in one assignment:
+        # (basis, reps, table), published in one assignment:
         #   basis  reduced GB vectors, monic, in descending lead order
         #   reps   each basis vector as combination of the tracked gens
-        #   leads  vec_lead of each basis vector
+        #   table  _lead_table of the basis leads; a step reduces by the
+        #          first lead in table order at that position that divides
         self._gb = None
         self._syzygies = None
 
@@ -336,27 +348,27 @@ class FreeSubmodule:
         fld = ring.field
         tracked = self.tracked
 
-        work = []   # list of [vector, rep]; entries never change in the loop
-        leads = []  # leads[t] = vec_lead(work[t][0])
-        for i, g in enumerate(self.gens):
-            if not vec_is_zero(g):
-                work.append([g, unit_vector(ring, tracked, i)])
-                leads.append(vec_lead(g, ring))
-
+        # the work elements, which never change in the loop, as parallel
+        # lists: vecs[t], its combination reps[t] and leads[t] = vec_lead
+        vecs, reps, leads = [], [], []
+        table = _lead_table(leads, self.rank)
         queue = []    # heap of (POT key of the lcm, i, j, lcm) with i < j
         done = set()  # pairs taken off the queue, reduced or skipped
 
-        def add_pairs(new_idx):
-            pos, mon, _ = leads[new_idx]
-            for t in range(new_idx):
-                if leads[t][0] == pos:
-                    lcm = monomial_lcm(leads[t][1], mon)
-                    heapq.heappush(
-                        queue, (_pot_key(ring, pos, lcm), t, new_idx, lcm)
-                    )
+        def add(vec, rep):  # pairs it with each element in its lead's group
+            j = len(vecs)
+            pos, mon, coeff = lead = vec_lead(vec)
+            for i, imon, _ in table[pos]:
+                lcm = monomial_lcm(imon, mon)
+                heapq.heappush(queue, (_pot_key(ring, pos, lcm), i, j, lcm))
+            vecs.append(vec)
+            reps.append(rep)
+            leads.append(lead)
+            table[pos].append((j, mon, coeff))
 
-        for idx in range(len(work)):
-            add_pairs(idx)
+        for i, g in enumerate(self.gens):
+            if not vec_is_zero(g):
+                add(g, unit_vector(ring, tracked, i))
 
         while queue:
             _, i, j, lcm = heapq.heappop(queue)
@@ -364,70 +376,56 @@ class FreeSubmodule:
             lead_i, lead_j = leads[i], leads[j]
             if self.rank == 1 and lcm == monomial_mul(lead_i[1], lead_j[1]):
                 continue  # product criterion
-            if _chain_skips(i, j, lcm, leads, done):
+            if _chain_skips(i, j, lcm, table[lead_i[0]], done):
                 continue  # chain criterion
-            (vi, ri), (vj, rj) = work[i], work[j]
             s = _s_coefficients(ring, lcm, lead_i, lead_j)
-            s_vec = vec_dot(s, (vi, vj), ring, self.rank)
-            rem, quots = _reduce_full(s_vec, [w[0] for w in work], leads, ring)
+            s_vec = vec_dot(s, (vecs[i], vecs[j]), ring, self.rank)
+            rem, quots = _reduce_full(s_vec, vecs, table, ring)
             if not vec_is_zero(rem):
                 # the combination is needed only for a new basis element
-                reps = [w[1] for w in work]
-                s_rep = vec_dot(s, (ri, rj), ring, tracked)
-                rep = vec_sub(s_rep, _sparse_dot(quots, reps, ring, tracked))
-                work.append([rem, rep])
-                leads.append(vec_lead(rem, ring))
-                add_pairs(len(work) - 1)
+                s_rep = vec_dot(s, (reps[i], reps[j]), ring, tracked)
+                lift = _sparse_dot(quots, reps, ring, tracked)
+                add(rem, vec_sub(s_rep, lift))
 
-        # minimalize: drop elements whose lead is divisible by another lead
-        order = sorted(
-            range(len(work)), key=lambda t: _pot_key(ring, *leads[t][:2])
-        )
+        # minimalize: drop elements whose lead is divisible by another lead;
+        # kept ascends in POT order
         kept = []
-        for t in order:
-            lt = leads[t]
-            redundant = False
-            for u in kept:
-                lu = leads[u]
-                if lu[0] == lt[0] and monomial_divides(lu[1], lt[1]):
-                    redundant = True
-                    break
-            if not redundant:
+        for t in sorted(range(len(vecs)),
+                        key=lambda t: _pot_key(ring, *leads[t][:2])):
+            pos, mon, _ = leads[t]
+            if not any(leads[u][0] == pos and monomial_divides(leads[u][1], mon)
+                       for u in kept):
                 kept.append(t)
-        work = [work[t] for t in kept]
-        # no kept lead divides another, so tail reduction keeps every lead
-        leads = [leads[t] for t in kept]
 
-        # tail-reduce in one pass, keeping combinations in sync: the leads
+        # tail-reduce in one pass against the other kept elements, keeping
+        # combinations in sync: no kept lead divides another, and the leads
         # never change, so a vector reduced against them stays reduced while
         # the tails of the others change (Cox-Little-O'Shea, IVA 2.7)
-        for t in range(len(work)):
-            u_list = [u for u in range(len(work)) if u != t]
+        for t in kept:
+            others = [u for u in kept if u != t]
             rem, quots = _reduce_full(
-                work[t][0],
-                [work[u][0] for u in u_list],
-                [leads[u] for u in u_list],
-                ring,
+                vecs[t], [vecs[u] for u in others],
+                _lead_table([leads[u] for u in others], self.rank), ring,
             )
-            reps = [work[u][1] for u in u_list]
-            rep = vec_sub(work[t][1], _sparse_dot(quots, reps, ring, tracked))
-            work[t] = [rem, rep]
+            lift = _sparse_dot(quots, [reps[u] for u in others], ring, tracked)
+            vecs[t], reps[t] = rem, vec_sub(reps[t], lift)
 
-        # monic, canonical order (descending leads; work is ascending)
-        basis, reps, basis_leads = [], [], []
-        for (vec, rep), (pos, mon, coeff) in zip(reversed(work), reversed(leads)):
+        # monic, canonical order (descending leads; kept is ascending)
+        basis, basis_reps, basis_leads = [], [], []
+        for t in reversed(kept):
+            pos, mon, coeff = leads[t]
             c = fld.inv(coeff)
-            basis.append(vec_scale_coeff(c, vec))
-            reps.append(vec_scale_coeff(c, rep))
+            basis.append(vec_scale_coeff(c, vecs[t]))
+            basis_reps.append(vec_scale_coeff(c, reps[t]))
             basis_leads.append((pos, mon, fld.one))
-
-        self._gb = (tuple(basis), tuple(reps), tuple(basis_leads))
+        table = _lead_table(basis_leads, self.rank)
+        self._gb = (tuple(basis), tuple(basis_reps), table)
 
     # -- normal forms ----------------------------------------------------
     def normal_form(self, v) -> Vector:
         self.groebner()
-        basis, _, leads = self._gb
-        rem, _ = _reduce_full(tuple(v), basis, leads, self.ring)
+        basis, _, table = self._gb
+        rem, _ = _reduce_full(tuple(v), basis, table, self.ring)
         return rem
 
     def normal_form_lift(self, v):
@@ -438,19 +436,15 @@ class FreeSubmodule:
                 f"{len(self.gens)} generators"
             )
         self.groebner()
-        basis, reps, leads = self._gb
-        rem, quots = _reduce_full(tuple(v), basis, leads, self.ring)
+        basis, reps, table = self._gb
+        rem, quots = _reduce_full(tuple(v), basis, table, self.ring)
         return rem, _sparse_dot(quots, reps, self.ring, len(self.gens))
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.normal_form(v))
 
     def span_equals(self, other: "FreeSubmodule") -> bool:
-        if other.ring != self.ring or other.rank != self.rank:
-            return False
-        mine = sorted(vec_key(b) for b in self.basis())
-        theirs = sorted(vec_key(b) for b in other.basis())
-        return mine == theirs
+        return other.ring == self.ring and other.key() == self.key()
 
     def key(self):
         return (self.rank, tuple(sorted(vec_key(b) for b in self.basis())))
@@ -463,30 +457,30 @@ class FreeSubmodule:
             return self._syzygies
         self.groebner()
         ring = self.ring
-        basis, reps, leads = self._gb
+        basis, reps, table = self._gb
         r = self.tracked
         zero = ring.zero()
 
         # Schreyer generators: syzygies among the basis elements, one per
         # same-position pair the chain criterion keeps, in POT-lcm order,
-        # each {t: z_t} = tau_ij - quotients
+        # each {t: z_t} = tau_ij - quotients; the entries (i, mon, coeff)
+        # order ties by (i, j)
         pairs = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                if leads[i][0] == leads[j][0]:
-                    lcm = monomial_lcm(leads[i][1], leads[j][1])
-                    pairs.append((_pot_key(ring, leads[i][0], lcm), i, j, lcm))
+        for pos, group in enumerate(table):
+            for li, lj in combinations(group, 2):
+                lcm = monomial_lcm(li[1], lj[1])
+                pairs.append((_pot_key(ring, pos, lcm), li, lj, lcm, group))
         pairs.sort()
         done = set()
         basis_syz = []
-        for _, i, j, lcm in pairs:
+        for _, li, lj, lcm, group in pairs:
+            i, j = li[0], lj[0]
             done.add((i, j))
-            li, lj = leads[i], leads[j]
-            if _chain_skips(i, j, lcm, leads, done):
+            if _chain_skips(i, j, lcm, group, done):
                 continue  # chain criterion
             si, sj = _s_coefficients(ring, lcm, li, lj)
             s_vec = vec_dot((si, sj), (basis[i], basis[j]), ring, self.rank)
-            rem, quots = _reduce_full(s_vec, basis, leads, ring)
+            rem, quots = _reduce_full(s_vec, basis, table, ring)
             if not vec_is_zero(rem):
                 raise InternalError("S-pair of a Gröbner basis not zero")
             syz = {t: -q for t, q in quots.items()}
@@ -509,7 +503,7 @@ class FreeSubmodule:
                 out.append(vec)
 
         for jg, g in enumerate(self.gens):
-            rem, lift = _reduce_full(g, basis, leads, ring)
+            rem, lift = _reduce_full(g, basis, table, ring)
             if not vec_is_zero(rem):
                 raise InternalError("generator does not reduce to zero")
             lifted = _sparse_dot(lift, reps, ring, r)

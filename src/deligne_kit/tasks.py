@@ -53,6 +53,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
 
 from .deligne import (
     CechCocycle,
@@ -99,14 +100,30 @@ def ser_vec(v) -> list:
     return [str(p) for p in v]
 
 
+# the text Poly.__str__ writes: signed terms c, c*m or m joined by " + " or
+# " - ", c = d or d/d, m = v or v^e joined by "*"; no parentheses and no
+# power of a constant, whose cost the text alone would set
+_POWER = r"[A-Za-z_]\w*(?:\^\d+)?"
+_TERM = rf"(?:\d+(?:/\d+)?|{_POWER})(?:\*{_POWER})*"
+_POLY_TEXT = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*", re.ASCII)
+
+
+def de_poly(ring: PolyRing, text) -> Poly:
+    """A polynomial in the form Poly.__str__ writes; a non-string or any
+    other text raises ValueError before it is parsed."""
+    if not isinstance(text, str) or not _POLY_TEXT.fullmatch(text):
+        raise ValueError("a polynomial not in the form a report writes")
+    return parse_poly(ring, text)
+
+
 def de_vec(ring: PolyRing, items, length: int | None = None) -> tuple:
-    """A vector is a list of polynomial strings; anything else raises
-    TypeError.  With `length`, one of any other length raises ValueError."""
+    """A vector is a list of polynomial strings (``de_poly``), else TypeError;
+    with `length`, one of any other length raises ValueError."""
     if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
         raise TypeError("a vector is a list of polynomial strings")
     if length is not None and len(items) != length:
         raise ValueError(f"vector of length {len(items)}, not {length}")
-    return tuple(parse_poly(ring, s) for s in items)
+    return tuple(de_poly(ring, s) for s in items)
 
 
 def de_int(value) -> int:
@@ -340,7 +357,7 @@ def replay_roundtrip(record: dict, task: RoundtripTask, session: Session):
         for pr in sample["probes"]:
             if not de_flag(pr["equal"]):
                 return "fail"
-            y = parse_poly(session.ring, pr["y"])
+            y = de_poly(session.ring, pr["y"])
             cert = _read_loc(M, pr["loc_certificate"])
             if not cert.verify(M, y.total_degree(), lambda: y,
                                *_read_fraction(M, pr["sigma"]),
@@ -357,7 +374,8 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
     rng = random.Random(task.seed)
     gamma = gamma_torsion(M, xs)
     torsion_gens = [M.element(g) for g in gamma.generators]
-    full_torsion = all(gamma.contains(b) for b in M.basis_elements())
+    candidates = [b for b in M.basis_elements() if not gamma.contains(b)]
+    full_torsion = not candidates
 
     def torsion_tweak():
         coeffs = [
@@ -402,7 +420,6 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
             # best effort: basis-element bumps that break a pair; modules
             # where every bump stays compatible skip the subtest
             idx = rng.randrange(xs.k)
-            candidates = [b for b in M.basis_elements() if not gamma.contains(b)]
             pert = {"chart": idx, "detected": None}
             for probe in candidates:
                 bad_sections = list(sections)

@@ -509,6 +509,13 @@ INFLATED = {
     "sheaf-recovery-c": (1, lambda r: _first_nonzero_glue(r)
                          ["recover_certificate"].update(c=10**6)),
     "sheaf-compat": (1, lambda r: _first_nonzero_glue(r).update(compat=10**6)),
+    # text that the record's writer never emits, whose parse alone would
+    # expand a power: 135,751 terms, and a 10^10-bit integer over Q
+    "roundtrip-lift-power": (0, lambda r: _longest_probe(r)["loc_certificate"]
+                             ["lift"].__setitem__(0, "(x + y + z + w + 1)^40")),
+    "diagram-numerator-power": (2, lambda r: _samples(r)[0]["components"][0]
+                                ["through"]["numerator"]
+                                .__setitem__(0, "2^10000000000")),
 }
 
 

@@ -280,7 +280,7 @@ def test_criteria_give_groebner_basis_oracle(field, rank):
         gens = [g for g in gens if not vec_is_zero(g)]
         S = FreeSubmodule(ring, rank, gens)
         basis = list(S.basis())
-        leads = [vec_lead(b, ring) for b in basis]
+        leads = [vec_lead(b) for b in basis]
         for (bi, li), (bj, lj) in itertools.combinations(zip(basis, leads), 2):
             if li[0] != lj[0]:
                 continue
@@ -301,7 +301,7 @@ def test_criteria_give_groebner_basis_oracle(field, rank):
 
 
 def _same_position_pairs(vectors, ring):
-    positions = [vec_lead(v, ring)[0] for v in vectors]
+    positions = [vec_lead(v)[0] for v in vectors]
     return sum(1 for a, b in itertools.combinations(positions, 2) if a == b)
 
 
@@ -405,7 +405,7 @@ def test_schreyer_syzygies_sound_and_complete(field, rank):
             assert vec_is_zero(vec_dot(z, gens, ring, rank))
         gdegs = [vector_degree(g) for g in gens]
         zdegs = [vector_degree(z, shifts=gdegs) for z in Z.gens]
-        leads = [vec_lead(b, ring) for b in S.basis()]
+        leads = [vec_lead(b) for b in S.basis()]
         top = max(gdegs + [
             sum(max(a, b) for a, b in zip(li[1], lj[1]))
             for li, lj in itertools.combinations(leads, 2) if li[0] == lj[0]
@@ -496,14 +496,28 @@ def _dense_quotients(quots, size, ring):
     return [quots.get(t, ring.zero()) for t in range(size)]
 
 
+def test_lead_table_groups_leads_by_position():
+    # leads at positions 2, 0, 2, 0 in a rank-4 module: each position lists
+    # its (t, mon, coeff) with t ascending, and positions 1 and 3 are empty
+    leads = [(2, (1, 0), 3), (0, (0, 2), 1), (2, (0, 1), 1), (0, (1, 1), 5)]
+    assert groebner._lead_table(leads, 4) == [
+        [(1, (0, 2), 1), (3, (1, 1), 5)],
+        [],
+        [(0, (1, 0), 3), (2, (0, 1), 1)],
+        [],
+    ]
+    assert groebner._lead_table([], 2) == [[], []]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_reduce_full_matches_reference(field, rank):
     for ring, v, basis in _reduction_cases(field, rank):
-        leads = [vec_lead(b, ring) for b in basis]
+        leads = [vec_lead(b) for b in basis]
         v_terms = [dict(p.terms) for p in v]
         basis_terms = [[dict(p.terms) for p in b] for b in basis]
-        rem, quots = groebner._reduce_full(v, basis, leads, ring)
+        table = groebner._lead_table(leads, rank)
+        rem, quots = groebner._reduce_full(v, basis, table, ring)
         quots = _dense_quotients(quots, len(basis), ring)
         ref_rem, ref_quots = reduce_full_reference(v, basis, leads, ring)
         assert rem == ref_rem
@@ -545,8 +559,9 @@ def test_reduce_full_makes_no_polynomial_sums(monkeypatch):
     monkeypatch.setattr(Poly, "__sub__", counting_sub)
     steps = 0
     for ring, v, basis in cases:
-        leads = [vec_lead(b, ring) for b in basis]
-        _, quots = groebner._reduce_full(v, basis, leads, ring)
+        leads = [vec_lead(b) for b in basis]
+        table = groebner._lead_table(leads, len(v))
+        _, quots = groebner._reduce_full(v, basis, table, ring)
         quots = _dense_quotients(quots, len(basis), ring)
         steps += sum(len(q.terms) for q in quots)
     assert steps > 0
