@@ -117,7 +117,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.replay:
+        if args.replay is not None:
             try:
                 with open(args.replay, "r", encoding="utf-8") as fh:
                     report = json.load(fh)
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
         return 3
 
     payload = json.dumps(result, sort_keys=True, indent=2)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")

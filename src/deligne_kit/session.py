@@ -4,12 +4,15 @@ comments.  See docs/grammar.md for the token set and statement forms."""
 
 from __future__ import annotations
 
+import re
+
 from .errors import (
     DimensionError,
     NameResolutionError,
     ParseError,
     StructuralError,
 )
+from .groebner import vec_dot
 from .modules import FpModule
 from .rings import GF, MAX_DIGITS, QQ, Poly, PolyRing
 
@@ -17,12 +20,15 @@ from .rings import GF, MAX_DIGITS, QQ, Poly, PolyRing
 # ---------------------------------------------------------------------------
 # tokens
 
-_PUNCT = "[](),;=^*+-/"
-# ASCII only, as docs/grammar.md specifies: str.isalpha and str.isdigit
-# accept other scripts and superscripts such as '²', which int() rejects
-_DIGITS = "0123456789"
-_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
-_NAME_CHARS = _NAME_START + _DIGITS
+# The token classes of docs/grammar.md, matched from each position.  They
+# are ASCII, as the grammar specifies: str.isalpha and str.isdigit accept
+# other scripts and superscripts such as '²', which int() rejects; any
+# other character is the 'error' class.
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r"|(?P<punct>[][(),;=^*+\-/])|(?P<error>.)"
+)
 
 
 class Token:
@@ -41,47 +47,20 @@ class Token:
 
 def tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, start = 1, 0  # start: index of the current line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "error":
+            raise ParseError(f"unexpected character {m.group()!r}", line,
+                             m.start() - start + 1)
+        elif kind != "blank" and kind != "comment":
+            tokens.append(Token(kind, m.group(), line, m.start() - start + 1))
+    # end of input is at the last line's comment, if it has one
+    stop = text.find("#", start)
+    tokens.append(Token("eof", "", line,
+                        (len(text) if stop < 0 else stop) - start + 1))
     return tokens
 
 
@@ -91,8 +70,8 @@ def tokenize(text: str):
 
 class _Record:
     """Field-wise equality: records of the same class are equal when every
-    slot holds equal values (a printed session parses back to an equal
-    one)."""
+    slot, inherited ones included, holds equal values (a printed session
+    parses back to an equal one)."""
 
     __slots__ = ()
 
@@ -100,7 +79,8 @@ class _Record:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f)
-                   for f in self.__slots__)
+                   for cls in type(self).__mro__
+                   for f in cls.__dict__.get("__slots__", ()))
 
 
 class ProzeroTask(_Record):
@@ -132,70 +112,56 @@ class ProzeroTask(_Record):
         return {"degree": self.degree, "from": self.from_n, "cap": self.cap}
 
 
-class RoundtripTask(_Record):
-    __slots__ = ("ideal", "module", "samples", "seed", "probes")
+class _SampledTask(_Record):
+    """A task over an ideal and a module, checked on ``samples`` elements
+    drawn from ``seed``."""
+
+    __slots__ = ("ideal", "module", "samples", "seed")
+
+    def __init__(self, ideal: str, module: str, samples: int, seed: int):
+        self.ideal = ideal
+        self.module = module
+        self.samples = samples
+        self.seed = seed
+
+    def pretty(self) -> str:
+        return (
+            f"task {self.kind} {self.ideal} {self.module} "
+            f"samples {self.samples} seed {self.seed};"
+        )
+
+    def bounds(self) -> dict:
+        return {"samples": self.samples, "seed": self.seed}
+
+
+class RoundtripTask(_SampledTask):
+    __slots__ = ("probes",)
     kind = "deligne-roundtrip"
 
     def __init__(self, ideal: str, module: str, samples: int, seed: int,
                  probes: int = 5):
-        self.ideal = ideal
-        self.module = module
-        self.samples = samples
-        self.seed = seed
+        super().__init__(ideal, module, samples, seed)
         self.probes = probes
 
     def pretty(self) -> str:
-        s = (
-            f"task deligne-roundtrip {self.ideal} {self.module} "
-            f"samples {self.samples} seed {self.seed}"
-        )
-        if self.probes != 5:
-            s += f" probes {self.probes}"
-        return s + ";"
+        s = super().pretty()
+        return s if self.probes == 5 else f"{s[:-1]} probes {self.probes};"
 
     def bounds(self) -> dict:
-        return {"samples": self.samples, "probes": self.probes,
-                "seed": self.seed}
+        return {**super().bounds(), "probes": self.probes}
 
 
-class SheafGlueTask(_Record):
-    __slots__ = ("ideal", "module", "samples", "seed")
+class SheafGlueTask(_SampledTask):
+    __slots__ = ()
     kind = "sheaf-glue"
 
-    def __init__(self, ideal: str, module: str, samples: int, seed: int):
-        self.ideal = ideal
-        self.module = module
-        self.samples = samples
-        self.seed = seed
 
-    def pretty(self) -> str:
-        return (
-            f"task sheaf-glue {self.ideal} {self.module} "
-            f"samples {self.samples} seed {self.seed};"
-        )
-
-    def bounds(self) -> dict:
-        return {"samples": self.samples, "seed": self.seed}
-
-
-class DiagramTask(_Record):
-    __slots__ = ("ideal", "module", "samples", "seed")
+class DiagramTask(_SampledTask):
+    __slots__ = ()
     kind = "diagram"
 
-    def __init__(self, ideal: str, module: str, samples: int, seed: int):
-        self.ideal = ideal
-        self.module = module
-        self.samples = samples
-        self.seed = seed
 
-    def pretty(self) -> str:
-        return (
-            f"task diagram {self.ideal} {self.module} "
-            f"samples {self.samples} seed {self.seed};"
-        )
-
-    def bounds(self) -> dict:
-        return {"samples": self.samples, "seed": self.seed}
+_SAMPLED = {cls.kind: cls for cls in (RoundtripTask, SheafGlueTask, DiagramTask)}
 
 
 class IdealizationTask(_Record):
@@ -215,21 +181,21 @@ class IdealizationTask(_Record):
 
 
 class Session(_Record):
+    """A parsed session: its ring, the declared tables by name and the
+    tasks in source order; the module ``R`` is predefined."""
+
     # modules last: each is built from its matrix, and comparing two
     # modules compares Groebner bases
     __slots__ = ("ring", "module_matrices", "ideals", "sequences", "tasks",
                  "modules")
 
-    def __init__(self, ring: PolyRing, modules: dict | None = None,
-                 ideals: dict | None = None, sequences: dict | None = None,
-                 tasks: list | None = None,
-                 module_matrices: dict | None = None):
+    def __init__(self, ring: PolyRing):
         self.ring = ring
-        self.modules = {} if modules is None else modules
-        self.ideals = {} if ideals is None else ideals
-        self.sequences = {} if sequences is None else sequences
-        self.tasks = [] if tasks is None else tasks
-        self.module_matrices = {} if module_matrices is None else module_matrices
+        self.module_matrices = {}
+        self.ideals = {}
+        self.sequences = {}
+        self.tasks = []
+        self.modules = {"R": FpModule.free(ring, 1)}
 
     def pretty(self) -> str:
         lines = []
@@ -242,14 +208,11 @@ class Session(_Record):
                 "[" + ", ".join(str(p) for p in row) + "]" for row in rows
             )
             lines.append(f"module {name} = coker [{body}];")
-        for name, polys in self.ideals.items():
-            lines.append(
-                f"ideal {name} = ({', '.join(str(p) for p in polys)});"
-            )
-        for name, polys in self.sequences.items():
-            lines.append(
-                f"sequence {name} = ({', '.join(str(p) for p in polys)});"
-            )
+        for word, table in (("ideal", self.ideals),
+                            ("sequence", self.sequences)):
+            for name, polys in table.items():
+                lines.append(
+                    f"{word} {name} = ({', '.join(str(p) for p in polys)});")
         for t in self.tasks:
             lines.append(t.pretty())
         return "\n".join(lines) + "\n"
@@ -331,15 +294,20 @@ class _Parser:
 
     # -- polynomial expressions --------------------------------------------
     def poly_expr(self, ring: PolyRing) -> Poly:
-        node = self.poly_term(ring)
-        while True:
+        """The signed terms, summed once by vec_dot, so that a sum parses
+        in time linear in its terms (a Poly addition per term would copy
+        the running sum each time)."""
+        one = ring.one()
+        signs, terms = [one], [(self.poly_term(ring),)]
+        t = self.peek()
+        while t.kind == "punct" and t.text in "+-":
+            self.next()
+            signs.append(one if t.text == "+" else -one)
+            terms.append((self.poly_term(ring),))
             t = self.peek()
-            if t.kind == "punct" and t.text in "+-":
-                self.next()
-                rhs = self.poly_term(ring)
-                node = node + rhs if t.text == "+" else node - rhs
-            else:
-                return node
+        if len(terms) == 1:
+            return terms[0][0]
+        return vec_dot(signs, terms, ring, 1)[0]
 
     def poly_term(self, ring: PolyRing) -> Poly:
         node = self.poly_factor(ring)
@@ -426,28 +394,21 @@ class _Parser:
                     self.fail("duplicate ring declaration", head)
                 self.next()
                 ring = self.ring_decl()
-                session = Session(ring=ring)
-                session.modules["R"] = FpModule.free(ring, 1)
+                session = Session(ring)
                 continue
             if session is None:
                 self.fail("the session must start with a ring declaration", head)
             if head.text == "module":
                 self.next()
                 self.module_decl(session)
-            elif head.text == "ideal":
+            elif head.text in ("ideal", "sequence"):
                 self.next()
                 name = self.expect_name().text
                 self.expect_punct("=")
                 polys = self.poly_list(ring)
                 self.expect_punct(";")
-                self._declare(session.ideals, name, polys, head)
-            elif head.text == "sequence":
-                self.next()
-                name = self.expect_name().text
-                self.expect_punct("=")
-                polys = self.poly_list(ring)
-                self.expect_punct(";")
-                self._declare(session.sequences, name, polys, head)
+                self._declare(getattr(session, head.text + "s"), name, polys,
+                              head)
             elif head.text == "task":
                 self.next()
                 session.tasks.append(self.task_decl(session))
@@ -535,15 +496,9 @@ class _Parser:
                 else:
                     self.fail(f"unknown prozero option {flag!r}", flag_tok)
             self.expect_punct(";")
-            return ProzeroTask(
-                sequence=seq.text,
-                degree=degree,
-                from_n=from_n,
-                cap=cap,
-                module=module,
-                allow_exhausted=allow,
-            )
-        if kind in ("deligne-roundtrip", "sheaf-glue", "diagram"):
+            return ProzeroTask(seq.text, degree, from_n, cap, module, allow)
+        sampled = _SAMPLED.get(kind)
+        if sampled is not None:
             ideal = self.expect_name()
             self._resolve(session, "ideals", ideal.text, ideal)
             module = self.expect_name()
@@ -551,29 +506,12 @@ class _Parser:
             self.expect_keyword("samples")
             samples = self.expect_int()
             self.expect_keyword("seed")
-            seed = self.expect_int()
-            probes = 5
-            if kind == "deligne-roundtrip" and self.peek().kind == "name":
+            task = sampled(ideal.text, module.text, samples, self.expect_int())
+            if sampled is RoundtripTask and self.peek().kind == "name":
                 self.expect_keyword("probes")
-                probes = self.expect_int()
+                task.probes = self.expect_int()
             self.expect_punct(";")
-            if kind == "deligne-roundtrip":
-                return RoundtripTask(
-                    ideal=ideal.text,
-                    module=module.text,
-                    samples=samples,
-                    seed=seed,
-                    probes=probes,
-                )
-            if kind == "sheaf-glue":
-                return SheafGlueTask(
-                    ideal=ideal.text, module=module.text,
-                    samples=samples, seed=seed,
-                )
-            return DiagramTask(
-                ideal=ideal.text, module=module.text,
-                samples=samples, seed=seed,
-            )
+            return task
         if kind == "idealization":
             self.expect_keyword("poles")
             poles = self.delimited("(", self.expect_int, ")")

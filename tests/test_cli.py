@@ -20,8 +20,14 @@ from deligne_kit.errors import (
     StructuralError,
 )
 from deligne_kit.modules import FpModule
-from deligne_kit.rings import QQ, PolyRing
-from deligne_kit.session import DiagramTask, SheafGlueTask, parse_session
+from deligne_kit.rings import QQ, Poly, PolyRing
+from deligne_kit.session import (
+    DiagramTask,
+    SheafGlueTask,
+    parse_poly,
+    parse_session,
+    tokenize,
+)
 from deligne_kit.tasks import replay_record
 
 GOOD = """\
@@ -167,6 +173,38 @@ def test_replay_refuses_pass_with_nothing_checked(task, _, certificate):
     assert replay_record(record, t, session) is False
 
 
+def test_token_positions():
+    # tabs and '\r' are one column each; a comment ends at the newline, and
+    # end of input after a final comment is at the comment's '#'
+    text = "task\tsheaf-glue J;# c\r\n[](),;=^*+-/ x1 42\r\n\t_y #end"
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(text)] == [
+        ("name", "task", 1, 1), ("name", "sheaf", 1, 6),
+        ("punct", "-", 1, 11), ("name", "glue", 1, 12), ("name", "J", 1, 17),
+        ("punct", ";", 1, 18),
+        *[("punct", ch, 2, col) for col, ch in enumerate("[](),;=^*+-/", 1)],
+        ("name", "x1", 2, 14), ("int", "42", 2, 17),
+        ("name", "_y", 3, 2), ("eof", "", 3, 5),
+    ]
+
+
+def test_parse_poly_sums_terms_once(monkeypatch):
+    # a sum is built once from its terms, not by one Poly addition per
+    # term, each of which copies the running sum
+    ring = PolyRing(QQ, ("x", "y", "z", "w"))
+    p = parse_poly(ring, "(x + y + z + w + 1)^12")
+    assert len(p.terms) >= 1000
+    text, x_minus_p = str(p), ring.gen(0) - p
+    calls = []
+    for name in ("__add__", "__sub__"):
+        def counted(a, b, op=getattr(Poly, name)):
+            calls.append(name)
+            return op(a, b)
+        monkeypatch.setattr(Poly, name, counted)
+    assert parse_poly(ring, text).terms == p.terms
+    assert parse_poly(ring, f"x - ({text})").terms == x_minus_p.terms
+    assert calls == []
+
+
 def test_parse_accepts_literal_at_digit_limit():
     s = parse_session(f"ring Q[x]; ideal J = ({'7' * 4300}*x);")
     assert s.ideals["J"][0].terms[(1,)] == int("7" * 4300)
@@ -205,8 +243,11 @@ def test_parse_print_parse_fixpoint():
      ("seed 7;", "seed 8;"),
      ("cap 10;", "cap 10 allow-exhausted;"),
      ("[0, y]]", "[0, x]]"),
-     ("J = (x, y)", "J = (x, y^2)")],
-    ids=["cap", "seed", "allow-exhausted", "matrix-entry", "ideal-generator"],
+     ("J = (x, y)", "J = (x, y^2)"),
+     ("seed 3;", "seed 4;"),
+     ("samples 4", "samples 5")],
+    ids=["cap", "seed", "allow-exhausted", "matrix-entry", "ideal-generator",
+         "sheaf-glue-seed", "diagram-samples"],
 )
 def test_sessions_differing_in_one_field_are_unequal(old, new):
     assert GOOD.count(old) == 1
@@ -962,6 +1003,20 @@ def test_main_unreadable_report_exits_2(tmp_path, capsys, content):
         path.write_bytes(content)
     assert main(["run", str(f), "--replay", str(path)]) == 2
     assert "error: cannot read report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, message",
+                         [("--replay", "error: cannot read report: "),
+                          ("--out", "error: cannot write report: ")],
+                         ids=["replay", "out"])
+def test_main_empty_path_exits_2(tmp_path, capsys, option, message):
+    # an empty path names no file: refused, not read as an absent option
+    f = tmp_path / "s.dk"
+    f.write_text("ring Q[x];\ntask idealization poles (1) cap 2;\n")
+    assert main(["run", str(f), option, ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
 
 
 def test_internal_error_exits_3_with_task_label(tmp_path, capsys, monkeypatch):
