@@ -1,27 +1,35 @@
 """Command line interface: `deligne-kit run <file> [--replay <report>]
-[--out <path>]`.
+[--out <path>]`; `-h`/`--help` prints that usage.
 
 Exit codes: 0 on success (every task acceptable, or every certificate
-re-verified), 1 on task failure or failed replay, 2 on parse or structural
-errors, an unreadable session or report file or an unwritable ``--out``
-path, 3 on an internal error (a broken invariant, named with the task it
-broke in).  Report format: versioned JSON, documented in
-docs/report-schema.md; timing fields are excluded from the content digests.
+re-verified) or help, 1 on task failure or failed replay, 2 on any other
+command line, parse or structural errors, an unreadable session or report
+file or an unwritable ``--out`` path, 3 on an internal error (a broken
+invariant, named with the task it broke in).  Report format: versioned
+JSON, documented in docs/report-schema.md; timing fields are excluded from
+the content digests.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import sys
 import time
+
+try:  # hashlib loads OpenSSL; CPython's own SHA-256 gives the same digests
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
 from .tasks import record_acceptable, replay_record, run_task
 
 SCHEMA = "deligne-kit/report/v2"
+USAGE = "usage: deligne-kit run FILE [--replay REPORT] [--out PATH]"
 
 
 def _canonical(obj) -> str:
@@ -30,7 +38,7 @@ def _canonical(obj) -> str:
 
 def record_digest(record: dict) -> str:
     body = {k: v for k, v in record.items() if k not in ("digest", "time_ms")}
-    return "sha256:" + hashlib.sha256(_canonical(body).encode()).hexdigest()
+    return "sha256:" + sha256(_canonical(body).encode()).hexdigest()
 
 
 def build_report(session_text: str, session) -> dict:
@@ -48,7 +56,7 @@ def build_report(session_text: str, session) -> dict:
     ok = all(record_acceptable(r, t) for r, t in zip(records, session.tasks))
     return {
         "schema": SCHEMA,
-        "session_sha256": hashlib.sha256(session_text.encode()).hexdigest(),
+        "session_sha256": sha256(session_text.encode()).hexdigest(),
         "records": records,
         "ok": ok,
     }
@@ -62,7 +70,7 @@ def replay_report(session_text: str, session, report: dict) -> dict:
         raise StructuralError("report is not a JSON object")
     if report.get("schema") != SCHEMA:
         raise StructuralError(f"unknown report schema {report.get('schema')!r}")
-    expected = hashlib.sha256(session_text.encode()).hexdigest()
+    expected = sha256(session_text.encode()).hexdigest()
     if report.get("session_sha256") != expected:
         raise StructuralError("report was produced from a different session")
     records = report.get("records", [])
@@ -91,22 +99,46 @@ def replay_report(session_text: str, session, report: dict) -> dict:
     return {"schema": SCHEMA + "/replay", "results": results, "ok": ok}
 
 
+def _read_argv(argv: list) -> tuple | None:
+    """(FILE, REPORT, PATH) from ``run FILE [--replay REPORT] [--out PATH]``,
+    options as ``--opt VALUE`` or ``--opt=VALUE`` before or after FILE, None
+    for one not given; None for -h/--help, ValueError for any other form."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if argv[:1] != ["run"]:
+        raise ValueError("expected the command 'run'")
+    args, found = iter(argv[1:]), {}
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in ("--replay", "--out"):
+            if arg.startswith("-") or "FILE" in found:
+                raise ValueError(f"unrecognized argument {arg!r}")
+            name, value = "FILE", arg
+        elif not eq:
+            value = next(args, None)
+            if value is None:
+                raise ValueError(f"{name} expects a value")
+        if name in found:
+            raise ValueError(f"{name} given more than once")
+        found[name] = value
+    if "FILE" not in found:
+        raise ValueError("the session FILE is missing")
+    return found["FILE"], found.get("--replay"), found.get("--out")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="deligne-kit",
-        description="Run certificate-producing checks from a session file.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="execute a session file")
-    run_p.add_argument("file", help="session file in the input language")
-    run_p.add_argument("--replay", metavar="REPORT",
-                       help="verify the certificates of an existing report")
-    run_p.add_argument("--out", metavar="PATH",
-                       help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as ex:
+        print(f"{USAGE}\ndeligne-kit: error: {ex}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(USAGE)
+        return 0
+    file, replay, out = args
 
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(file, "r", encoding="utf-8") as fh:
             text = fh.read()
         session = parse_session(text)
     except OSError as ex:
@@ -117,9 +149,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.replay is not None:
+        if replay is not None:
             try:
-                with open(args.replay, "r", encoding="utf-8") as fh:
+                with open(replay, "r", encoding="utf-8") as fh:
                     report = json.load(fh)
             except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
                 print(f"error: cannot read report: {ex}", file=sys.stderr)
@@ -135,9 +167,9 @@ def main(argv=None) -> int:
         return 3
 
     payload = json.dumps(result, sort_keys=True, indent=2)
-    if args.out is not None:
+    if out is not None:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
         except OSError as ex:
             print(f"error: cannot write report: {ex}", file=sys.stderr)

@@ -529,7 +529,7 @@ def parse_session(text: str) -> Session:
 
 
 def parse_poly(ring: PolyRing, text: str) -> Poly:
-    """Parse one polynomial expression (used for certificate replay)."""
+    """Parse one polynomial expression in the session grammar."""
     p = _Parser(text)
     poly = p.poly_expr(ring)
     if p.peek().kind != "eof":

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,7 +22,7 @@ from deligne_kit.errors import (
     StructuralError,
 )
 from deligne_kit.modules import FpModule
-from deligne_kit.rings import QQ, Poly, PolyRing
+from deligne_kit.rings import GF, MAX_DIGITS, QQ, Poly, PolyRing
 from deligne_kit.session import (
     DiagramTask,
     SheafGlueTask,
@@ -28,7 +30,7 @@ from deligne_kit.session import (
     parse_session,
     tokenize,
 )
-from deligne_kit.tasks import replay_record
+from deligne_kit.tasks import de_poly, replay_record
 
 GOOD = """\
 # demo session
@@ -923,6 +925,90 @@ def test_memos_die_with_the_session(text):
     assert ring() is None
 
 
+# ---------------------------------------------------------------- report text
+
+
+def _bench_workloads():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, (list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _strings(item)
+
+
+def _assert_same_poly(ring, text):
+    got, want = de_poly(ring, text), parse_poly(ring, text)
+    assert got == want and got.terms == want.terms, text
+    assert all(type(c) is type(want.terms[m]) for m, c in got.terms.items())
+
+
+def test_de_poly_matches_parse_poly_on_bench_reports():
+    """Every certificate string of the tower and transform benchmark
+    reports at seeds 1-3 and 7 reads to the polynomial the session parser
+    gives."""
+    workloads = _bench_workloads()
+    count = 0
+    for name in ("tower", "transform"):
+        for seed in (1, 2, 3, 7):
+            text = workloads.make(name, seed).text
+            session = parse_session(text)
+            for record in build_report(text, session)["records"]:
+                for s in _strings(record["certificate"]):
+                    _assert_same_poly(session.ring, s)
+                    count += 1
+    assert count > 4000
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("text", [
+    "x + x", "x - x", "-0", "0", "0*x", "x^0", "x*y*x", "1/2*x^3*y - 3/4",
+    "-x^2 + 2*x*y - 32003*y + 64007/2", "-1/3*y^2*x + x*y^2 - 5",
+    "x^2 - 2*x^2 + x^2",
+])
+def test_de_poly_matches_parse_poly_on_edge_texts(field, text):
+    _assert_same_poly(PolyRing(field, ("x", "y")), text)
+
+
+def test_de_poly_errors():
+    ring = PolyRing(QQ, ("x", "y"))
+    long_run = "1" * (MAX_DIGITS + 1)
+    # refused by the report form, before int() reads the run
+    for text in (long_run, f"{long_run}*x", f"1/{long_run}", f"x^{long_run}"):
+        with pytest.raises(ValueError, match="not in the form a report writes"):
+            de_poly(ring, text)
+    assert de_poly(ring, "1" * MAX_DIGITS) == ring.const(int("1" * MAX_DIGITS))
+    with pytest.raises(ValueError, match="zero denominator"):
+        de_poly(ring, "1/0")
+    with pytest.raises(NameResolutionError, match="unknown variable 'z'"):
+        de_poly(ring, "x + 2*z^2")
+    fp = PolyRing(GF(32003), ("x", "y"))
+    with pytest.raises(StructuralError, match="no value in F32003"):
+        de_poly(fp, "1/32003")
+    with pytest.raises(ParseError):
+        parse_poly(fp, "1/32003")
+    # a record whose polynomial raises any of these fails its own replay
+    text = "ring Q[x];\nsequence s = (x, x);\ntask prozero s degree 1 from 1 cap 6;\n"
+    session = parse_session(text)
+    record = build_report(text, session)["records"][0]
+    assert replay_record(record, session.tasks[0], session) is True
+    for bad in ("1/0", "2*z", long_run):
+        forged = json.loads(json.dumps(record))
+        forged["certificate"]["entries"][0]["preimage_chain"][0] = bad
+        assert replay_record(forged, session.tasks[0], session) is False
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -1019,6 +1105,59 @@ def test_main_empty_path_exits_2(tmp_path, capsys, option, message):
     assert err.startswith(message)
 
 
+def test_main_help_prints_usage(capsys):
+    for argv in (["--help"], ["-h"], ["run", "--help"], ["run", "s.dk", "-h"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: deligne-kit run FILE") and err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "s.dk", "--bogus"], "unrecognized argument '--bogus'"),
+    (["run", "s.dk", "--rep", "r.json"], "unrecognized argument '--rep'"),
+    (["run", "s.dk", "--out", "a", "--out=b"], "--out given more than once"),
+    (["run"], "the session FILE is missing"),
+    (["run", "--out", "a"], "the session FILE is missing"),
+    (["run", "s.dk", "--replay"], "--replay expects a value"),
+    (["run", "s.dk", "t.dk"], "unrecognized argument 't.dk'"),
+    (["s.dk"], "expected the command 'run'"),
+    ([], "expected the command 'run'"),
+], ids=["unknown", "abbreviated", "repeated", "no-file", "only-options",
+        "no-value", "extra", "no-command", "empty"])
+def test_main_malformed_command_line_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: deligne-kit run FILE")
+    assert f"error: {message}" in err
+
+
+def test_main_option_forms(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "s.dk"
+    f.write_text(GOOD)
+    report, replay = tmp_path / "report.json", tmp_path / "replay.json"
+    assert main(["run", f"--out={report}", str(f)]) == 0
+    assert main(["run", "--replay", str(report), f"--out={replay}", str(f)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(replay.read_text())["ok"] is True
+    # with no argument, main reads the process's own command line
+    monkeypatch.setattr(sys, "argv", ["deligne-kit", "run", str(f), "--replay",
+                                      str(report)])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(replay.read_text())
+
+
+def test_digests_are_sha256_of_canonical_json():
+    session = parse_session(GOOD)
+    report = build_report(GOOD, session)
+    assert report["session_sha256"] == hashlib.sha256(GOOD.encode()).hexdigest()
+    for record in report["records"]:
+        body = {k: v for k, v in record.items() if k not in ("digest", "time_ms")}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert record["digest"] == record_digest(record) == "sha256:" + digest
+
+
 def test_internal_error_exits_3_with_task_label(tmp_path, capsys, monkeypatch):
     assert not issubclass(InternalError, StructuralError)
     monkeypatch.setattr(idealization.PoleWitness, "verify", lambda self: False)
@@ -1033,8 +1172,10 @@ def test_internal_error_exits_3_with_task_label(tmp_path, capsys, monkeypatch):
 def test_cli_import_adds_no_introspection_modules():
     """``dataclasses`` imports inspect, ast, dis, tokenize and linecache,
     which nothing in the package uses and every CLI call would pay for at
-    start-up.  The check is on the modules the import adds, since Python
-    3.13 loads linecache at start-up."""
+    start-up; ``hashlib`` loads OpenSSL's libcrypto for two SHA-256 calls,
+    and ``argparse`` is built for a command line of one form.  The check is
+    on the modules the import adds, since Python 3.13 loads linecache at
+    start-up."""
     probe = (
         "import sys; before = set(sys.modules); import deligne_kit.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -1047,4 +1188,4 @@ def test_cli_import_adds_no_introspection_modules():
     added = set(out.split())
     assert "deligne_kit.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize",
-                        "linecache"}
+                        "linecache", "hashlib", "_hashlib", "argparse"}
