@@ -141,7 +141,7 @@ def main(argv=None) -> int:
         with open(file, "r", encoding="utf-8") as fh:
             text = fh.read()
         session = parse_session(text)
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         print(f"error: cannot read session: {ex}", file=sys.stderr)
         return 2
     except (ParseError, StructuralError) as ex:
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
             try:
                 with open(replay, "r", encoding="utf-8") as fh:
                     report = json.load(fh)
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
+            except (OSError, ValueError, RecursionError) as ex:
                 print(f"error: cannot read report: {ex}", file=sys.stderr)
                 return 2
             result = replay_report(text, session, report)

@@ -524,14 +524,22 @@ class _Parser:
 
 def parse_session(text: str) -> Session:
     """Parse a session document; raises ParseError / NameResolutionError /
-    DimensionError with source positions."""
-    return _Parser(text).parse_session()
+    DimensionError with source positions, and ParseError at the token where
+    an expression nests deeper than Python's recursion limit."""
+    p = _Parser(text)
+    try:
+        return p.parse_session()
+    except RecursionError:
+        p.fail("expression nested too deeply")
 
 
 def parse_poly(ring: PolyRing, text: str) -> Poly:
     """Parse one polynomial expression in the session grammar."""
     p = _Parser(text)
-    poly = p.poly_expr(ring)
+    try:
+        poly = p.poly_expr(ring)
+    except RecursionError:
+        p.fail("expression nested too deeply")
     if p.peek().kind != "eof":
         p.fail("trailing input after polynomial")
     return poly

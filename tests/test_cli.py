@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -146,7 +147,7 @@ _NOTHING_CHECKED = [
     ("task deligne-roundtrip J R samples 1 seed 1 probes 0;", "probes",
      {"samples": [{"stage": 1, "values": [["x"]], "probes": []}]}),
     ("task sheaf-glue J R samples 0 seed 1;", "samples",
-     {"samples": [], "torsion_only": False}),
+     {"samples": []}),
     ("task diagram J R samples 0 seed 1;", "samples", {"samples": []}),
 ]
 
@@ -173,6 +174,26 @@ def test_replay_refuses_pass_with_nothing_checked(task, _, certificate):
     record = {"kind": t.kind, "label": t.pretty(), "outcome": "pass",
               "bounds": t.bounds(), "certificate": certificate}
     assert replay_record(record, t, session) is False
+
+
+@pytest.mark.parametrize("nested", ["(" * 5000 + "x" + ")" * 5000,
+                                    "- " * 5000 + "x"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, nested):
+    # no depth limit of its own: the parser reports where Python's
+    # recursion limit stopped it, inside the nesting
+    text = f"ring Q[x];\nideal J = ({nested});\n"
+    with pytest.raises(ParseError, match="nested too deeply") as exc:
+        parse_session(text)
+    assert exc.value.line == 2 and 12 < exc.value.column < 12 + len(nested)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly(PolyRing(QQ, ("x",)), nested)
+    f = tmp_path / "s.dk"
+    f.write_text(text)
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: 2:\d+: expression nested too deeply$", err)
+    assert "Traceback" not in err
 
 
 def test_token_positions():
@@ -427,11 +448,6 @@ def _each_not_recovered(rec):
         sample["glued"]["recovers_element"] = False
 
 
-def _each_perturbed_undetected(rec):
-    for sample in _samples(rec):
-        sample["perturbed"]["detected"] = False
-
-
 def _zero_probe(rec):
     # M_0 = 0, so over the base 0 any two fractions are equal
     probe = _samples(rec)[0]["probes"][0]
@@ -475,7 +491,6 @@ FORGERIES = {
     "null-outcome": (1, lambda r: r.update(outcome=None,
                                           certificate={"samples": []})),
     "not-recovered": (2, _each_not_recovered),
-    "perturbation-undetected": (2, _each_perturbed_undetected),
     # a field of the wrong JSON type, with a value that compares or parses
     # like the right one
     "seed-float": (1, lambda r: r["bounds"].update(seed=7.0)),
@@ -488,8 +503,6 @@ FORGERIES = {
     "compat-false": (2, lambda r: _samples(r)[0]["glued"].update(compat=False)),
     "recovers-element-one":
         (2, lambda r: _samples(r)[0]["glued"].update(recovers_element=1)),
-    "detected-one": (2, lambda r: _samples(r)[0]["perturbed"]
-                     .update(detected=1)),
     "in-torsion-zero": (3, lambda r: _samples(r)[1].update(in_torsion=0)),
     "lift-string": (3, lambda r: _samples(r)[0]["components"][0]
                     ["loc_certificate"].update(lift="00")),
@@ -807,7 +820,7 @@ PINNED_DIGESTS = {
     "good": (GOOD, [
         "97fabbb9c2b232becea1a9b1cbec07982da13e786c13841d64e28da17915d439",
         "d31153d6aa8e697c8548a486fe2bde68d5c290e963012dde3b1cc96f22aad554",
-        "2b0f4a18801f2c65b520ee60633e869ba079d527b8b00276190a0112b9bb3361",
+        "060f991799f07535801c216b91f4b538832869775ad37e928e99e7f891d2c109",
         "b88633a141dbb85b614e2bb3d70a80858caeaa78834dae309c88393df60768ed",
         "a3586096cb2b68a41f88bdb142cdb13913ddb85b33b5f46bdd208d1bc8283673",
     ]),
@@ -826,7 +839,7 @@ PINNED_DIGESTS = {
     ]),
     "bench-transform": (BENCH_TRANSFORM, [
         "b23e068ba905629acacb2460324bf918c1ee671a26cd58f54a2b0b73fca8f201",
-        "0e4289bb643e3c6f16cec1ceb04751fafefda643361a78cf7edd9c4d45957b83",
+        "c2db9b3ab775ddefed3767c62dedaeaf2bf9539c991801958a74828bd0d9afb0",
         "7a8746f6a1d0d6dbda0e6ce5d6df68da7bafa05d95304f356f2ed6386a72a2c5",
     ]),
 }
@@ -842,8 +855,8 @@ def test_pinned_digests(name):
 
 
 def test_bench_transform_work_counts(monkeypatch):
-    """The Gröbner work of the seed-1 transform session: 21 computed bases
-    and 11 ``kernel_mod`` calls, counted by wrapping
+    """The Gröbner work of the seed-1 transform session: 18 computed bases
+    and 9 ``kernel_mod`` calls, counted by wrapping
     ``FreeSubmodule._compute_basis`` and every module's binding of
     ``kernel_mod``, so that work added or removed anywhere shows here.
 
@@ -873,7 +886,7 @@ def test_bench_transform_work_counts(monkeypatch):
         monkeypatch.setattr(mod, "kernel_mod", counting_kernel)
     rep = build_report(BENCH_TRANSFORM, parse_session(BENCH_TRANSFORM))
     assert rep["ok"] is True
-    assert (len(bases), len(kernels)) == (21, 11)
+    assert (len(bases), len(kernels)) == (18, 9)
 
 
 def test_bench_tower_work_counts(monkeypatch):
@@ -910,6 +923,32 @@ def test_bench_tower_work_counts(monkeypatch):
     rep = build_report(BENCH_TOWER, parse_session(BENCH_TOWER))
     assert rep["ok"] is True
     assert (len(bases), len(kernels), len(reductions)) == (22, 12, 678)
+
+
+def test_replay_builds_no_groebner_basis(monkeypatch):
+    """Replay is arithmetic on the record's polynomials: parsing the session
+    and replaying the reports of ``GOOD`` and of the tower, transform and
+    obstruction benchmark sessions at seeds 1-3 and 7 computes no Gröbner
+    basis, counted by wrapping ``FreeSubmodule._compute_basis``."""
+    from deligne_kit.groebner import FreeSubmodule
+
+    workloads = _bench_workloads()
+    texts = [GOOD] + [workloads.make(name, seed).text
+                      for name in ("tower", "transform", "obstruction")
+                      for seed in (1, 2, 3, 7)]
+    reports = [build_report(text, parse_session(text)) for text in texts]
+    bases = []
+    real_compute = FreeSubmodule._compute_basis
+
+    def counting_compute(self):
+        bases.append(self)
+        return real_compute(self)
+
+    monkeypatch.setattr(FreeSubmodule, "_compute_basis", counting_compute)
+    for text, rep in zip(texts, reports):
+        assert rep["ok"] is True
+        assert replay_report(text, parse_session(text), rep)["ok"] is True
+    assert bases == []
 
 
 @pytest.mark.parametrize("text", [TOWER, TRANSFORM], ids=["tower", "transform"])
@@ -1077,8 +1116,15 @@ def test_exhausted_outcome_recorded(tmp_path):
     assert rep["ok"] is True
 
 
-@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
-                         ids=["missing", "not-json", "not-utf8"])
+_DEEP = 100_000  # past the JSON decoder's nesting limit on every Python
+
+
+@pytest.mark.parametrize("content", [
+    None, "{not json", b"\xff\xfe", "[" * _DEEP,
+    '{"records": [{"certificate": ' + "[" * _DEEP + "]" * _DEEP + "}]}",
+    '{"ok": ' + "7" * 5000 + "}",
+], ids=["missing", "not-json", "not-utf8", "nested", "nested-certificate",
+        "long-integer"])
 def test_main_unreadable_report_exits_2(tmp_path, capsys, content):
     f = tmp_path / "s.dk"
     f.write_text("ring Q[x];\ntask idealization poles (1) cap 2;\n")
@@ -1089,6 +1135,15 @@ def test_main_unreadable_report_exits_2(tmp_path, capsys, content):
         path.write_bytes(content)
     assert main(["run", str(f), "--replay", str(path)]) == 2
     assert "error: cannot read report" in capsys.readouterr().err
+
+
+def test_main_non_utf8_session_exits_2(tmp_path, capsys):
+    f = tmp_path / "s.dk"
+    f.write_bytes(b"ring Q[x];\n# \xff\n")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read session: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("option, message",

@@ -47,16 +47,10 @@ KNOWN_GAPS = {
     ("deligne-roundtrip", "leaf", "samples.#.stage"),
     ("deligne-roundtrip", "leaf", "samples.#.values.#.#"),
     ("sheaf-glue", "drop", "samples.#.exponents.#"),
-    ("sheaf-glue", "drop", "samples.#.perturbed.pair.#"),
     ("sheaf-glue", "empty", "samples.#.exponents"),
-    ("sheaf-glue", "empty", "samples.#.perturbed.pair"),
     ("sheaf-glue", "leaf", "samples.#.exponents.#"),
     ("sheaf-glue", "leaf", "samples.#.glued.cocycle_exponent"),
     ("sheaf-glue", "leaf", "samples.#.glued.compat"),
-    ("sheaf-glue", "leaf", "samples.#.perturbed.chart"),
-    ("sheaf-glue", "leaf", "samples.#.perturbed.pair.#"),
-    ("sheaf-glue", "leaf", "samples.#.perturbed.t_star"),
-    ("sheaf-glue", "leaf", "torsion_only"),
 }
 
 
