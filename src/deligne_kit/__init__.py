@@ -10,7 +10,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .rings import GF, QQ, Poly, PolyRing
+from .rings import GF, QQ, Poly, PolyRing, SequenceSpec
 from .groebner import FreeSubmodule, kernel_mod
 from .modules import (
     FpModule,
@@ -25,12 +25,11 @@ from .modules import (
     radical_lift,
     saturate,
 )
+from .check import ProZeroCertificate
 from .koszul import (
     HomologyModule,
     HomologyTransition,
-    ProZeroCertificate,
     SearchExhausted,
-    SequenceSpec,
     homology_transition,
     koszul_homology,
     pro_zero_search,

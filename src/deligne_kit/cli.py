@@ -24,9 +24,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from .check import record_acceptable
 from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
-from .tasks import record_acceptable, replay_record, run_task
+from .tasks import replay_record, run_task
 
 SCHEMA = "deligne-kit/report/v2"
 USAGE = "usage: deligne-kit run FILE [--replay REPORT] [--out PATH]"

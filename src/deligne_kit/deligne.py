@@ -7,16 +7,8 @@ commutative-diagram check, and sheaf-axiom verification over the cover
 
 from __future__ import annotations
 
+from .check import LocEqualCertificate, ProZeroCertificate, _cross_difference
 from .errors import InternalError, StructuralError
-from .groebner import (
-    Vector,
-    vec_degree,
-    vec_dot,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-)
-from .koszul import ProZeroCertificate, SequenceSpec
 from .modules import (
     FpModule,
     ModuleElement,
@@ -28,7 +20,7 @@ from .modules import (
     radical_lift,
     saturate,
 )
-from .rings import Poly
+from .rings import Poly, SequenceSpec, vec_is_zero, vec_scale, vec_sub
 
 
 # ---------------------------------------------------------------------------
@@ -75,81 +67,6 @@ def kill_exponent(M: FpModule, base: Poly, elem: ModuleElement):
         cur = base * cur
         c += 1
     return c
-
-
-def _cross_difference(base: Poly, na, a: int, nb, b: int, c: int) -> Vector:
-    """base^(c+b)*na - base^(c+a)*nb, the cross difference of na/base^a and
-    nb/base^b killed by base^c, built as base^(c+mu)*D with mu = min(a, b)
-    and D = base^(b-mu)*na - base^(a-mu)*nb; no power scales a zero vector."""
-
-    def times_power(n, v):
-        if n == 0 or vec_is_zero(v):
-            return tuple(v)
-        return vec_scale(base**n, v)
-
-    mu = min(a, b)
-    return times_power(
-        c + mu, vec_sub(times_power(b - mu, na), times_power(a - mu, nb))
-    )
-
-
-class LocEqualCertificate:
-    """Exact witness that na/base^a = nb/base^b in M_base: the kill exponent
-    c and a lift with base^(c+b)*na - base^(c+a)*nb = sum(lift_i *
-    relation_i) as raw ambient vectors, checked by ``verify`` with
-    polynomial arithmetic alone."""
-
-    __slots__ = ("c", "lift")
-
-    def __init__(self, c: int, lift: tuple):
-        self.c = c
-        self.lift = lift
-
-    def verify(self, M: FpModule, base_degree: int, base, na, a: int, nb,
-               b: int) -> bool:
-        """Whether the identity holds for the raw vectors na and nb over a
-        nonzero base of degree base_degree (M_0 = 0 would make every
-        fraction equal).  ``base()`` returns the base; it is called only
-        once the degree test below has bounded the powers.
-
-        The identity reads L = sum(lift_i * relation_i), whose right side
-        costs no power.  Over a field deg(f*g) = deg f + deg g (the degree
-        of a vector is the largest degree of an entry, -1 for zero), so L
-        can equal the right side only if both have the same degree, and
-        deg L is read off the degrees of na and nb.  L = base^(c+mu)*D with
-        mu = min(a, b) and D = base^k*n_1 - n_2, where k = |a - b| and n_1
-        is the numerator of the smaller exponent.  D = 0 makes L = 0; the
-        run's kill exponent of a zero difference is 0, so c = 0 and a zero
-        right side are required.  Otherwise deg L = (c + mu)*deg(base) +
-        deg D, and deg D = max(k*deg(base) + deg n_1, deg n_2) unless the
-        two are equal; then k*deg(base) <= deg n_2 and D is computed
-        outright.  A constant base is a unit, and no power of a unit kills
-        a nonzero vector, so the run records c = 0, which is required; the
-        powers of D are then scalars.  Every power raised after the test
-        has a degree that the degrees of na, nb and the lift bound."""
-        c = self.c
-        if base_degree < 0 or min(a, b, c) < 0:
-            return False
-        rhs = vec_dot(self.lift, M.relations.gens, M.ring, M.rank)
-        mu = min(a, b)
-        n_1, n_2 = (na, nb) if a <= b else (nb, na)
-        deg_1, deg_2 = vec_degree(n_1), vec_degree(n_2)
-        if deg_1 >= 0:
-            deg_1 += abs(a - b) * base_degree
-        if deg_1 == deg_2 >= 0:
-            # the top forms of D's two terms may cancel; form D, whose power
-            # has degree at most deg_2
-            deg_d = vec_degree(
-                _cross_difference(base(), na, a - mu, nb, b - mu, 0))
-        else:
-            deg_d = max(deg_1, deg_2)
-        if deg_d < 0:
-            return c == 0 and vec_is_zero(rhs)
-        if (base_degree == 0 and c != 0
-                or (c + mu) * base_degree + deg_d != vec_degree(rhs)):
-            return False
-        lhs = _cross_difference(base(), na, a, nb, b, c)
-        return vec_is_zero(vec_sub(lhs, rhs))
 
 
 def loc_equal(f: LocalFraction, g: LocalFraction):

@@ -44,12 +44,7 @@ translation back to the generators also needs each generator written in
 the basis; ``syzygies()``, the only reader, reduces the generators then,
 so ``groebner()`` alone reduces none of them.
 
-``vec_dot`` adds each product of a term of c_i and a term of an entry of
-v_i in place into one plain dict per coordinate, dropping a coefficient
-that cancels to zero; each coordinate becomes a polynomial once, at the
-end, and an empty one is the ring's one shared zero (``PolyRing.zero``).
-Every c_i must lie in the given ring and share it with each entry it
-multiplies.  It and ``_reduce_full`` inline the monomial product,
+``_reduce_full`` and ``rings.vec_dot`` inline the monomial product,
 divisibility test and quotient (``rings``) in their inner loops, the two
 loops where the call was measured to matter.
 
@@ -77,99 +72,33 @@ from .errors import InternalError, StructuralError
 from .rings import (
     Poly,
     PolyRing,
+    Vector,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    unit_vector,
+    vec_dot,
+    vec_is_zero,
+    vec_sub,
 )
-
-Vector = tuple  # tuple of Poly, one per ambient coordinate
 
 
 # ---------------------------------------------------------------------------
 # vector helpers
 
 
-def zero_vector(ring: PolyRing, rank: int) -> Vector:
-    return tuple(ring.zero() for _ in range(rank))
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return not any(p.terms for p in v)
-
-
-def vec_degree(v: Vector) -> int:
-    """The largest total degree of an entry of v; -1 for the zero vector."""
-    return max((p.total_degree() for p in v), default=-1)
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(q: Poly, v: Vector) -> Vector:
-    return tuple(q * a for a in v)
 
 
 def vec_scale_coeff(c, v: Vector) -> Vector:
     return tuple(a.scale(c) for a in v)
 
 
-def vec_dot(coeffs, vectors, ring: PolyRing, rank: int) -> Vector:
-    """sum(c_i * v_i) in R^rank over zip(coeffs, vectors), accumulated
-    into one plain dict per coordinate that some product reaches; each
-    becomes a polynomial once, at the end, and every other coordinate is
-    the ring's zero.  Every c_i and every entry it multiplies must lie in
-    ``ring``."""
-    fld = ring.field
-    fadd, fmul, fzero = fld.add, fld.mul, fld.zero
-    acc = {}  # coordinate -> {monomial: coefficient}
-    for c, v in zip(coeffs, vectors):
-        if not c.terms:
-            continue
-        if c.ring is not ring and c.ring != ring:
-            raise StructuralError("mixed rings")
-        cterms = c.terms.items()
-        for i, a in enumerate(v):
-            if not a.terms:
-                continue
-            c._check(a)
-            d = acc.get(i)
-            if d is None:
-                acc[i] = d = {}
-            for m1, c1 in cterms:
-                for m2, c2 in a.terms.items():
-                    m = tuple(map(add, m1, m2))  # monomial_mul, inlined
-                    t = fmul(c1, c2)
-                    cur = d.get(m)
-                    if cur is None:
-                        d[m] = t
-                    else:
-                        t = fadd(cur, t)
-                        if t == fzero:
-                            del d[m]
-                        else:
-                            d[m] = t
-    out = [ring.zero()] * rank
-    for i, d in acc.items():
-        if d:
-            out[i] = Poly(ring, d)
-    return tuple(out)
-
-
 def _sparse_dot(quots, vectors, ring: PolyRing, rank: int) -> Vector:
     """sum(q_t * vectors[t]) over the quotient dict {t: q_t}."""
     return vec_dot(quots.values(), [vectors[t] for t in quots], ring, rank)
-
-
-def unit_vector(ring: PolyRing, rank: int, i: int) -> Vector:
-    """e_i in R^rank; the zero vector when i >= rank."""
-    zero = ring.zero()
-    return tuple(ring.one() if j == i else zero for j in range(rank))
 
 
 def vec_key(v: Vector):

@@ -4,86 +4,26 @@ between tower stages, and bounded pro-zero certificate search.
 Exterior basis: sorted subsets S of {0..k-1}; the degree-i differential
 sends e_S (x) m to sum over j in S of (-1)^pos(j,S) * x_j^n * e_{S\\j} (x) m.
 With this convention the stage-m -> stage-n chain map is diagonal, the
-subset S component being multiplication by prod_{j in S} x_j^(m-n).
+subset S component being multiplication by prod_{j in S} x_j^(m-n).  The
+differential columns, that chain map and the certificates a search
+returns are defined in ``check``, which replays them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 
+from .check import (
+    CertificateEntry,
+    ProZeroCertificate,
+    koszul_differential_columns,
+    koszul_subsets,
+    transport_cycle,
+)
 from .errors import InternalError, StructuralError
-from .groebner import (
-    FreeSubmodule,
-    Vector,
-    kernel_mod,
-    unit_vector,
-    vec_dot,
-    vec_is_zero,
-    vec_sub,
-)
-from .modules import (
-    FpModule,
-    ModuleElement,
-    ModuleHom,
-    blockdiag_relations,
-    module_kernel,
-)
-from .rings import Poly
-
-
-class SequenceSpec:
-    """A sequence x_1, ..., x_k of nonzero ring elements."""
-
-    def __init__(self, elements):
-        elements = tuple(elements)
-        if not elements:
-            raise StructuralError("empty sequence")
-        ring = elements[0].ring
-        for x in elements:
-            if not isinstance(x, Poly) or x.ring != ring:
-                raise StructuralError("sequence entries must share the ring")
-            if x.is_zero():
-                raise StructuralError("sequence entries must be nonzero")
-        self.elements = elements
-        self.ring = ring
-        self.k = len(elements)
-
-    def powers(self, n: int):
-        return tuple(x**n for x in self.elements)
-
-    def key(self):
-        return tuple(x.key() for x in self.elements)
-
-    def __repr__(self):
-        return "(" + ", ".join(str(x) for x in self.elements) + ")"
-
-
-def koszul_subsets(k: int, i: int):
-    return list(combinations(range(k), i))
-
-
-def koszul_differential_columns(x: SequenceSpec, n: int, mrank: int, i: int):
-    """Columns of d_i : K_i -> K_{i-1} over the ambient free modules; pure
-    polynomial data, independent of any module presentation."""
-    ring = x.ring
-    pw = x.powers(n)
-    subs_i = koszul_subsets(x.k, i)
-    subs_im1 = koszul_subsets(x.k, i - 1)
-    index_im1 = {S: t for t, S in enumerate(subs_im1)}
-    target_rank = mrank * len(subs_im1)
-    cols = []
-    for S in subs_i:
-        for b in range(mrank):
-            img = [ring.zero()] * target_rank
-            for pos, j in enumerate(S):
-                T = tuple(v for v in S if v != j)
-                t_idx = index_im1[T]
-                coeff = pw[j] if pos % 2 == 0 else -pw[j]
-                slot = t_idx * mrank + b
-                img[slot] = img[slot] + coeff
-            cols.append(tuple(img))
-    return cols
+from .groebner import FreeSubmodule, kernel_mod
+from .modules import FpModule, ModuleElement, ModuleHom, module_kernel
+from .rings import SequenceSpec, blockdiag_relations, unit_vector, vec_is_zero
 
 
 class KoszulStage:
@@ -234,34 +174,6 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
 # transitions between stages
 
 
-def transition_multipliers(x: SequenceSpec, i: int, m: int, n: int):
-    """For each i-subset S, the factor prod_{j in S} x_j^(m-n); memoised
-    on the ring, since a search transports every cycle by the same
-    factors."""
-    ring = x.ring
-    key = ("transition_multipliers", x.key(), i, m - n)
-    if key not in ring.memo:
-        pw = x.powers(m - n)
-        out = []
-        for S in combinations(range(x.k), i):
-            f = ring.one()
-            for j in S:
-                f = f * pw[j]
-            out.append(f)
-        ring.memo[key] = tuple(out)
-    return ring.memo[key]
-
-
-def transport_cycle(x: SequenceSpec, i: int, m: int, n: int, M: FpModule, vec):
-    """Apply the stage-m -> stage-n chain map in degree i."""
-    mults = transition_multipliers(x, i, m, n)
-    out = []
-    for t, f in enumerate(mults):
-        for b in range(M.rank):
-            out.append(f * vec[t * M.rank + b])
-    return tuple(out)
-
-
 class HomologyTransition:
     """The induced map H_i(x^(m); M) -> H_i(x^(n); M) on presentations."""
 
@@ -299,83 +211,6 @@ def homology_transition(
 
 # ---------------------------------------------------------------------------
 # pro-zero certificates
-
-
-class CertificateEntry:
-    """One homology generator's boundary-preimage witness.
-
-    Exact identities (no Gröbner data needed to replay):
-      d_i^(m)(cycle) = sum(cycle_relation_lift * stage_m_relations)
-      d_{i+1}^(n)(preimage_chain) - transport_cycle(cycle)
-          = sum(relation_lift * stage_n_relations)
-    where transport_cycle pushes the stage-m cycle through the chain map.
-    """
-
-    __slots__ = ("cycle", "preimage_chain", "relation_lift",
-                 "cycle_relation_lift")
-
-    def __init__(self, cycle: Vector, preimage_chain: Vector,
-                 relation_lift: tuple, cycle_relation_lift: tuple):
-        self.cycle = cycle
-        self.preimage_chain = preimage_chain
-        self.relation_lift = relation_lift
-        self.cycle_relation_lift = cycle_relation_lift
-
-
-class ProZeroCertificate:
-    """Witness that H_i(x^(m); M) -> H_i(x^(n); M) is the zero map."""
-
-    __slots__ = ("x", "i", "base_n", "witness_m", "M", "entries")
-
-    def __init__(self, x: SequenceSpec, i: int, base_n: int, witness_m: int,
-                 M: FpModule, entries: list):
-        self.x = x
-        self.i = i
-        self.base_n = base_n
-        self.witness_m = witness_m
-        self.M = M
-        self.entries = entries
-
-    def verify(self) -> bool:
-        """Replay every boundary identity exactly: pure polynomial
-        arithmetic over the declared relation generators, no Gröbner data.
-        An entry whose vectors do not have the lengths of these identities
-        fails."""
-        x, i, n, m, M = self.x, self.i, self.base_n, self.witness_m, self.M
-        ring = x.ring
-        k = x.k
-        blocks_i = len(koszul_subsets(k, i))
-        rank_i = M.rank * blocks_i
-        rels_i = blockdiag_relations(M.relations.gens, M.rank, blocks_i, ring)
-        if i >= 1:
-            blocks_im1 = len(koszul_subsets(k, i - 1))
-            rank_im1 = M.rank * blocks_im1
-            rels_im1 = blockdiag_relations(
-                M.relations.gens, M.rank, blocks_im1, ring
-            )
-            d_i_m = koszul_differential_columns(x, m, M.rank, i)
-        else:
-            rels_im1 = []
-        # d_{k+1} = 0: at the top degree the preimage chain is empty
-        d_ip1_n = (koszul_differential_columns(x, n, M.rank, i + 1)
-                   if i < k else [])
-        shape = (rank_i, len(d_ip1_n), len(rels_i), len(rels_im1))
-        for e in self.entries:
-            if tuple(map(len, (e.cycle, e.preimage_chain, e.relation_lift,
-                               e.cycle_relation_lift))) != shape:
-                return False
-            transported = transport_cycle(x, i, m, n, M, e.cycle)
-            if i >= 1:
-                dz = vec_dot(e.cycle, d_i_m, ring, rank_im1)
-                combo = vec_dot(e.cycle_relation_lift, rels_im1, ring, rank_im1)
-                if not vec_is_zero(vec_sub(dz, combo)):
-                    return False
-            dw = vec_dot(e.preimage_chain, d_ip1_n, ring, rank_i)
-            lhs = vec_sub(dw, transported)
-            combo = vec_dot(e.relation_lift, rels_i, ring, rank_i)
-            if not vec_is_zero(vec_sub(lhs, combo)):
-                return False
-        return True
 
 
 class SearchExhausted:

@@ -8,20 +8,19 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .errors import InternalError, StructuralError
-from .groebner import (
-    FreeSubmodule,
+from .groebner import FreeSubmodule, kernel_mod, vec_add, vec_key
+from .rings import (
+    Poly,
+    PolyRing,
     Vector,
-    kernel_mod,
+    blockdiag_relations,
     unit_vector,
-    vec_add,
     vec_dot,
     vec_is_zero,
-    vec_key,
     vec_scale,
     vec_sub,
     zero_vector,
 )
-from .rings import Poly, PolyRing
 
 
 class FpModule:
@@ -215,18 +214,6 @@ def module_kernel(h: ModuleHom):
     return kernel_mod(
         list(h.columns), list(h.target.relations.gens), ring, h.target.rank
     )
-
-
-def blockdiag_relations(relation_gens, mrank: int, blocks: int, ring):
-    """Relations of M^blocks: one copy of each generator per block, block
-    outer, generator inner."""
-    rels = []
-    for b in range(blocks):
-        for nu in relation_gens:
-            vec = [ring.zero()] * (mrank * blocks)
-            vec[b * mrank : (b + 1) * mrank] = list(nu)
-            rels.append(tuple(vec))
-    return rels
 
 
 # ---------------------------------------------------------------------------

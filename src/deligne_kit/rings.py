@@ -2,7 +2,10 @@
 
 Coefficients are arbitrary-precision rationals or elements of a prime field
 F_p; polynomials are sparse maps from exponent vectors to nonzero
-coefficients.  Monomial orders: grevlex (default) and lex.
+coefficients.  Monomial orders: grevlex (default) and lex.  A vector is a
+tuple of polynomials, one per coordinate of R^rank; the vector arithmetic
+that the algebra and the replay checks (``check``) share lives here, with
+``SequenceSpec``.
 
 A monomial is a plain tuple of exponents.  Each monomial operation has one
 definition, which maps an ``operator`` function over the two tuples:
@@ -559,3 +562,118 @@ def power(base, n: int, one):
         if n:
             base = base * base
     return result
+
+
+# ---------------------------------------------------------------------------
+# vectors and sequences
+
+Vector = tuple  # tuple of Poly, one per ambient coordinate
+
+
+def zero_vector(ring: PolyRing, rank: int) -> Vector:
+    return tuple(ring.zero() for _ in range(rank))
+
+
+def vec_is_zero(v: Vector) -> bool:
+    return not any(p.terms for p in v)
+
+
+def vec_degree(v: Vector) -> int:
+    """The largest total degree of an entry of v; -1 for the zero vector."""
+    return max((p.total_degree() for p in v), default=-1)
+
+
+def vec_sub(u: Vector, v: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(q: Poly, v: Vector) -> Vector:
+    return tuple(q * a for a in v)
+
+
+def vec_dot(coeffs, vectors, ring: PolyRing, rank: int) -> Vector:
+    """sum(c_i * v_i) in R^rank over zip(coeffs, vectors), accumulated
+    into one plain dict per coordinate that some product reaches, in place
+    and dropping a coefficient that cancels to zero; each becomes a
+    polynomial once, at the end, and every other coordinate is the ring's
+    one shared zero.  Every c_i and every entry it multiplies must lie in
+    ``ring``."""
+    fld = ring.field
+    fadd, fmul, fzero = fld.add, fld.mul, fld.zero
+    acc = {}  # coordinate -> {monomial: coefficient}
+    for c, v in zip(coeffs, vectors):
+        if not c.terms:
+            continue
+        if c.ring is not ring and c.ring != ring:
+            raise StructuralError("mixed rings")
+        cterms = c.terms.items()
+        for i, a in enumerate(v):
+            if not a.terms:
+                continue
+            c._check(a)
+            d = acc.get(i)
+            if d is None:
+                acc[i] = d = {}
+            for m1, c1 in cterms:
+                for m2, c2 in a.terms.items():
+                    m = tuple(map(add, m1, m2))  # monomial_mul, inlined
+                    t = fmul(c1, c2)
+                    cur = d.get(m)
+                    if cur is None:
+                        d[m] = t
+                    else:
+                        t = fadd(cur, t)
+                        if t == fzero:
+                            del d[m]
+                        else:
+                            d[m] = t
+    out = [ring.zero()] * rank
+    for i, d in acc.items():
+        if d:
+            out[i] = Poly(ring, d)
+    return tuple(out)
+
+
+def unit_vector(ring: PolyRing, rank: int, i: int) -> Vector:
+    """e_i in R^rank; the zero vector when i >= rank."""
+    zero = ring.zero()
+    return tuple(ring.one() if j == i else zero for j in range(rank))
+
+
+def blockdiag_relations(relation_gens, mrank: int, blocks: int, ring):
+    """Relations of M^blocks: one copy of each generator per block, block
+    outer, generator inner."""
+    rels = []
+    for b in range(blocks):
+        for nu in relation_gens:
+            vec = [ring.zero()] * (mrank * blocks)
+            vec[b * mrank : (b + 1) * mrank] = list(nu)
+            rels.append(tuple(vec))
+    return rels
+
+
+class SequenceSpec:
+    """A sequence x_1, ..., x_k of nonzero ring elements."""
+
+    def __init__(self, elements):
+        elements = tuple(elements)
+        if not elements:
+            raise StructuralError("empty sequence")
+        ring = elements[0].ring
+        for x in elements:
+            if not isinstance(x, Poly) or x.ring != ring:
+                raise StructuralError("sequence entries must share the ring")
+            if x.is_zero():
+                raise StructuralError("sequence entries must be nonzero")
+        self.elements = elements
+        self.ring = ring
+        self.k = len(elements)
+
+    def powers(self, n: int):
+        return tuple(x**n for x in self.elements)
+
+    def key(self):
+        return tuple(x.key() for x in self.elements)
+
+    def __repr__(self):
+        return "(" + ", ".join(str(x) for x in self.elements) + ")"

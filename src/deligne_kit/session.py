@@ -12,9 +12,8 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .groebner import vec_dot
 from .modules import FpModule
-from .rings import GF, MAX_DIGITS, QQ, Poly, PolyRing
+from .rings import GF, MAX_DIGITS, QQ, Poly, PolyRing, vec_dot
 
 
 # ---------------------------------------------------------------------------

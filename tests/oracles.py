@@ -254,7 +254,8 @@ def kernel_mod_reference(vectors, relations, ring: PolyRing, rank: int):
     """``groebner.kernel_mod`` computed from every syzygy of vectors +
     relations, each cut to its first len(vectors) coordinates, with zero
     and repeated heads dropped in order."""
-    from deligne_kit.groebner import FreeSubmodule, vec_is_zero, vec_key
+    from deligne_kit.groebner import FreeSubmodule, vec_key
+    from deligne_kit.rings import vec_is_zero
 
     vectors = [tuple(v) for v in vectors]
     relations = [tuple(n) for n in relations]

@@ -29,12 +29,8 @@ from deligne_kit.idealization import (
     s_annihilator,
     tau_image,
 )
-from deligne_kit.koszul import (
-    ProZeroCertificate,
-    SearchExhausted,
-    SequenceSpec,
-    pro_zero_search,
-)
+from deligne_kit.check import ProZeroCertificate
+from deligne_kit.koszul import SearchExhausted, pro_zero_search
 from deligne_kit.modules import (
     FpModule,
     ModuleHom,
@@ -42,7 +38,7 @@ from deligne_kit.modules import (
     ideal_as_module,
     ideal_power,
 )
-from deligne_kit.rings import GF, QQ, PolyRing
+from deligne_kit.rings import GF, QQ, PolyRing, SequenceSpec
 from deligne_kit.tasks import probe_elements, random_element, random_hom
 
 from oracles import (

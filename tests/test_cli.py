@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import importlib.util
@@ -14,7 +15,7 @@ import pytest
 import deligne_kit
 from deligne_kit.cli import build_report, main, record_digest, replay_report
 from deligne_kit import idealization
-from deligne_kit.deligne import LocEqualCertificate
+from deligne_kit.check import LocEqualCertificate, de_poly
 from deligne_kit.errors import (
     DimensionError,
     InternalError,
@@ -31,7 +32,7 @@ from deligne_kit.session import (
     parse_session,
     tokenize,
 )
-from deligne_kit.tasks import de_poly, replay_record
+from deligne_kit.tasks import replay_record
 
 GOOD = """\
 # demo session
@@ -949,6 +950,74 @@ def test_replay_builds_no_groebner_basis(monkeypatch):
         assert rep["ok"] is True
         assert replay_report(text, parse_session(text), rep)["ok"] is True
     assert bases == []
+
+
+# the modules whose functions replay may enter once the session is parsed:
+# the checker, the ring arithmetic it reads, the idealization verifier, the
+# error types, the task labels and bounds, and the CLI that drives replay
+REPLAY_MODULES = {"check", "rings", "idealization", "errors", "session", "cli"}
+
+
+def test_replay_runs_no_producer_code():
+    """Replaying the reports of ``GOOD`` and of the tower, transform and
+    obstruction benchmark sessions at seeds 1-3 and 7 enters, after the
+    session is parsed, only functions defined in ``REPLAY_MODULES`` and
+    ``tasks.replay_record``, which compares a record's kind, label and
+    bounds before it hands the record to ``check``; the calls are seen
+    with ``sys.setprofile``."""
+    package = os.path.dirname(os.path.abspath(deligne_kit.__file__))
+    workloads = _bench_workloads()
+    texts = [GOOD] + [workloads.make(name, seed).text
+                      for name in ("tower", "transform", "obstruction")
+                      for seed in (1, 2, 3, 7)]
+    entered = set()
+
+    def profile(frame, event, arg):
+        path = os.path.abspath(frame.f_code.co_filename)
+        if event == "call" and os.path.dirname(path) == package:
+            module = os.path.splitext(os.path.basename(path))[0]
+            entered.add(f"{module}.{frame.f_code.co_name}")
+
+    for text in texts:
+        rep = build_report(text, parse_session(text))
+        session = parse_session(text)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = replay_report(text, session, rep)
+        finally:
+            sys.setprofile(previous)
+        assert result["ok"] is True
+    assert "check.replay_prozero" in entered
+    assert "check.idealization_outcome" in entered
+    outside = {name for name in entered
+               if name.split(".")[0] not in REPLAY_MODULES}
+    assert outside == {"tasks.replay_record"}
+
+
+def test_checker_imports_only_errors_rings_and_idealization():
+    """The static side of ``test_replay_runs_no_producer_code``: ``check``
+    imports the standard library and the package's ``errors``, ``rings``
+    and ``idealization`` only, and ``deligne`` imports nothing from
+    ``koszul``."""
+    package = os.path.dirname(os.path.abspath(deligne_kit.__file__))
+
+    def imports(name):
+        with open(os.path.join(package, name + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from ((0, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.level, node.module
+
+    relative = {module for level, module in imports("check") if level}
+    absolute = {module.split(".")[0] for level, module in imports("check")
+                if not level}
+    assert relative == {"errors", "rings", "idealization"}
+    assert absolute <= set(sys.stdlib_module_names)
+    assert not [module for level, module in imports("deligne")
+                if module in ("koszul", "deligne_kit.koszul")]
 
 
 @pytest.mark.parametrize("text", [TOWER, TRANSFORM], ids=["tower", "transform"])

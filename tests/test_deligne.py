@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from deligne_kit.check import LocEqualCertificate
 from deligne_kit.deligne import (
     CechCocycle,
     Glued,
     IdealTransformElement,
     IncompatibleWitness,
     LocalFraction,
-    LocEqualCertificate,
     RhoObstruction,
     alpha_map,
     diagram_check,
@@ -22,9 +22,9 @@ from deligne_kit.deligne import (
     theta_probe,
 )
 from deligne_kit.errors import StructuralError
-from deligne_kit.koszul import SequenceSpec, pro_zero_search
+from deligne_kit.koszul import pro_zero_search
 from deligne_kit.modules import FpModule
-from deligne_kit.rings import GF, QQ, PolyRing
+from deligne_kit.rings import GF, QQ, PolyRing, SequenceSpec
 from deligne_kit.tasks import probe_elements, random_element, random_hom
 
 

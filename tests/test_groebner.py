@@ -5,14 +5,7 @@ import pytest
 
 from deligne_kit import groebner
 from deligne_kit.errors import InternalError, StructuralError
-from deligne_kit.groebner import (
-    FreeSubmodule,
-    kernel_mod,
-    unit_vector,
-    vec_dot,
-    vec_is_zero,
-    vec_lead,
-)
+from deligne_kit.groebner import FreeSubmodule, kernel_mod, vec_lead
 from deligne_kit.rings import (
     GF,
     QQ,
@@ -21,6 +14,9 @@ from deligne_kit.rings import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    unit_vector,
+    vec_dot,
+    vec_is_zero,
 )
 
 from oracles import (

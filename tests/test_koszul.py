@@ -4,27 +4,31 @@ import random
 import pytest
 
 from deligne_kit import deligne, koszul
+from deligne_kit.check import ProZeroCertificate, transition_multipliers
 from deligne_kit.errors import InternalError, StructuralError
-from deligne_kit.groebner import FreeSubmodule, vec_is_zero
+from deligne_kit.groebner import FreeSubmodule
 from deligne_kit.koszul import (
-    ProZeroCertificate,
     SearchExhausted,
-    SequenceSpec,
     _stage,
     homology_transition,
     koszul_homology,
     pro_zero_search,
-    transition_multipliers,
 )
 from deligne_kit.modules import (
     FpModule,
     ModuleHom,
-    blockdiag_relations,
     colon_generators,
     ideal_span,
     module_kernel,
 )
-from deligne_kit.rings import GF, QQ, PolyRing
+from deligne_kit.rings import (
+    GF,
+    QQ,
+    PolyRing,
+    SequenceSpec,
+    blockdiag_relations,
+    vec_is_zero,
+)
 from deligne_kit.session import parse_session
 
 

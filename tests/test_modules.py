@@ -4,14 +4,7 @@ import pytest
 
 from deligne_kit import modules
 from deligne_kit.errors import InternalError, StructuralError
-from deligne_kit.groebner import (
-    FreeSubmodule,
-    kernel_mod,
-    vec_dot,
-    vec_is_zero,
-    vec_scale,
-)
-from deligne_kit.koszul import SequenceSpec
+from deligne_kit.groebner import FreeSubmodule, kernel_mod
 from deligne_kit.modules import (
     FpModule,
     ModuleHom,
@@ -24,7 +17,15 @@ from deligne_kit.modules import (
     radical_lift,
     saturate,
 )
-from deligne_kit.rings import GF, QQ, PolyRing
+from deligne_kit.rings import (
+    GF,
+    QQ,
+    PolyRing,
+    SequenceSpec,
+    vec_dot,
+    vec_is_zero,
+    vec_scale,
+)
 from deligne_kit.tasks import random_hom
 from oracles import colon_reference, saturate_power_chain_reference
 
