@@ -1,17 +1,17 @@
 """Certificate replay: every check ``--replay`` runs on a record once the
-session is parsed, and the certificate classes the run path verifies its
-own claims with, so run and replay share one check of each claim.
+session is parsed.  ``decide`` is the one decision of an outcome: ``run``
+sets each record's outcome with it, and ``--replay`` accepts a record
+only when it gives the outcome the record claims.
 
 A record holds only the evidence that replay cannot recompute by plain
 arithmetic from its task and its other fields: kind, label and bounds are
-rebuilt from the task (``tasks.replay_record`` compares them), a
-fraction's base is its probe or chart, and the idealization witnesses,
-closed forms of (pole, cap), are rebuilt and verified.  Each replayer
-returns the outcome its evidence supports, or None when the evidence does
-not verify.  Replay is plain arithmetic over the declared relation
-generators: it never re-runs the bounded searches or the sampling, builds
-no Gröbner basis, and imports nothing from the modules that produce a
-record.
+rebuilt from the task (``decide`` compares them), a fraction's base is its
+probe or chart, and the idealization witnesses, closed forms of (pole,
+cap), are rebuilt and verified.  Each replayer returns the outcome its
+evidence supports, or None when the evidence does not verify.  Replay is
+plain arithmetic over the declared relation generators: it never re-runs
+the bounded searches or the sampling, builds no Gröbner basis, and
+imports nothing from the modules that produce a record.
 
 Replay bounds its work by degrees before it raises a power.  A record sets
 exponents (a kill exponent c, fraction exponents, the glue exponent e),
@@ -50,6 +50,7 @@ included, by ``LocEqualCertificate.verify``.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -528,11 +529,12 @@ def replay_diagram(record: dict, task, session):
     return "pass"
 
 
-def idealization_outcome(task, session) -> str:
+def idealization_outcome(record: dict, task, session):
     """The outcome "obstruction", once rho_obstruction has verified the
     witness of every pole at every stage 1..cap; the witnesses are closed
-    forms of (pole, cap), so a record carries none of them.  The run and
-    the replay of an idealization task both end here."""
+    forms of (pole, cap), so the certificate is empty."""
+    if record["certificate"] != {}:
+        return None
     _require_positive(cap=task.cap)
     ring = IdealizationRing(session.ring.field)
     for p in task.poles:
@@ -542,21 +544,34 @@ def idealization_outcome(task, session) -> str:
     return "obstruction"
 
 
-def replay_idealization(record: dict, task, session):
-    if record["certificate"] != {}:
-        return None
-    return idealization_outcome(task, session)
-
-
 _REPLAYERS = {
     "prozero": replay_prozero,
     "deligne-roundtrip": replay_roundtrip,
     "sheaf-glue": replay_sheaf,
     "diagram": replay_diagram,
-    "idealization": replay_idealization,
+    "idealization": idealization_outcome,
 }
 
 OUTCOMES = ("pass", "fail", "exhausted", "obstruction")
+
+
+def decide(record: dict, task, session):
+    """The outcome the record's evidence supports, or None: the one
+    decision of an outcome, for the record ``run`` writes and for the one
+    ``--replay`` reads.  The record's kind, label and bounds must be the
+    task's; a prozero record with a certificate also carries the witness_m
+    it is checked at.  A field missing or of the wrong type or value
+    raises KeyError, TypeError, ValueError or StructuralError, and a task
+    that checks nothing StructuralError."""
+    bounds = task.bounds()
+    if task.kind == "prozero" and record["certificate"] != {}:
+        bounds["witness_m"] = de_int(record["bounds"]["witness_m"])
+    # compared as JSON text, which tells 7 from 7.0 and 1 from true
+    claimed = [record["kind"], record["label"], record["bounds"]]
+    given = [task.kind, task.pretty(), bounds]
+    if json.dumps(claimed, sort_keys=True) != json.dumps(given, sort_keys=True):
+        return None
+    return _REPLAYERS[task.kind](record, task, session)
 
 
 def record_acceptable(record: dict, task) -> bool:

@@ -226,8 +226,8 @@ class SearchExhausted:
 
 
 def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):
-    """Smallest m <= m_max with zero transition, as a verified
-    ProZeroCertificate; otherwise SearchExhausted.
+    """Smallest m <= m_max with zero transition, as a ProZeroCertificate,
+    which ``verify()`` checks; otherwise SearchExhausted.
 
     The transition H_i(x^(m); M) -> H_i(x^(n); M) is zero exactly when every
     cycle representative of the stage-m homology, carried to stage n by
@@ -271,8 +271,5 @@ def pro_zero_search(x: SequenceSpec, i: int, n: int, M: FpModule, m_max: int):
                     cycle_relation_lift=tuple(cyc_lift),
                 )
             )
-        cert = ProZeroCertificate(x, i, n, m, M, entries)
-        if not cert.verify():
-            raise InternalError("freshly built certificate failed replay")
-        return cert
+        return ProZeroCertificate(x, i, n, m, M, entries)
     return SearchExhausted(x, i, n, m_max)

@@ -1,24 +1,16 @@
-"""Task runners: each task produces one record with an outcome (pass |
-fail | exhausted | obstruction) and a certificate payload that embeds the
-exact polynomial identities behind every claim (boundary preimages,
-localization-kill lifts, restriction identities).  ``replay_record``
-checks a record's kind, label and bounds against its task and hands the
-record to ``check``, which re-verifies its evidence."""
+"""Task runners: each task produces one record whose certificate payload
+embeds the exact polynomial identities behind every claim (boundary
+preimages, localization-kill lifts, restriction identities).  A runner
+writes evidence only: ``run_task`` sets the record's outcome with
+``check.decide``, the check ``--replay`` runs, and ``replay_record``
+accepts a record whose claimed outcome that check gives."""
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import product
 
-from .check import (
-    _REPLAYERS,
-    OUTCOMES,
-    LocEqualCertificate,
-    _require_positive,
-    de_int,
-    idealization_outcome,
-)
+from .check import OUTCOMES, LocEqualCertificate, decide
 from .deligne import (
     CechCocycle,
     Glued,
@@ -31,7 +23,7 @@ from .deligne import (
     sigma_inverse,
     theta_probe,
 )
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .koszul import SearchExhausted, pro_zero_search
 from .modules import FpModule, hom_module, ideal_as_module
 from .rings import Poly, PolyRing, SequenceSpec
@@ -118,12 +110,12 @@ def probe_elements(xs: SequenceSpec, count: int, rng: random.Random):
 # runners
 
 
-def _record(task, outcome: str, certificate: dict, **found) -> dict:
-    """A task's record; `found` adds a bound the run found (witness_m)."""
+def _record(task, certificate: dict, **found) -> dict:
+    """A task's record without its outcome; `found` adds a bound the run
+    found (witness_m)."""
     return {
         "kind": task.kind,
         "label": task.pretty(),
-        "outcome": outcome,
         "bounds": dict(task.bounds(), **found),
         "certificate": certificate,
     }
@@ -144,7 +136,7 @@ def run_prozero(task: ProzeroTask, session: Session) -> dict:
     M = session.modules[task.module]
     result = pro_zero_search(xs, task.degree, task.from_n, M, task.cap)
     if isinstance(result, SearchExhausted):
-        return _record(task, "exhausted", {})
+        return _record(task, {})
     entries = [
         {
             "cycle": ser_vec(e.cycle),
@@ -154,17 +146,14 @@ def run_prozero(task: ProzeroTask, session: Session) -> dict:
         }
         for e in result.entries
     ]
-    return _record(task, "pass", {"entries": entries},
-                   witness_m=result.witness_m)
+    return _record(task, {"entries": entries}, witness_m=result.witness_m)
 
 
 def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
-    _require_positive(samples=task.samples, probes=task.probes)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     rng = random.Random(task.seed)
     samples = []
-    ok = True
     for _ in range(task.samples):
         stage = rng.choice((1, 2))
         phi = random_hom(xs, stage, M, rng)
@@ -175,7 +164,6 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
             sig = sigma_inverse(cocycle, y)
             the = theta_probe(phi, y)
             cert = loc_equal(sig, the)
-            ok = ok and cert is not None
             probe_records.append(
                 {
                     "y": str(y),
@@ -192,11 +180,10 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
                 "probes": probe_records,
             }
         )
-    return _record(task, "pass" if ok else "fail", {"samples": samples})
+    return _record(task, {"samples": samples})
 
 
 def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
-    _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     ring = session.ring
@@ -213,7 +200,6 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
         return M.combine(coeffs, torsion_gens)
 
     samples = []
-    ok = True
     for _ in range(task.samples):
         m = random_element(M, rng)
         exps = [rng.randint(0, 2) for _ in range(xs.k)]
@@ -225,7 +211,6 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
         entry = {"element": ser_vec(m.vec), "exponents": exps}
         if isinstance(res, Glued):
             back = loc_equal(res.fraction(), LocalFraction(m, res.y, 0))
-            glue_ok = back is not None
             entry["glued"] = {
                 "numerator": ser_vec(res.numerator.vec),
                 "compat": res.compat,
@@ -235,40 +220,34 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
                     for p in res.cocycle.primed_components(res.compat)
                 ],
                 "restriction_lifts": [ser_vec(l) for l in res.restriction_lifts],
-                "recovers_element": glue_ok,
+                "recovers_element": back is not None,
                 "recover_certificate": _loc_payload(back),
             }
-            ok = ok and glue_ok
         else:
             entry["glued"] = None
-            ok = False
 
         # an unused chart draw, kept so each seed samples what it always has
         rng.randrange(xs.k)
         samples.append(entry)
-    return _record(task, "pass" if ok else "fail", {"samples": samples})
+    return _record(task, {"samples": samples})
 
 
 def run_diagram(task: DiagramTask, session: Session) -> dict:
-    _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     rng = random.Random(task.seed)
     gamma = gamma_torsion(M, xs)
     samples = []
-    ok = True
     for _ in range(task.samples):
         m = random_element(M, rng)
         tau = IdealTransformElement.tau(xs, m)
         through = rho_eval(tau)
         natural = CechCocycle.from_global(xs, m, exponent=0)
         comps = []
-        commutes = True
         for i in range(xs.k):
             cert = loc_equal(
                 natural.component_fraction(i), through.component_fraction(i)
             )
-            commutes = commutes and cert is not None
             comps.append(
                 {
                     "through": _fraction_payload(through.component_fraction(i)),
@@ -276,23 +255,21 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
                     "loc_certificate": _loc_payload(cert),
                 }
             )
-        torsion = gamma.contains(m)
-        zero_cocycle = natural.is_zero()
-        exact = torsion == zero_cocycle
-        ok = ok and commutes and exact
         samples.append(
             {
                 "element": ser_vec(m.vec),
                 "components": comps,
-                "in_torsion": torsion,
-                "zero_cocycle": zero_cocycle,
+                "in_torsion": gamma.contains(m),
+                "zero_cocycle": natural.is_zero(),
             }
         )
-    return _record(task, "pass" if ok else "fail", {"samples": samples})
+    return _record(task, {"samples": samples})
 
 
 def run_idealization(task: IdealizationTask, session: Session) -> dict:
-    return _record(task, idealization_outcome(task, session), {})
+    """The witnesses are closed forms of (pole, cap), which ``check``
+    rebuilds and verifies, so the certificate is empty."""
+    return _record(task, {})
 
 
 _RUNNERS = {
@@ -305,25 +282,27 @@ _RUNNERS = {
 
 
 def run_task(task, session: Session) -> dict:
-    return _RUNNERS[task.kind](task, session)
+    """The runner's record with the outcome ``decide`` reads off its
+    evidence.  A record that does not read back or verify is a bug of its
+    runner (InternalError); a task that checks nothing raises
+    StructuralError."""
+    record = _RUNNERS[task.kind](task, session)
+    try:
+        outcome = decide(record, task, session)
+    except (KeyError, TypeError, ValueError) as ex:
+        raise InternalError(f"the record does not read back: {ex!r}") from ex
+    if outcome is None:
+        raise InternalError("the record does not verify")
+    record["outcome"] = outcome
+    return record
 
 
 def replay_record(record: dict, task, session: Session) -> bool:
-    """The record's kind, label and bounds must be the task's, and its
-    outcome the one its evidence supports (``check``).  A record with a field missing
-    or of the wrong type, length or value fails its replay; the caller goes
-    on to the next record."""
+    """Whether ``decide`` gives the outcome the record claims.  A record
+    with a field missing or of the wrong type, length or value fails its
+    replay; the caller goes on to the next record."""
     try:
         outcome = record["outcome"]
-        bounds = task.bounds()
-        if task.kind == "prozero" and outcome == "pass":
-            bounds["witness_m"] = de_int(record["bounds"]["witness_m"])
-        # compared as JSON text, which tells 7 from 7.0 and 1 from true
-        claimed = [record["kind"], record["label"], record["bounds"]]
-        given = [task.kind, task.pretty(), bounds]
-        if (json.dumps(claimed, sort_keys=True) != json.dumps(given, sort_keys=True)
-                or outcome not in OUTCOMES):
-            return False
-        return _REPLAYERS[task.kind](record, task, session) == outcome
+        return outcome in OUTCOMES and decide(record, task, session) == outcome
     except (KeyError, TypeError, ValueError, StructuralError):
         return False

@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 import deligne_kit
+from deligne_kit import tasks
 from deligne_kit.cli import build_report, main, record_digest, replay_report
 from deligne_kit import idealization
 from deligne_kit.check import LocEqualCertificate, de_poly
@@ -1018,6 +1019,66 @@ def test_checker_imports_only_errors_rings_and_idealization():
     assert absolute <= set(sys.stdlib_module_names)
     assert not [module for level, module in imports("deligne")
                 if module in ("koszul", "deligne_kit.koszul")]
+
+
+def test_outcome_names_are_written_only_in_check():
+    """The outcome policy has one owner: outside docstrings, the outcome
+    names appear in the package's code only in ``check.py``."""
+    package = os.path.dirname(os.path.abspath(deligne_kit.__file__))
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, scopes) and node.body
+                      and isinstance(node.body[0], ast.Expr)}
+        if any(isinstance(node, ast.Constant) and id(node) not in docstrings
+               and node.value in ("pass", "fail", "exhausted", "obstruction")
+               for node in ast.walk(tree)):
+            found.add(name)
+    assert found == {"check.py"}
+
+
+def _bump_kill_exponent(loc_equal):
+    def bumped(f, g):
+        cert = loc_equal(f, g)
+        return cert and LocEqualCertificate(cert.c + 1, cert.lift)
+    return bumped
+
+
+def _zero_first_relation_lift(search):
+    def zeroed(x, *args):
+        result = search(x, *args)
+        if getattr(result, "entries", None):
+            entry = result.entries[0]
+            entry.relation_lift = (x.ring.zero(),) * len(entry.relation_lift)
+        return result
+    return zeroed
+
+
+# (workload, forged function, forger, the first task the forgery breaks):
+# the first tower task's module is free, so its relation lifts are empty
+@pytest.mark.parametrize("workload, name, forge, broken", [
+    ("transform", "loc_equal", _bump_kill_exponent, 0),
+    ("tower", "pro_zero_search", _zero_first_relation_lift, 1),
+], ids=["loc-equal", "prozero"])
+def test_run_whose_evidence_does_not_verify_exits_3(
+        monkeypatch, tmp_path, capsys, workload, name, forge, broken):
+    """A runner that writes evidence its own check rejects is a bug, not a
+    pass: ``run`` sets each outcome with the check ``--replay`` runs, so it
+    exits 3, names the task and writes no report."""
+    text = _bench_workloads().make(workload, 1).text
+    monkeypatch.setattr(tasks, name, forge(getattr(tasks, name)))
+    f, out = tmp_path / "s.dk", tmp_path / "r.json"
+    f.write_text(text)
+    assert main(["run", str(f), "--out", str(out)]) == 3
+    label = parse_session(text).tasks[broken].pretty()
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {label}: the record does not verify")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [TOWER, TRANSFORM], ids=["tower", "transform"])

@@ -17,7 +17,7 @@ from deligne_kit.idealization import (
 )
 from deligne_kit.rings import GF, QQ, Poly
 from deligne_kit.session import parse_session
-from deligne_kit.tasks import run_idealization
+from deligne_kit.tasks import run_task
 
 
 @pytest.fixture
@@ -220,7 +220,7 @@ def test_obstruction_run_builds_no_powers(monkeypatch):
 
     monkeypatch.setattr(Poly, "__pow__", no_pow)
     (task,) = session.tasks
-    assert run_idealization(task, session)["outcome"] == "obstruction"
+    assert run_task(task, session)["outcome"] == "obstruction"
 
 
 def test_prime_field_backend():
