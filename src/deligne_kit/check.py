@@ -6,24 +6,29 @@ only when it gives the outcome the record claims.
 A record holds only the evidence that replay cannot recompute by plain
 arithmetic from its task and its other fields: kind, label and bounds are
 rebuilt from the task (``decide`` compares them), a fraction's base is its
-probe or chart, and the idealization witnesses, closed forms of (pole,
-cap), are rebuilt and verified.  Each replayer returns the outcome its
-evidence supports, or None when the evidence does not verify.  Replay is
-plain arithmetic over the declared relation generators: it never re-runs
-the bounded searches or the sampling, builds no Gröbner basis, and
-imports nothing from the modules that produce a record.
+probe or chart, roundtrip and diagram kill exponents are 0, theta's
+exponent is the stage and through's 1, and the idealization witnesses,
+closed forms of (pole, cap), are rebuilt and verified.  A null lift or
+recovery certificate is the one encoding of a failed equality.  Each
+replayer returns the outcome its evidence supports, or None when the
+evidence does not verify.  Replay is plain arithmetic over the declared
+relation generators: it never re-runs the bounded searches or the
+sampling, builds no Gröbner basis, and imports nothing from the modules
+that produce a record.
 
 Replay bounds its work by degrees before it raises a power.  A record sets
-exponents (a kill exponent c, fraction exponents, the glue exponent e),
-and each identity it claims reads L = sum(lift_i * relation_i), where the
-right side costs no power.  Over a field deg(f*g) = deg f + deg g (the
-degree of a vector is the largest degree of an entry, -1 for zero), so L
-can equal the right side only if both have the same degree; replay reads
-deg L off the degrees of the record's polynomials and rejects a mismatch.
-Every power it then raises has a degree that the degrees of the record's
-polynomials bound.  The localization identities (roundtrip probes,
-diagram charts, the sheaf-glue recovery) are checked, degree test
-included, by ``LocEqualCertificate.verify``.
+few exponents: a roundtrip probe sigma's, within the pigeonhole bound of
+its stage, and a sheaf-glue sample the glue exponent e and its recovery's
+kill exponent c, the one c a record sets.  Each identity reads L =
+sum(lift_i * relation_i), where the right side costs no power.  Over a
+field deg(f*g) = deg f + deg g (the degree of a vector is the largest
+degree of an entry, -1 for zero), so L can equal the right side only if
+both have the same degree; replay reads deg L off the degrees of the
+record's polynomials and rejects a mismatch.  Every power it then raises
+has a degree that the degrees of the record's polynomials bound.  The
+localization identities (roundtrip probes, diagram charts, the sheaf-glue
+recovery) are checked, degree test included, by
+``LocEqualCertificate.verify``.
 
 - Sheaf-glue restriction at chart i: with y = sum(x_j^e),
   L = x_i^e*m - y*m'_i = sum_j x_j^e*v_j, v_i = m - m'_i and v_j = -m'_i.
@@ -300,7 +305,8 @@ class LocEqualCertificate:
     """Exact witness that na/base^a = nb/base^b in M_base: the kill exponent
     c and a lift with base^(c+b)*na - base^(c+a)*nb = sum(lift_i *
     relation_i) as raw ambient vectors, checked by ``verify`` with
-    polynomial arithmetic alone."""
+    polynomial arithmetic alone.  Only the sheaf-glue recovery records c;
+    replay gives a roundtrip probe and a diagram chart c = 0."""
 
     __slots__ = ("c", "lift")
 
@@ -356,19 +362,12 @@ class LocEqualCertificate:
 # ---------------------------------------------------------------------------
 # replayers: (record, task, session) -> the outcome the evidence supports
 
-
-def _read_fraction(M, payload: dict) -> tuple:
-    """The numerator vector and the exponent of a fraction payload."""
-    return (de_vec(M.ring, payload["numerator"], M.rank),
-            de_int(payload["exponent"]))
+ROUNDTRIP_STAGES = (1, 2)  # the stages a roundtrip run samples its homs at
 
 
-def _read_loc(M, payload: dict) -> LocEqualCertificate:
-    """The certificate of a {c, lift} payload, one lift entry per relation."""
-    return LocEqualCertificate(
-        de_int(payload["c"]),
-        de_vec(M.ring, payload["lift"], len(M.relations.gens)),
-    )
+def _read_loc(M, c: int, lift) -> LocEqualCertificate:
+    """The certificate of kill exponent c and one lift entry per relation."""
+    return LocEqualCertificate(c, de_vec(M.ring, lift, len(M.relations.gens)))
 
 
 def _top_leads_distinct(xs) -> bool:
@@ -420,29 +419,38 @@ def replay_prozero(record: dict, task, session):
 
 
 def replay_roundtrip(record: dict, task, session):
-    """Both fractions of a probe have the probe y as their base."""
+    """Both fractions of a probe have the probe y as their base: sigma is
+    over y^d, with y^d in (x_1^n, ..., x_k^n), and theta over y^n, n the
+    sample's stage.  A hom's cocycle has compatibility exponent 0, so d is
+    at most xs.pigeonhole_bound(n), and the cross difference
+    phi(y^n*y^d) - phi(y^d*y^n) is 0 in M, so c = 0."""
     _require_positive(samples=task.samples, probes=task.probes)
+    xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     samples = record["certificate"]["samples"]
     if len(samples) != task.samples:
         return None
     for sample in samples:
-        if len(sample["probes"]) != task.probes:
+        n = de_int(sample["stage"])
+        if n not in ROUNDTRIP_STAGES or len(sample["probes"]) != task.probes:
             return None
         for pr in sample["probes"]:
-            if not de_flag(pr["equal"]):
+            if pr["lift"] is None:
                 return "fail"
-            y = de_poly(session.ring, pr["y"])
-            cert = _read_loc(M, pr["loc_certificate"])
-            if not cert.verify(M, y.total_degree(), lambda: y,
-                               *_read_fraction(M, pr["sigma"]),
-                               *_read_fraction(M, pr["theta"])):
+            y = de_poly(M.ring, pr["y"])
+            d = de_int(pr["sigma"]["exponent"])
+            if not 1 <= d <= xs.pigeonhole_bound(n):
+                return None
+            if not _read_loc(M, 0, pr["lift"]).verify(
+                    M, y.total_degree(), lambda: y,
+                    de_vec(M.ring, pr["sigma"]["numerator"], M.rank), d,
+                    de_vec(M.ring, pr["theta"], M.rank), n):
                 return None
     return "pass"
 
 
 def replay_sheaf(record: dict, task, session):
-    """The glue denominator is y = sum(x_i^e), e = compat + cocycle_exponent;
+    """The glue denominator is y = sum(x_i^e), e >= 1 the glued exponent;
     each chart's restriction identity x_i^e*m - y*m'_i is in the relation
     span, and the glued m/y equals element/1 in M_y.  The degree tests of
     the module docstring and of ``LocEqualCertificate.verify`` come before
@@ -460,11 +468,9 @@ def replay_sheaf(record: dict, task, session):
         glued = sample["glued"]
         if glued is None:
             return "fail"
-        compat = de_int(glued["compat"])
-        n = de_int(glued["cocycle_exponent"])
-        if min(compat, n) < 0 or compat + n < 1:
+        e = de_int(glued["exponent"])
+        if e < 1:
             return None
-        e = compat + n
         num = de_vec(ring, glued["numerator"], M.rank)
         primed, lifts = glued["primed"], glued["restriction_lifts"]
         if len(primed) != xs.k or len(lifts) != xs.k:
@@ -487,7 +493,8 @@ def replay_sheaf(record: dict, task, session):
                           ring, M.rank)
             if not vec_is_zero(vec_sub(lhs, rhs)):
                 return None
-        if not de_flag(glued["recovers_element"]):
+        back = glued["recover_certificate"]
+        if back is None:
             return "fail"
 
         @functools.cache
@@ -495,7 +502,7 @@ def replay_sheaf(record: dict, task, session):
             return sum(map(power, range(xs.k)), ring.zero())
 
         y_degree = e * max(x.total_degree() for x in xs.elements)
-        cert = _read_loc(M, glued["recover_certificate"])
+        cert = _read_loc(M, de_int(back["c"]), back["lift"])
         if not cert.verify(M, y_degree if lemma else y().total_degree(), y,
                            num, 1, element, 0):
             return None
@@ -503,8 +510,9 @@ def replay_sheaf(record: dict, task, session):
 
 
 def replay_diagram(record: dict, task, session):
-    """Chart i compares the natural element/1 with the through fraction,
-    both over the base x_i."""
+    """Chart i compares the natural element/1 with the through fraction
+    tau(element)(x_i)/x_i, both over the base x_i; tau(element)(x_i) is
+    x_i*element in M, so c = 0."""
     _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
@@ -518,13 +526,13 @@ def replay_diagram(record: dict, task, session):
             return None
         element = None
         for x, comp in zip(xs.elements, sample["components"]):
-            if not de_flag(comp["equal"]):
+            if comp["lift"] is None:
                 return "fail"
             if element is None:
                 element = de_vec(M.ring, sample["element"], M.rank)
-            cert = _read_loc(M, comp["loc_certificate"])
-            if not cert.verify(M, x.total_degree(), lambda: x, element, 0,
-                               *_read_fraction(M, comp["through"])):
+            through = de_vec(M.ring, comp["through"], M.rank)
+            if not _read_loc(M, 0, comp["lift"]).verify(
+                    M, x.total_degree(), lambda: x, element, 0, through, 1):
                 return None
     return "pass"
 

@@ -324,7 +324,7 @@ def rho_preimage(c: CechCocycle, escalation_cap: int,
         return primed, None
 
     def build(e, primed):
-        N = max(1, xs.k * (e - 1) + 1)
+        N = xs.pigeonhole_bound(e)
         gens = ideal_power(xs.elements, N)
         span = ideal_span(xs.ring, xs.powers(e))
         values = []

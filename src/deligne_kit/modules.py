@@ -12,6 +12,7 @@ from .groebner import FreeSubmodule, kernel_mod, vec_add, vec_key
 from .rings import (
     Poly,
     PolyRing,
+    SequenceSpec,
     Vector,
     blockdiag_relations,
     unit_vector,
@@ -406,16 +407,14 @@ def saturate(M: FpModule, J) -> SaturationResult:
 
 def radical_lift(y: Poly, xs, exponent: int):
     """Smallest d with y^d in (x_1^e, ..., x_k^e) plus lift coefficients;
-    requires y in (x_1, ..., x_k), which makes d <= k(e-1)+1 a priori."""
-    xs = tuple(xs)
-    if not xs:
-        raise StructuralError("empty sequence")
+    requires y in (x_1, ..., x_k), which makes d <= xs.pigeonhole_bound(e)
+    a priori."""
+    xs = SequenceSpec(xs)
     ring = y.ring
-    if not ideal_span(ring, xs).contains((y,)):
+    if not ideal_span(ring, xs.elements).contains((y,)):
         raise StructuralError("element does not lie in the ideal")
-    e = exponent
-    d, lift = least_power(y, ideal_span(ring, [x**e for x in xs]),
-                          max(1, len(xs) * (e - 1) + 1),
+    d, lift = least_power(y, ideal_span(ring, xs.powers(exponent)),
+                          xs.pigeonhole_bound(exponent),
                           "radical lift not found within the pigeonhole bound")
     return d, tuple(lift)
 

@@ -672,6 +672,11 @@ class SequenceSpec:
     def powers(self, n: int):
         return tuple(x**n for x in self.elements)
 
+    def pigeonhole_bound(self, e: int) -> int:
+        """A d with y^d in (x_1^e, ..., x_k^e) for every y in (x_1, ...,
+        x_k): of d = k(e-1)+1 factors x_i, one occurs at least e times."""
+        return max(1, self.k * (e - 1) + 1)
+
     def key(self):
         return tuple(x.key() for x in self.elements)
 

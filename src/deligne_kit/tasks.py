@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .check import OUTCOMES, LocEqualCertificate, decide
+from .check import OUTCOMES, ROUNDTRIP_STAGES, LocEqualCertificate, decide
 from .deligne import (
     CechCocycle,
     Glued,
@@ -121,14 +121,8 @@ def _record(task, certificate: dict, **found) -> dict:
     }
 
 
-def _fraction_payload(f: LocalFraction) -> dict:
-    return {"numerator": ser_vec(f.numerator.vec), "exponent": f.exponent}
-
-
-def _loc_payload(cert: LocEqualCertificate | None) -> dict | None:
-    if cert is None:
-        return None
-    return {"c": cert.c, "lift": ser_vec(cert.lift)}
+def _lift(cert: LocEqualCertificate | None) -> list | None:
+    return None if cert is None else ser_vec(cert.lift)
 
 
 def run_prozero(task: ProzeroTask, session: Session) -> dict:
@@ -155,31 +149,25 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
     rng = random.Random(task.seed)
     samples = []
     for _ in range(task.samples):
-        stage = rng.choice((1, 2))
+        stage = rng.choice(ROUNDTRIP_STAGES)
         phi = random_hom(xs, stage, M, rng)
         cocycle = rho_eval(phi)
-        probes = probe_elements(xs, task.probes, rng)
         probe_records = []
-        for y in probes:
+        for y in probe_elements(xs, task.probes, rng):
             sig = sigma_inverse(cocycle, y)
             the = theta_probe(phi, y)
-            cert = loc_equal(sig, the)
-            probe_records.append(
-                {
-                    "y": str(y),
-                    "sigma": _fraction_payload(sig),
-                    "theta": _fraction_payload(the),
-                    "equal": cert is not None,
-                    "loc_certificate": _loc_payload(cert),
-                }
-            )
-        samples.append(
-            {
-                "stage": stage,
-                "values": [ser_vec(v.vec) for v in phi.values],
-                "probes": probe_records,
-            }
-        )
+            probe_records.append({
+                "y": str(y),
+                "sigma": {"numerator": ser_vec(sig.numerator.vec),
+                          "exponent": sig.exponent},
+                "theta": ser_vec(the.numerator.vec),
+                "lift": _lift(loc_equal(sig, the)),
+            })
+        samples.append({
+            "stage": stage,
+            "values": [ser_vec(v.vec) for v in phi.values],
+            "probes": probe_records,
+        })
     return _record(task, {"samples": samples})
 
 
@@ -208,20 +196,19 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
             num = (x ** exps[i]) * m + torsion_tweak()
             sections.append(LocalFraction(num, x, exps[i]))
         res = sheaf_check(sections, xs)
-        entry = {"element": ser_vec(m.vec), "exponents": exps}
+        entry = {"element": ser_vec(m.vec)}
         if isinstance(res, Glued):
             back = loc_equal(res.fraction(), LocalFraction(m, res.y, 0))
             entry["glued"] = {
                 "numerator": ser_vec(res.numerator.vec),
-                "compat": res.compat,
-                "cocycle_exponent": res.cocycle.exponent,
+                "exponent": res.compat + res.cocycle.exponent,
                 "primed": [
                     ser_vec(p.vec)
                     for p in res.cocycle.primed_components(res.compat)
                 ],
                 "restriction_lifts": [ser_vec(l) for l in res.restriction_lifts],
-                "recovers_element": back is not None,
-                "recover_certificate": _loc_payload(back),
+                "recover_certificate": None if back is None else {
+                    "c": back.c, "lift": ser_vec(back.lift)},
             }
         else:
             entry["glued"] = None
@@ -240,29 +227,19 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
     samples = []
     for _ in range(task.samples):
         m = random_element(M, rng)
-        tau = IdealTransformElement.tau(xs, m)
-        through = rho_eval(tau)
+        through = rho_eval(IdealTransformElement.tau(xs, m))
         natural = CechCocycle.from_global(xs, m, exponent=0)
-        comps = []
-        for i in range(xs.k):
-            cert = loc_equal(
-                natural.component_fraction(i), through.component_fraction(i)
-            )
-            comps.append(
-                {
-                    "through": _fraction_payload(through.component_fraction(i)),
-                    "equal": cert is not None,
-                    "loc_certificate": _loc_payload(cert),
-                }
-            )
-        samples.append(
-            {
-                "element": ser_vec(m.vec),
-                "components": comps,
-                "in_torsion": gamma.contains(m),
-                "zero_cocycle": natural.is_zero(),
-            }
-        )
+        samples.append({
+            "element": ser_vec(m.vec),
+            "components": [
+                {"through": ser_vec(through.components[i].vec),
+                 "lift": _lift(loc_equal(natural.component_fraction(i),
+                                         through.component_fraction(i)))}
+                for i in range(xs.k)
+            ],
+            "in_torsion": gamma.contains(m),
+            "zero_cocycle": natural.is_zero(),
+        })
     return _record(task, {"samples": samples})
 
 

@@ -14,7 +14,13 @@ import pytest
 
 import deligne_kit
 from deligne_kit import tasks
-from deligne_kit.cli import build_report, main, record_digest, replay_report
+from deligne_kit.cli import (
+    SCHEMA,
+    build_report,
+    main,
+    record_digest,
+    replay_report,
+)
 from deligne_kit import idealization
 from deligne_kit.check import LocEqualCertificate, de_poly
 from deligne_kit.errors import (
@@ -447,7 +453,7 @@ def _samples(rec):
 
 def _each_not_recovered(rec):
     for sample in _samples(rec):
-        sample["glued"]["recovers_element"] = False
+        sample["glued"]["recover_certificate"] = None
 
 
 def _zero_probe(rec):
@@ -455,8 +461,7 @@ def _zero_probe(rec):
     probe = _samples(rec)[0]["probes"][0]
     probe["y"] = "0"
     probe["sigma"]["numerator"] = ["x + 7"]
-    probe["theta"]["numerator"] = ["y"]
-    probe["loc_certificate"]["c"] = 1
+    probe["theta"] = ["y"]
 
 
 # (record index in GOOD, mutation): each forgery re-digested, so only replay
@@ -487,9 +492,9 @@ FORGERIES = {
     "sigma-long": (1, lambda r: _samples(r)[0]["probes"][0]["sigma"]
                    ["numerator"].append("x + 1")),
     "through-long": (3, lambda r: _samples(r)[1]["components"][0]["through"]
-                     ["numerator"].append("x + 1")),
+                     .append("x + 1")),
     "loc-lift-long": (1, lambda r: _samples(r)[0]["probes"][0]
-                      ["loc_certificate"].update(lift=["x"] * 3)),
+                      .update(lift=["x"] * 3)),
     "null-outcome": (1, lambda r: r.update(outcome=None,
                                           certificate={"samples": []})),
     "not-recovered": (2, _each_not_recovered),
@@ -499,15 +504,17 @@ FORGERIES = {
     "witness-m-float": (0, lambda r: r["bounds"].update(witness_m=2.0)),
     "exponent-true": (1, lambda r: _samples(r)[1]["probes"][0]["sigma"]
                       .update(exponent=True)),
-    "c-false": (1, lambda r: _samples(r)[0]["probes"][0]["loc_certificate"]
+    "stage-true": (1, lambda r: _samples(r)[1].update(stage=True)),
+    "c-false": (2, lambda r: _samples(r)[0]["glued"]["recover_certificate"]
                 .update(c=False)),
-    "equal-one": (1, lambda r: _samples(r)[0]["probes"][0].update(equal=1)),
-    "compat-false": (2, lambda r: _samples(r)[0]["glued"].update(compat=False)),
+    # a null lift is the one encoding of a failed equality
+    "equal-one": (1, lambda r: _samples(r)[0]["probes"][0].update(lift=1)),
+    "compat-false": (2, lambda r: _samples(r)[0]["glued"].update(exponent=True)),
     "recovers-element-one":
-        (2, lambda r: _samples(r)[0]["glued"].update(recovers_element=1)),
+        (2, lambda r: _samples(r)[0]["glued"].update(recover_certificate=1)),
     "in-torsion-zero": (3, lambda r: _samples(r)[1].update(in_torsion=0)),
     "lift-string": (3, lambda r: _samples(r)[0]["components"][0]
-                    ["loc_certificate"].update(lift="00")),
+                    .update(lift="00")),
     "preimage-chain-string":
         (0, lambda r: _entry(r).update(preimage_chain="1")),
     "restriction-lifts-strings":
@@ -559,21 +566,44 @@ def _first_nonzero_glue(rec):
     return next(s["glued"] for s in _samples(rec) if s["element"] != ["0"])
 
 
+def _probe_over(rec, y):
+    return next(p for sample in _samples(rec) for p in sample["probes"]
+                if p["y"] == y)
+
+
+def _lift_447(probe):
+    # a right side of degree 450 from a few bytes; with c = 0 and sigma's
+    # exponent bounded, no left side over this y reaches that degree
+    probe.update(sigma=dict(probe["sigma"], numerator=["1"]), theta=["0"],
+                 lift=["x^447", "0"])
+
+
+def _inflate_sigma(probe):
+    # theta's numerator has degree 5 over y^1, so x^242/y^80 gives both
+    # terms of the cross difference degree 242, where only forming y^79
+    # could tell them apart: 1.4 s without the pigeonhole bound
+    probe["sigma"].update(numerator=["x^242"], exponent=80)
+
+
+CUBIC = "2*x^3 + 2*y*z^2 - 3*z*w"
+
 INFLATED = {
-    "roundtrip-probe-c": (0, lambda r: _longest_probe(r)["loc_certificate"]
-                          .update(c=10**6)),
-    "diagram-chart-c": (2, lambda r: _samples(r)[0]["components"][0]
-                        ["loc_certificate"].update(c=10**6)),
+    # a roundtrip record sets no kill exponent; sigma's is bounded by the
+    # pigeonhole bound of the sample's stage
+    "roundtrip-probe-c": (0, lambda r: _longest_probe(r)["sigma"]
+                          .update(exponent=10**6)),
+    "roundtrip-sigma-exponent":
+        (0, lambda r: _inflate_sigma(_probe_over(r, CUBIC))),
+    "roundtrip-lift-degree": (0, lambda r: _lift_447(_probe_over(r, CUBIC))),
     "sheaf-recovery-c": (1, lambda r: _first_nonzero_glue(r)
                          ["recover_certificate"].update(c=10**6)),
-    "sheaf-compat": (1, lambda r: _first_nonzero_glue(r).update(compat=10**6)),
+    "sheaf-compat": (1, lambda r: _first_nonzero_glue(r).update(exponent=10**6)),
     # text that the record's writer never emits, whose parse alone would
     # expand a power: 135,751 terms, and a 10^10-bit integer over Q
-    "roundtrip-lift-power": (0, lambda r: _longest_probe(r)["loc_certificate"]
-                             ["lift"].__setitem__(0, "(x + y + z + w + 1)^40")),
+    "roundtrip-lift-power": (0, lambda r: _longest_probe(r)["lift"]
+                             .__setitem__(0, "(x + y + z + w + 1)^40")),
     "diagram-numerator-power": (2, lambda r: _samples(r)[0]["components"][0]
-                                ["through"]["numerator"]
-                                .__setitem__(0, "2^10000000000")),
+                                ["through"].__setitem__(0, "2^10000000000")),
 }
 
 
@@ -716,6 +746,8 @@ def test_main_replay_v1_report_exits_2(report, tmp_path, capsys):
     rep, _ = report
     assert _main_replay(tmp_path, dict(rep, schema="deligne-kit/report/v1")) == 2
     assert "unknown report schema" in capsys.readouterr().err
+    assert _main_replay(tmp_path, dict(rep, schema="deligne-kit/report/v2")) == 2
+    assert "unknown report schema" in capsys.readouterr().err
 
 
 def _main_replay(tmp_path, report):
@@ -816,14 +848,14 @@ task diagram J M samples 2 seed 11;
 """
 
 # Record digests pinned across changes that must not move a certificate; a
-# change that legitimately changes lift coefficients updates them and says
-# so in CHANGES.md.
+# change that legitimately changes lift coefficients, or a new report schema
+# version, updates them and says so in CHANGES.md.
 PINNED_DIGESTS = {
     "good": (GOOD, [
         "97fabbb9c2b232becea1a9b1cbec07982da13e786c13841d64e28da17915d439",
-        "d31153d6aa8e697c8548a486fe2bde68d5c290e963012dde3b1cc96f22aad554",
-        "060f991799f07535801c216b91f4b538832869775ad37e928e99e7f891d2c109",
-        "b88633a141dbb85b614e2bb3d70a80858caeaa78834dae309c88393df60768ed",
+        "6c8f2b6eddc10062f191a60718d06d5228de4b16115edaafc7d4e4a2c742f7c7",
+        "e80b6fb03c969c068d463d2919c06f30473f43bfd95245ccd879fbe4be36d61a",
+        "827fc03135a8d9769993d616a9fc5fc77cdc436bb01e4b2aed63b017c08c0bf9",
         "a3586096cb2b68a41f88bdb142cdb13913ddb85b33b5f46bdd208d1bc8283673",
     ]),
     "rank2-tower": (RANK2_TOWER, [
@@ -840,9 +872,9 @@ PINNED_DIGESTS = {
         "0d159c0563cfaa7f634e64daf441e5033f1216b34367b76213cd9198199c179b",
     ]),
     "bench-transform": (BENCH_TRANSFORM, [
-        "b23e068ba905629acacb2460324bf918c1ee671a26cd58f54a2b0b73fca8f201",
-        "c2db9b3ab775ddefed3767c62dedaeaf2bf9539c991801958a74828bd0d9afb0",
-        "7a8746f6a1d0d6dbda0e6ce5d6df68da7bafa05d95304f356f2ed6386a72a2c5",
+        "cf8460395b7d39443d855b26151fedf9dc2e229bf2a1a88203a6296b132c8106",
+        "655f17e30408d3a2761f421b1b029ca847407e78a4038ec7d35db787bed18089",
+        "1632f09e947e8f5a22c80e8b11c6c33fcdcb107427b722757a361ec1cde6943b",
     ]),
 }
 
@@ -1042,11 +1074,52 @@ def test_outcome_names_are_written_only_in_check():
     assert found == {"check.py"}
 
 
-def _bump_kill_exponent(loc_equal):
-    def bumped(f, g):
+def _string_keys(module, ctx):
+    """The string keys that the package module's functions index with `ctx`
+    (ast.Load or ast.Store), with the keys of their dict literals when
+    `ctx` is ast.Store."""
+    package = os.path.dirname(os.path.abspath(deligne_kit.__file__))
+    with open(os.path.join(package, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    keys = set()
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    for node in (n for f in functions for n in ast.walk(f)):
+        if isinstance(node, ast.Dict) and ctx is ast.Store:
+            keys.update(k.value for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ctx)
+              and isinstance(node.slice, ast.Constant)
+              and isinstance(node.slice.value, str)):
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_every_field_the_runners_write_is_read_by_check():
+    """A field that no check reads leaves the record or becomes checked:
+    each string key that ``tasks`` writes into a record is read in
+    ``check``.  Roundtrip ``values`` waits for the check that applies the
+    power-generator syzygies to them (ROADMAP item 1a)."""
+    written = _string_keys("tasks", ast.Store)
+    assert {"stage", "values", "lift", "recover_certificate"} <= written
+    assert sorted(written - _string_keys("check", ast.Load)) == ["values"]
+
+
+def test_report_schema_doc_names_the_schema():
+    path = os.path.join(os.path.dirname(__file__), "..", "docs",
+                        "report-schema.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.splitlines()[0] == f"# Report schema (`{SCHEMA}`)"
+    assert f'"schema": "{SCHEMA}"' in text
+
+
+def _shift_first_lift(loc_equal):
+    def shifted(f, g):
         cert = loc_equal(f, g)
-        return cert and LocEqualCertificate(cert.c + 1, cert.lift)
-    return bumped
+        one = f.base.ring.one()
+        return cert and LocEqualCertificate(
+            cert.c, (cert.lift[0] + one,) + cert.lift[1:])
+    return shifted
 
 
 def _zero_first_relation_lift(search):
@@ -1062,7 +1135,7 @@ def _zero_first_relation_lift(search):
 # (workload, forged function, forger, the first task the forgery breaks):
 # the first tower task's module is free, so its relation lifts are empty
 @pytest.mark.parametrize("workload, name, forge, broken", [
-    ("transform", "loc_equal", _bump_kill_exponent, 0),
+    ("transform", "loc_equal", _shift_first_lift, 0),
     ("tower", "pro_zero_search", _zero_first_relation_lift, 1),
 ], ids=["loc-equal", "prozero"])
 def test_run_whose_evidence_does_not_verify_exits_3(

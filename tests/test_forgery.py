@@ -43,14 +43,8 @@ KNOWN_GAPS = {
     ("deligne-roundtrip", "empty", "samples.#.values"),
     ("deligne-roundtrip", "empty", "samples.#.values.#"),
     ("deligne-roundtrip", "leaf", "samples.#.probes.#.sigma.exponent"),
-    ("deligne-roundtrip", "leaf", "samples.#.probes.#.theta.exponent"),
-    ("deligne-roundtrip", "leaf", "samples.#.stage"),
     ("deligne-roundtrip", "leaf", "samples.#.values.#.#"),
-    ("sheaf-glue", "drop", "samples.#.exponents.#"),
-    ("sheaf-glue", "empty", "samples.#.exponents"),
-    ("sheaf-glue", "leaf", "samples.#.exponents.#"),
-    ("sheaf-glue", "leaf", "samples.#.glued.cocycle_exponent"),
-    ("sheaf-glue", "leaf", "samples.#.glued.compat"),
+    ("sheaf-glue", "leaf", "samples.#.glued.exponent"),
 }
 
 
