@@ -13,10 +13,12 @@ from .modules import (
     FpModule,
     ModuleElement,
     SaturationResult,
+    extend_vector,
     ideal_as_module,
     ideal_power,
     ideal_span,
     least_power,
+    localization_kernel,
     radical_lift,
     saturate,
 )
@@ -47,19 +49,23 @@ class LocalFraction:
         return f"[{self.numerator}]/({self.base})^{self.exponent}"
 
 
-def base_torsion(M: FpModule, base: Poly) -> SaturationResult:
-    """0 :_M base^infinity, memoised on the module."""
-    key = ("torsion", base.key())
-    if key not in M.memo:
-        M.memo[key] = saturate(M, [base])
-    return M.memo[key]
-
-
 def kill_exponent(M: FpModule, base: Poly, elem: ModuleElement):
-    """Minimal c with base^c * elem = 0 in M, or None if no power kills."""
+    """Minimal c with base^c * elem = 0 in M, or None if no power kills.
+
+    Some power kills m = elem exactly when m lies in
+    ``localization_kernel(M, base)``, K = N + (t*base - 1)*R[t]^rank with
+    N = rel(M)*R[t] (Rabinowitsch; Greuel-Pfister, *A Singular
+    Introduction to Commutative Algebra*, 1.8):
+    - if base^c*m is in N, then m = (1 - (t*base)^c)*m + t^c*base^c*m lies
+      in K, since t*base - 1 divides 1 - (t*base)^c;
+    - if m = n + (t*base - 1)*v with n in N, substitute t = 1/base and
+      clear denominators: base^c*m lies in rel(M) for c the t-degree of n.
+    One Gröbner basis per module and base decides it; the powers are then
+    multiplied out to find the least c."""
     if elem.is_zero():
         return 0
-    if not base_torsion(M, base).contains(elem):
+    kernel = localization_kernel(M, base)
+    if not kernel.contains(extend_vector(elem.vec, kernel.ring)):
         return None
     c = 0
     cur = elem
@@ -447,7 +453,7 @@ def sheaf_check(sections, cover):
         cocycle = CechCocycle(cover, n, comps)
     except IncompatibleComponents as bad:
         xij = xs[bad.i] * xs[bad.j]
-        t_star = base_torsion(M, xij).t_star
+        t_star = saturate(M, [xij]).t_star
         return IncompatibleWitness(
             i=bad.i, j=bad.j, exponent=n, t_star=t_star,
             witness=(xij**t_star) * bad.w,

@@ -1,6 +1,6 @@
 """Finitely presented modules, homomorphisms with well-definedness
-certificates, kernels, Hom modules, saturation, ideal powers and
-radical-membership lifts."""
+certificates, kernels, Hom modules, saturation, localization kernels,
+ideal powers and radical-membership lifts."""
 
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ class FpModule:
     """R^rank modulo the span of relation vectors.  Elements are stored in
     canonical normal form, so equality is syntactic.
 
-    ``memo`` holds the results that depend on this module (torsion
-    submodules, Koszul chain modules, stages and homology), keyed by a tag
+    ``memo`` holds the results that depend on this module (localization
+    kernels, Koszul chain modules, stages and homology), keyed by a tag
     and the other inputs; results that depend only on the ring live on the
     ``PolyRing``.
     """
@@ -403,6 +403,44 @@ def saturate(M: FpModule, J) -> SaturationResult:
         f"colon chain 0 :_M J^t failed to stabilize by t = {_MAX_COLON_CHAIN}"
         f" for J = ({', '.join(str(p) for p in polys)})"
     )
+
+
+# The name of the variable t = 1/f that ``localization_kernel`` appends:
+# no session identifier can take it, so it never clashes with one of R's.
+_LOCALIZATION_VARIABLE = "@t"
+
+
+def extend_vector(vec, ring: PolyRing) -> Vector:
+    """vec, over R, as a vector over ring = R[t], t the last variable."""
+    return tuple(
+        Poly(ring, {mon + (0,): c for mon, c in p.terms.items()}) for p in vec
+    )
+
+
+def localization_kernel(M: FpModule, f: Poly) -> FreeSubmodule:
+    """rel(M)*R[t] + (t*f - 1)*R[t]^rank in R[t]^rank, R[t] being M's ring
+    with one variable appended, in the same field and order.  A vector of
+    R^rank lies in it exactly when its class m in M has m/1 = 0 in M_f
+    (Rabinowitsch; the proof is at ``deligne.kill_exponent``).  Only
+    membership is asked of it, so it tracks no generator.  Memoised on the
+    module; the ring of f is checked before the memo is read, so a base
+    from another ring with the same key never hits it."""
+    if f.ring != M.ring:
+        raise StructuralError("localization base must share the module's ring")
+    if f.is_zero():
+        raise StructuralError("zero localization base")
+    key = ("localization", f.key())
+    if key not in M.memo:
+        ring = M.ring
+        ext = PolyRing(ring.field, ring.variables + (_LOCALIZATION_VARIABLE,),
+                       ring.order)
+        t = ext.gen(ring.nvars)
+        tf_1 = t * extend_vector((f,), ext)[0] - ext.one()
+        gens = [extend_vector(rel, ext) for rel in M.relations.gens]
+        gens += [vec_scale(tf_1, unit_vector(ext, M.rank, i))
+                 for i in range(M.rank)]
+        M.memo[key] = FreeSubmodule(ext, M.rank, gens, tracked=0)
+    return M.memo[key]
 
 
 def radical_lift(y: Poly, xs, exponent: int):

@@ -889,8 +889,8 @@ def test_pinned_digests(name):
 
 
 def test_bench_transform_work_counts(monkeypatch):
-    """The Gröbner work of the seed-1 transform session: 18 computed bases
-    and 9 ``kernel_mod`` calls, counted by wrapping
+    """The Gröbner work of the seed-1 transform session: 12 computed bases
+    and 5 ``kernel_mod`` calls, counted by wrapping
     ``FreeSubmodule._compute_basis`` and every module's binding of
     ``kernel_mod``, so that work added or removed anywhere shows here.
 
@@ -920,7 +920,7 @@ def test_bench_transform_work_counts(monkeypatch):
         monkeypatch.setattr(mod, "kernel_mod", counting_kernel)
     rep = build_report(BENCH_TRANSFORM, parse_session(BENCH_TRANSFORM))
     assert rep["ok"] is True
-    assert (len(bases), len(kernels)) == (18, 9)
+    assert (len(bases), len(kernels)) == (12, 5)
 
 
 def test_bench_tower_work_counts(monkeypatch):
@@ -957,6 +957,44 @@ def test_bench_tower_work_counts(monkeypatch):
     rep = build_report(BENCH_TOWER, parse_session(BENCH_TOWER))
     assert rep["ok"] is True
     assert (len(bases), len(kernels), len(reductions)) == (22, 12, 678)
+
+
+# the seed-1 transform session under order lex, with x renamed t
+TRANSFORM_LEX = os.path.join(os.path.dirname(__file__), "data",
+                             "transform-lex.dk")
+
+
+def _answers(text):
+    rep = build_report(text, parse_session(text))
+    return (
+        [(r["kind"], r["outcome"]) for r in rep["records"]],
+        [(s["in_torsion"], s["zero_cocycle"])
+         for r in rep["records"] if r["kind"] == "diagram"
+         for s in r["certificate"]["samples"]],
+    )
+
+
+def test_transform_answers_do_not_depend_on_order_or_names():
+    """A metamorphic guard: the seed-1 transform session under order lex,
+    with its variable list reversed, with x renamed t, and with both lex
+    and t (``TRANSFORM_LEX``) gives every task the same outcome and every
+    diagram sample the same ``in_torsion`` and ``zero_cocycle`` flags as
+    the session as written.  The name t is the one the localization
+    kernel's own variable must never clash with."""
+    lex = BENCH_TRANSFORM.replace("order grevlex", "order lex")
+    variants = [
+        lex,
+        BENCH_TRANSFORM.replace("Q[x,y,z,w]", "Q[w,z,y,x]"),
+        re.sub(r"\bx\b", "t", BENCH_TRANSFORM),
+        re.sub(r"\bx\b", "t", lex),
+    ]
+    with open(TRANSFORM_LEX, encoding="utf-8") as fh:
+        assert fh.read() == variants[-1]
+    expected = _answers(BENCH_TRANSFORM)
+    assert [o for _, o in expected[0]] == ["pass"] * 3
+    for text in variants:
+        assert text != BENCH_TRANSFORM
+        assert _answers(text) == expected
 
 
 def test_replay_builds_no_groebner_basis(monkeypatch):

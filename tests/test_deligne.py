@@ -14,6 +14,7 @@ from deligne_kit.deligne import (
     diagram_check,
     find_radical_witness,
     gamma_torsion,
+    kill_exponent,
     loc_equal,
     rho_eval,
     rho_preimage,
@@ -24,8 +25,14 @@ from deligne_kit.deligne import (
 from deligne_kit.errors import StructuralError
 from deligne_kit.koszul import pro_zero_search
 from deligne_kit.modules import FpModule
-from deligne_kit.rings import GF, QQ, PolyRing, SequenceSpec
-from deligne_kit.tasks import probe_elements, random_element, random_hom
+from deligne_kit.rings import GF, QQ, PolyRing, SequenceSpec, vec_scale
+from deligne_kit.tasks import (
+    probe_elements,
+    random_element,
+    random_hom,
+    random_poly,
+)
+from oracles import saturate_power_chain_reference
 
 
 @pytest.fixture
@@ -104,6 +111,83 @@ def test_loc_equal_returns_none_for_unequal_fractions(R):
                      LocalFraction(M.zero(), x, 0)) is None
     assert loc_equal(LocalFraction(M.element((x,)), x, 1),
                      LocalFraction(M.element((x + R.one(),)), x, 1)) is None
+
+
+# ---------------------------------------------------------------- kill exponents
+
+
+def _kill_cases(field, rank):
+    # for each base f of the list, a module of `rank` random relations plus
+    # f^2 * (a variable) at one position, so that f-torsion exists and
+    # some kill exponents exceed 1
+    ring = PolyRing(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    rng = random.Random(f"kill:{field.name}:{rank}")
+    bases = [x, x * y, x + y, x**2 - z + ring.one(), ring.const(-1)]
+    for f in bases:
+        rels = [
+            tuple(
+                random_poly(ring, rng) if rng.random() < 0.5 else ring.zero()
+                for _ in range(rank)
+            )
+            for _ in range(rank)
+        ]
+        deep = [ring.zero()] * rank
+        pos = rng.randrange(rank)
+        deep[pos] = ring.gen(rng.randrange(3))
+        rels.append(vec_scale(f**2, deep))
+        # the cofactor of f^2 in that relation is f^2-torsion
+        yield FpModule(ring, rank, rels), f, deep, rng
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(2), GF(3), GF(32003)], ids=["Q", "F2", "F3", "F32003"]
+)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_kill_exponent_matches_power_chain_reference(field, rank):
+    # some power of f kills m exactly when m lies in the reference's
+    # f-torsion span, and the c returned is the least power that kills
+    answers = set()
+    for M, f, deep, rng in _kill_cases(field, rank):
+        t_ref, span_ref = saturate_power_chain_reference(M, [f])
+        elements = [M.zero(), M.element(deep), M.element(vec_scale(f, deep))]
+        elements += [random_element(M, rng) for _ in range(3)]
+        elements += [(f**t_ref) * random_element(M, rng) for _ in range(2)]
+        elements += [M.element(g) for g in span_ref.gens]
+        elements += [M.element(vec_scale(rng.choice(M.ring.gens()), g))
+                     for g in span_ref.gens[:2]]
+        for m in elements:
+            c = kill_exponent(M, f, m)
+            assert (c is None) == (not span_ref.contains(m.vec))
+            if c is not None:
+                assert c <= t_ref
+                assert ((f**c) * m).is_zero()
+                assert c == 0 or not ((f ** (c - 1)) * m).is_zero()
+            answers.add(min(c, 2) if c is not None else None)
+    assert answers == {None, 0, 1, 2}
+
+
+def test_kill_exponent_refuses_a_base_from_another_ring():
+    # the ring is checked before the memo: a base of F3[x,y] is refused for
+    # a Q[x,y] module even when the Q base with the same key is memoised
+    R = PolyRing(QQ, ("x", "y"))
+    x, y = R.gens()
+    fx = PolyRing(GF(3), ("x", "y")).gens()[0]
+    M = FpModule.quotient_ring(R, [x * y])
+    torsion, free = M.element((y,)), M.element((x,))
+    for m in (torsion, free):
+        with pytest.raises(StructuralError):
+            kill_exponent(M, fx, m)
+    assert M.memo == {}
+    assert kill_exponent(M, x, torsion) == 1
+    assert kill_exponent(M, x, free) is None
+    memo = dict(M.memo)
+    for m in (torsion, free):
+        with pytest.raises(StructuralError):
+            kill_exponent(M, fx, m)
+    assert M.memo == memo
+    with pytest.raises(StructuralError):
+        kill_exponent(M, R.zero(), torsion)
 
 
 # ---------------------------------------------------------------- alpha
@@ -456,6 +540,35 @@ def test_sheaf_incompatible_witness(R):
     assert isinstance(out, IncompatibleWitness)
     assert (out.i, out.j) == (0, 1)
     assert not out.witness.is_zero()
+
+
+def test_sheaf_incompatible_witness_matches_power_chain_reference(R):
+    # the witness (x_i x_j)^t_star * w survives in M, and t_star is the
+    # power-chain index of x_i x_j
+    x, y = R.gens()
+    zero = R.zero()
+    found = 0
+    for M in (
+        FpModule.free(R, 1),
+        FpModule(R, 2, [(x**2 * y, zero), (zero, x * y * (x + y))]),
+        FpModule(R, 2, [(x * y**2, x), (zero, y**3)]),
+    ):
+        for xs in (SequenceSpec((x, y)), SequenceSpec((x, y, x + y))):
+            rng = random.Random(f"incompatible:{M.rank}:{xs.k}")
+            for _ in range(4):
+                secs = [LocalFraction(random_element(M, rng), x_i,
+                                      rng.randint(0, 2))
+                        for x_i in xs.elements]
+                out = sheaf_check(secs, xs)
+                if not isinstance(out, IncompatibleWitness):
+                    continue
+                found += 1
+                xij = xs.elements[out.i] * xs.elements[out.j]
+                t_ref, span_ref = saturate_power_chain_reference(M, [xij])
+                assert out.t_star == t_ref
+                assert not out.witness.is_zero()
+                assert not span_ref.contains(out.witness.vec)
+    assert found >= 6
 
 
 def test_sheaf_glue_agrees_with_sigma(R):
