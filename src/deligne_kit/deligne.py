@@ -155,9 +155,8 @@ class CechCocycle:
         kills = {}
         for i in range(cover.k):
             for j in range(i + 1, cover.k):
-                w = (xs[j] ** exponent) * components[i] - (
-                    xs[i] ** exponent
-                ) * components[j]
+                w = M.combine([xs[j] ** exponent, -(xs[i] ** exponent)],
+                              [components[i], components[j]])
                 c = kill_exponent(M, xs[i] * xs[j], w)
                 if c is None:
                     raise IncompatibleComponents(i, j, w)
@@ -225,7 +224,6 @@ class IdealTransformElement:
         for v in values:
             if v.module != module:
                 raise StructuralError("values must lie in the module")
-        self.power_gens = gens
         for s in pres.relations.gens:
             if not module.combine(s, values).is_zero():
                 raise StructuralError(
@@ -396,44 +394,44 @@ def diagram_check(m: ModuleElement, xs: SequenceSpec) -> bool:
 
 
 class Glued:
-    """A glued section m / y (denominator exponent 1) with per-chart
-    restriction identities x_i^e * m = y * m'_i, exact in the module."""
+    """A glued section m / y, y = sum(x_i^e), with the primed components
+    m'_i and per-chart restriction identities x_i^e * m = y * m'_i, exact
+    in the module."""
 
-    __slots__ = ("y", "numerator", "exponent", "compat", "cocycle",
+    __slots__ = ("y", "numerator", "e", "primed", "cocycle",
                  "restriction_lifts")
 
-    def __init__(self, y: Poly, numerator: ModuleElement, exponent: int,
-                 compat: int, cocycle: CechCocycle, restriction_lifts: tuple):
+    def __init__(self, y: Poly, numerator: ModuleElement, e: int, primed,
+                 cocycle: CechCocycle, restriction_lifts: tuple):
         self.y = y
         self.numerator = numerator
-        self.exponent = exponent
-        self.compat = compat
+        self.e = e
+        self.primed = tuple(primed)
         self.cocycle = cocycle
         self.restriction_lifts = restriction_lifts
 
     def fraction(self) -> LocalFraction:
-        return LocalFraction(self.numerator, self.y, self.exponent)
+        return LocalFraction(self.numerator, self.y, 1)
 
 
 class IncompatibleWitness:
-    """A violated pair: (x_i x_j)^t_star (x_j^n m_i - x_i^n m_j) != 0, so no
-    power of x_i x_j ever kills the cross difference."""
+    """A violated pair: the cross difference w = x_j^n m_i - x_i^n m_j lies
+    outside ``localization_kernel(M, x_i x_j)``, so no power of x_i x_j
+    kills it."""
 
-    __slots__ = ("i", "j", "exponent", "t_star", "witness")
+    __slots__ = ("i", "j", "exponent", "witness")
 
-    def __init__(self, i: int, j: int, exponent: int, t_star: int,
-                 witness: ModuleElement):
+    def __init__(self, i: int, j: int, exponent: int, witness: ModuleElement):
         self.i = i
         self.j = j
         self.exponent = exponent
-        self.t_star = t_star
         self.witness = witness
 
 
 def sheaf_check(sections, cover):
     """Verify the sheaf axioms on one compatible family: glue it and verify
-    every restriction; incompatible input yields the violating pair with a
-    surviving witness."""
+    every restriction; incompatible input yields the first violating pair
+    with its cross difference, which no power of x_i x_j kills."""
     sections = list(sections)
     if len(sections) != cover.k:
         raise StructuralError("one section per cover element required")
@@ -452,17 +450,10 @@ def sheaf_check(sections, cover):
     try:
         cocycle = CechCocycle(cover, n, comps)
     except IncompatibleComponents as bad:
-        xij = xs[bad.i] * xs[bad.j]
-        t_star = saturate(M, [xij]).t_star
-        return IncompatibleWitness(
-            i=bad.i, j=bad.j, exponent=n, t_star=t_star,
-            witness=(xij**t_star) * bad.w,
-        )
-    cc = cocycle.compat_exponent()
+        return IncompatibleWitness(i=bad.i, j=bad.j, exponent=n, witness=bad.w)
     # keep the glue denominator inside the ideal: e >= 1 even for n = 0
-    e = max(1, cc + n)
-    cc = e - n
-    primed = cocycle.primed_components(cc)
+    e = max(1, cocycle.compat_exponent() + n)
+    primed = cocycle.primed_components(e - n)
 
     y = cover.ring.zero()
     for x in xs:
@@ -480,11 +471,5 @@ def sheaf_check(sections, cover):
             raise InternalError("restriction lift failed")
         lifts.append(tuple(lift))
 
-    return Glued(
-        y=y,
-        numerator=glued,
-        exponent=1,
-        compat=cc,
-        cocycle=cocycle,
-        restriction_lifts=tuple(lifts),
-    )
+    return Glued(y=y, numerator=glued, e=e, primed=primed, cocycle=cocycle,
+                 restriction_lifts=tuple(lifts))

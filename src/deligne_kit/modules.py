@@ -349,10 +349,9 @@ class SaturationResult:
     chain has already computed; when the torsion is zero it is M's own
     relation submodule, ``M.relations``."""
 
-    def __init__(self, module: FpModule, ideal_polys, t_star: int, generators,
+    def __init__(self, module: FpModule, t_star: int, generators,
                  span: FreeSubmodule):
         self.module = module
-        self.ideal_polys = tuple(ideal_polys)
         self.t_star = t_star
         self.generators = tuple(tuple(g) for g in generators)
         self.span = span
@@ -394,8 +393,8 @@ def saturate(M: FpModule, J) -> SaturationResult:
         next_gens = colon_generators(quotient, polys)
         if all(span.contains(g) for g in next_gens):
             if t == 0:  # N_1 = 0, so N_2 = 0 :_M J = N_1
-                return SaturationResult(M, polys, 1, next_gens, span)
-            return SaturationResult(M, polys, t, gens, span)
+                return SaturationResult(M, 1, next_gens, span)
+            return SaturationResult(M, t, gens, span)
         gens = next_gens
         span = FreeSubmodule(ring, M.rank, list(gens) + list(M.relations.gens))
         quotient = FpModule(ring, M.rank, span.basis())

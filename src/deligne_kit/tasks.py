@@ -178,22 +178,17 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
     rng = random.Random(task.seed)
     gamma = gamma_torsion(M, xs)
     torsion_gens = [M.element(g) for g in gamma.generators]
-
-    def torsion_tweak():
-        coeffs = [
-            random_poly(ring, rng, max_deg=1, max_terms=1)
-            if rng.random() < 0.5 else ring.zero()
-            for _ in torsion_gens
-        ]
-        return M.combine(coeffs, torsion_gens)
-
     samples = []
     for _ in range(task.samples):
         m = random_element(M, rng)
         exps = [rng.randint(0, 2) for _ in range(xs.k)]
         sections = []
         for i, x in enumerate(xs.elements):
-            num = (x ** exps[i]) * m + torsion_tweak()
+            # x^e_i * m plus a J-torsion tweak, so the family stays compatible
+            tweak = [random_poly(ring, rng, max_deg=1, max_terms=1)
+                     if rng.random() < 0.5 else ring.zero()
+                     for _ in torsion_gens]
+            num = M.combine([x ** exps[i], *tweak], [m, *torsion_gens])
             sections.append(LocalFraction(num, x, exps[i]))
         res = sheaf_check(sections, xs)
         entry = {"element": ser_vec(m.vec)}
@@ -201,11 +196,8 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
             back = loc_equal(res.fraction(), LocalFraction(m, res.y, 0))
             entry["glued"] = {
                 "numerator": ser_vec(res.numerator.vec),
-                "exponent": res.compat + res.cocycle.exponent,
-                "primed": [
-                    ser_vec(p.vec)
-                    for p in res.cocycle.primed_components(res.compat)
-                ],
+                "exponent": res.e,
+                "primed": [ser_vec(p.vec) for p in res.primed],
                 "restriction_lifts": [ser_vec(l) for l in res.restriction_lifts],
                 "recover_certificate": None if back is None else {
                     "c": back.c, "lift": ser_vec(back.lift)},

@@ -997,6 +997,50 @@ def test_transform_answers_do_not_depend_on_order_or_names():
         assert _answers(text) == expected
 
 
+def _task_answers(text):
+    rep = build_report(text, parse_session(text))
+    return [(r["kind"], r["outcome"], r["bounds"].get("witness_m"))
+            for r in rep["records"]]
+
+
+def test_tower_answers_do_not_depend_on_sequence_order():
+    """A metamorphic guard: H_i of the Koszul complex does not depend on
+    the order of the sequence, so the seed-1 tower session with every
+    ``sequence`` reversed gives each task the same kind, outcome and
+    ``witness_m``."""
+    session = parse_session(BENCH_TOWER)
+    for name, polys in session.sequences.items():
+        session.sequences[name] = tuple(reversed(polys))
+    reversed_text = session.pretty()
+    assert parse_session(reversed_text) != parse_session(BENCH_TOWER)
+    expected = _task_answers(BENCH_TOWER)
+    assert [o for _, o, _ in expected] == ["pass"] * 4 + ["exhausted", "pass"]
+    assert _task_answers(reversed_text) == expected
+
+
+# a session whose diagram samples are J-torsion and whose sheaf-glue
+# sections carry nonzero torsion tweaks
+TORSION = os.path.join(os.path.dirname(__file__), "data", "torsion.dk")
+
+
+def test_torsion_session_runs_and_replays(tmp_path, capsys):
+    """The diagram decides J-torsion both ways, and the sheaf-glue
+    recovery needs a power of y: ``kill_exponent`` multiplies until zero
+    and writes c = 1."""
+    path = tmp_path / "torsion.json"
+    assert main(["run", TORSION, "--out", str(path)]) == 0
+    assert main(["run", TORSION, "--replay", str(path)]) == 0
+    capsys.readouterr()
+    diagram, glue = json.loads(path.read_text())["records"]
+    samples = diagram["certificate"]["samples"]
+    assert [s["element"] for s in samples] == [["5*x"], ["0"], ["2*y"], ["0"]]
+    assert [(s["in_torsion"], s["zero_cocycle"]) for s in samples] == [
+        (True, True), (True, True), (False, False), (True, True)]
+    glued = [s["glued"] for s in glue["certificate"]["samples"]]
+    assert [g["recover_certificate"]["c"] for g in glued] == [0, 1, 0, 1]
+    assert {g["exponent"] for g in glued} == {2}
+
+
 def test_replay_builds_no_groebner_basis(monkeypatch):
     """Replay is arithmetic on the record's polynomials: parsing the session
     and replaying the reports of ``GOOD`` and of the tower, transform and

@@ -543,8 +543,8 @@ def test_sheaf_incompatible_witness(R):
 
 
 def test_sheaf_incompatible_witness_matches_power_chain_reference(R):
-    # the witness (x_i x_j)^t_star * w survives in M, and t_star is the
-    # power-chain index of x_i x_j
+    # the witness is the cross difference w = x_j^n m_i - x_i^n m_j of the
+    # sections, and no power of x_i x_j kills it
     x, y = R.gens()
     zero = R.zero()
     found = 0
@@ -563,9 +563,12 @@ def test_sheaf_incompatible_witness_matches_power_chain_reference(R):
                 if not isinstance(out, IncompatibleWitness):
                     continue
                 found += 1
-                xij = xs.elements[out.i] * xs.elements[out.j]
-                t_ref, span_ref = saturate_power_chain_reference(M, [xij])
-                assert out.t_star == t_ref
+                x_i, x_j = xs.elements[out.i], xs.elements[out.j]
+                n = max(s.exponent for s in secs)
+                m_i, m_j = ((xs.elements[k] ** (n - secs[k].exponent))
+                            * secs[k].numerator for k in (out.i, out.j))
+                assert out.witness == (x_j**n) * m_i - (x_i**n) * m_j
+                _, span_ref = saturate_power_chain_reference(M, [x_i * x_j])
                 assert not out.witness.is_zero()
                 assert not span_ref.contains(out.witness.vec)
     assert found >= 6

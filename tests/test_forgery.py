@@ -13,6 +13,13 @@ accepted, and when a listed path is no longer accepted, so the list only
 shrinks and a change that closes a gap removes its entry.  Every listed
 field is named on its kind's "Not checked" line of docs/report-schema.md.
 
+A forger who knows the checks changes several fields at once, so each
+sampled kind also has one whole-record forger on the transform session:
+it writes the cheapest certificate that is consistent with itself (zero
+values, an element of its own choosing, zero lifts).  COORDINATED_GAPS
+pins the kinds whose forgery replay accepts, under the KNOWN_GAPS rule:
+the set only shrinks.
+
 Every transform mutant is replayed, about 700 in 1 s.  A tower mutant
 costs more, since prozero replay checks Koszul identities, and all 2,000
 take over 10 s, so the test replays the first tower mutant of each path
@@ -46,6 +53,8 @@ KNOWN_GAPS = {
     ("deligne-roundtrip", "leaf", "samples.#.values.#.#"),
     ("sheaf-glue", "leaf", "samples.#.glued.exponent"),
 }
+
+COORDINATED_GAPS = {"deligne-roundtrip", "diagram", "sheaf-glue"}
 
 
 def _sites(node, path=()):
@@ -134,3 +143,65 @@ def test_known_gaps_are_documented(kind):
     fields = {path.replace(".#", "").rsplit(".", 1)[-1]
               for k, _, path in KNOWN_GAPS if k == kind}
     assert sorted(fields - named) == []
+
+
+def _zeros(vec: list) -> list:
+    return ["0"] * len(vec)
+
+
+def _forge_roundtrip(sample, session, task):
+    """Zero hom values, zero fractions, zero lifts."""
+    sample["values"] = [_zeros(v) for v in sample["values"]]
+    for probe in sample["probes"]:
+        probe["sigma"]["numerator"] = _zeros(probe["sigma"]["numerator"])
+        probe["theta"] = _zeros(probe["theta"])
+        probe["lift"] = _zeros(probe["lift"])
+
+
+def _forge_diagram(sample, session, task):
+    """The element (x + 7, 0, ...), through = x_i * element, zero lifts and
+    both torsion flags true."""
+    ring = session.ring
+    element = [ring.gens()[0] + ring.one() * 7] + [ring.zero()] * (
+        session.modules[task.module].rank - 1)
+    sample["element"] = [str(p) for p in element]
+    for comp, x_i in zip(sample["components"], session.ideals[task.ideal]):
+        comp["through"] = [str(x_i * p) for p in element]
+        comp["lift"] = _zeros(comp["lift"])
+    sample["in_torsion"] = sample["zero_cocycle"] = True
+
+
+def _forge_sheaf(sample, session, task):
+    """A zero element, numerator, primed components and lifts, and c = 0."""
+    sample["element"] = _zeros(sample["element"])
+    glued = sample["glued"]
+    glued["numerator"] = _zeros(glued["numerator"])
+    glued["primed"] = [_zeros(p) for p in glued["primed"]]
+    glued["restriction_lifts"] = [_zeros(lift)
+                                  for lift in glued["restriction_lifts"]]
+    glued["recover_certificate"] = {
+        "c": 0, "lift": _zeros(glued["recover_certificate"]["lift"])}
+
+
+FORGERS = {
+    "deligne-roundtrip": _forge_roundtrip,
+    "diagram": _forge_diagram,
+    "sheaf-glue": _forge_sheaf,
+}
+
+
+def test_accepted_coordinated_forgeries_are_the_known_gaps():
+    session = parse_session(BENCH_TRANSFORM)
+    report = build_report(BENCH_TRANSFORM, session)
+    assert sorted(task.kind for task in session.tasks) == sorted(FORGERS)
+    accepted = set()
+    for record, task in zip(report["records"], session.tasks):
+        forged = copy.deepcopy(record)
+        for sample in forged["certificate"]["samples"]:
+            FORGERS[task.kind](sample, session, task)
+        assert forged["certificate"] != record["certificate"]
+        forged["digest"] = record_digest(forged)
+        if replay_record(forged, task, session):
+            accepted.add(task.kind)
+    assert sorted(accepted - COORDINATED_GAPS) == [], "newly accepted"
+    assert sorted(COORDINATED_GAPS - accepted) == [], "no longer accepted"
