@@ -8,13 +8,12 @@ arithmetic from its task and its other fields: kind, label and bounds are
 rebuilt from the task (``decide`` compares them), a fraction's base is its
 probe or chart, roundtrip and diagram kill exponents are 0, theta's
 exponent is the stage and through's 1, and the idealization witnesses,
-closed forms of (pole, cap), are rebuilt and verified.  A null lift or
-recovery certificate is the one encoding of a failed equality.  Each
-replayer returns the outcome its evidence supports, or None when the
-evidence does not verify.  Replay is plain arithmetic over the declared
-relation generators: it never re-runs the bounded searches or the
-sampling, builds no Gröbner basis, and imports nothing from the modules
-that produce a record.
+closed forms of (pole, cap), are rebuilt and verified.  Each replayer
+returns the outcome its evidence supports, or None when the evidence does
+not verify; no field is ever null, so a null fails as a wrong JSON type.
+Replay is plain arithmetic over the declared relation generators: it never
+re-runs the bounded searches or the sampling, builds no Gröbner basis, and
+imports nothing from the modules that produce a record.
 
 Replay bounds its work by degrees before it raises a power.  A record sets
 few exponents: a roundtrip probe sigma's, within the pigeonhole bound of
@@ -435,8 +434,6 @@ def replay_roundtrip(record: dict, task, session):
         if n not in ROUNDTRIP_STAGES or len(sample["probes"]) != task.probes:
             return None
         for pr in sample["probes"]:
-            if pr["lift"] is None:
-                return "fail"
             y = de_poly(M.ring, pr["y"])
             d = de_int(pr["sigma"]["exponent"])
             if not 1 <= d <= xs.pigeonhole_bound(n):
@@ -466,8 +463,6 @@ def replay_sheaf(record: dict, task, session):
         return None
     for sample in samples:
         glued = sample["glued"]
-        if glued is None:
-            return "fail"
         e = de_int(glued["exponent"])
         if e < 1:
             return None
@@ -493,15 +488,13 @@ def replay_sheaf(record: dict, task, session):
                           ring, M.rank)
             if not vec_is_zero(vec_sub(lhs, rhs)):
                 return None
-        back = glued["recover_certificate"]
-        if back is None:
-            return "fail"
 
         @functools.cache
         def y():
             return sum(map(power, range(xs.k)), ring.zero())
 
         y_degree = e * max(x.total_degree() for x in xs.elements)
+        back = glued["recover_certificate"]
         cert = _read_loc(M, de_int(back["c"]), back["lift"])
         if not cert.verify(M, y_degree if lemma else y().total_degree(), y,
                            num, 1, element, 0):
@@ -512,7 +505,8 @@ def replay_sheaf(record: dict, task, session):
 def replay_diagram(record: dict, task, session):
     """Chart i compares the natural element/1 with the through fraction
     tau(element)(x_i)/x_i, both over the base x_i; tau(element)(x_i) is
-    x_i*element in M, so c = 0."""
+    x_i*element in M, so c = 0.  The torsion flags must be equal, since
+    Gamma_J(M) is the intersection of the kernels of M -> M_(x_i)."""
     _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
@@ -520,16 +514,11 @@ def replay_diagram(record: dict, task, session):
     if len(samples) != task.samples:
         return None
     for sample in samples:
-        if de_flag(sample["in_torsion"]) != de_flag(sample["zero_cocycle"]):
-            return "fail"
-        if len(sample["components"]) != xs.k:
+        if (de_flag(sample["in_torsion"]) != de_flag(sample["zero_cocycle"])
+                or len(sample["components"]) != xs.k):
             return None
-        element = None
+        element = de_vec(M.ring, sample["element"], M.rank)
         for x, comp in zip(xs.elements, sample["components"]):
-            if comp["lift"] is None:
-                return "fail"
-            if element is None:
-                element = de_vec(M.ring, sample["element"], M.rank)
             through = de_vec(M.ring, comp["through"], M.rank)
             if not _read_loc(M, 0, comp["lift"]).verify(
                     M, x.total_degree(), lambda: x, element, 0, through, 1):
@@ -560,7 +549,7 @@ _REPLAYERS = {
     "idealization": idealization_outcome,
 }
 
-OUTCOMES = ("pass", "fail", "exhausted", "obstruction")
+OUTCOMES = ("pass", "exhausted", "obstruction")
 
 
 def decide(record: dict, task, session):

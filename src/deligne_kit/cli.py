@@ -2,10 +2,11 @@
 [--out <path>]`; `-h`/`--help` prints that usage.
 
 Exit codes: 0 on success (every task acceptable, or every certificate
-re-verified) or help, 1 on task failure or failed replay, 2 on any other
-command line, parse or structural errors, an unreadable session or report
-file or an unwritable ``--out`` path, 3 on an internal error (a broken
-invariant, named with the task it broke in).  Report format: versioned
+re-verified) or help, 1 on an exhausted search the task does not allow or
+a failed replay, 2 on any other command line, parse or structural errors,
+an unreadable session or report file or an unwritable ``--out`` path, 3
+on an internal error (a broken invariant, named with the task it broke
+in).  Report format: versioned
 JSON, documented in docs/report-schema.md; timing fields are excluded from
 the content digests.
 """

@@ -121,21 +121,24 @@ def find_radical_witness(x: Poly, y: Poly, cap: int = 16):
 # Čech 0-cocycles
 
 
-class IncompatibleComponents(StructuralError):
-    """Components i and j whose cross difference w = x_j^n m_i - x_i^n m_j
-    no power of x_i x_j kills."""
+class IncompatibleWitness(StructuralError):
+    """Components i and j of exponent n whose cross difference witness =
+    x_j^n m_i - x_i^n m_j lies outside ``localization_kernel(M, x_i x_j)``,
+    so no power of x_i x_j kills it."""
 
-    def __init__(self, i: int, j: int, w: ModuleElement):
+    def __init__(self, i: int, j: int, exponent: int,
+                 witness: ModuleElement):
         super().__init__(f"components {i} and {j} are not compatible")
         self.i = i
         self.j = j
-        self.w = w
+        self.exponent = exponent
+        self.witness = witness
 
 
 class CechCocycle:
     """(m_i / x_i^n)_i with pairwise compatibility in M_{x_i x_j},
     verified at construction; an incompatible pair raises
-    IncompatibleComponents."""
+    IncompatibleWitness."""
 
     def __init__(self, cover: SequenceSpec, exponent: int, components):
         components = tuple(components)
@@ -159,7 +162,7 @@ class CechCocycle:
                               [components[i], components[j]])
                 c = kill_exponent(M, xs[i] * xs[j], w)
                 if c is None:
-                    raise IncompatibleComponents(i, j, w)
+                    raise IncompatibleWitness(i, j, exponent, w)
                 kills[(i, j)] = c
         self.pair_kills = kills
 
@@ -414,20 +417,6 @@ class Glued:
         return LocalFraction(self.numerator, self.y, 1)
 
 
-class IncompatibleWitness:
-    """A violated pair: the cross difference w = x_j^n m_i - x_i^n m_j lies
-    outside ``localization_kernel(M, x_i x_j)``, so no power of x_i x_j
-    kills it."""
-
-    __slots__ = ("i", "j", "exponent", "witness")
-
-    def __init__(self, i: int, j: int, exponent: int, witness: ModuleElement):
-        self.i = i
-        self.j = j
-        self.exponent = exponent
-        self.witness = witness
-
-
 def sheaf_check(sections, cover):
     """Verify the sheaf axioms on one compatible family: glue it and verify
     every restriction; incompatible input yields the first violating pair
@@ -449,8 +438,8 @@ def sheaf_check(sections, cover):
     ]
     try:
         cocycle = CechCocycle(cover, n, comps)
-    except IncompatibleComponents as bad:
-        return IncompatibleWitness(i=bad.i, j=bad.j, exponent=n, witness=bad.w)
+    except IncompatibleWitness as bad:
+        return bad
     # keep the glue denominator inside the ideal: e >= 1 even for n = 0
     e = max(1, cocycle.compat_exponent() + n)
     primed = cocycle.primed_components(e - n)

@@ -3,7 +3,9 @@ embeds the exact polynomial identities behind every claim (boundary
 preimages, localization-kill lifts, restriction identities).  A runner
 writes evidence only: ``run_task`` sets the record's outcome with
 ``check.decide``, the check ``--replay`` runs, and ``replay_record``
-accepts a record whose claimed outcome that check gives."""
+accepts a record whose claimed outcome that check gives.  A sampled
+theorem holds on every sample: where it does not certify, the runner
+raises InternalError naming the sample."""
 
 from __future__ import annotations
 
@@ -121,8 +123,13 @@ def _record(task, certificate: dict, **found) -> dict:
     }
 
 
-def _lift(cert: LocEqualCertificate | None) -> list | None:
-    return None if cert is None else ser_vec(cert.lift)
+def _certified(cert: LocEqualCertificate | None, sample: int,
+               claim: str) -> LocEqualCertificate:
+    """The certificate of a localization identity that the sampled theorem
+    asserts; its failure is a library bug, named with the sample."""
+    if cert is None:
+        raise InternalError(f"sample {sample}: {claim} does not hold")
+    return cert
 
 
 def run_prozero(task: ProzeroTask, session: Session) -> dict:
@@ -148,20 +155,22 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
     M = session.modules[task.module]
     rng = random.Random(task.seed)
     samples = []
-    for _ in range(task.samples):
+    for s in range(task.samples):
         stage = rng.choice(ROUNDTRIP_STAGES)
         phi = random_hom(xs, stage, M, rng)
         cocycle = rho_eval(phi)
         probe_records = []
-        for y in probe_elements(xs, task.probes, rng):
+        for p, y in enumerate(probe_elements(xs, task.probes, rng)):
             sig = sigma_inverse(cocycle, y)
             the = theta_probe(phi, y)
+            cert = _certified(loc_equal(sig, the), s,
+                              f"sigma(rho(phi)) = theta(phi) at probe {p}")
             probe_records.append({
                 "y": str(y),
                 "sigma": {"numerator": ser_vec(sig.numerator.vec),
                           "exponent": sig.exponent},
                 "theta": ser_vec(the.numerator.vec),
-                "lift": _lift(loc_equal(sig, the)),
+                "lift": ser_vec(cert.lift),
             })
         samples.append({
             "stage": stage,
@@ -179,7 +188,7 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
     gamma = gamma_torsion(M, xs)
     torsion_gens = [M.element(g) for g in gamma.generators]
     samples = []
-    for _ in range(task.samples):
+    for s in range(task.samples):
         m = random_element(M, rng)
         exps = [rng.randint(0, 2) for _ in range(xs.k)]
         sections = []
@@ -191,23 +200,25 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
             num = M.combine([x ** exps[i], *tweak], [m, *torsion_gens])
             sections.append(LocalFraction(num, x, exps[i]))
         res = sheaf_check(sections, xs)
-        entry = {"element": ser_vec(m.vec)}
-        if isinstance(res, Glued):
-            back = loc_equal(res.fraction(), LocalFraction(m, res.y, 0))
-            entry["glued"] = {
+        if not isinstance(res, Glued):
+            raise InternalError(f"sample {s}: the compatible family does not "
+                                f"glue at charts {res.i} and {res.j}")
+        back = _certified(
+            loc_equal(res.fraction(), LocalFraction(m, res.y, 0)), s,
+            "m/y = element/1 in M_y")
+        # an unused chart draw, kept so each seed samples what it always has
+        rng.randrange(xs.k)
+        samples.append({
+            "element": ser_vec(m.vec),
+            "glued": {
                 "numerator": ser_vec(res.numerator.vec),
                 "exponent": res.e,
                 "primed": [ser_vec(p.vec) for p in res.primed],
                 "restriction_lifts": [ser_vec(l) for l in res.restriction_lifts],
-                "recover_certificate": None if back is None else {
-                    "c": back.c, "lift": ser_vec(back.lift)},
-            }
-        else:
-            entry["glued"] = None
-
-        # an unused chart draw, kept so each seed samples what it always has
-        rng.randrange(xs.k)
-        samples.append(entry)
+                "recover_certificate": {"c": back.c,
+                                        "lift": ser_vec(back.lift)},
+            },
+        })
     return _record(task, {"samples": samples})
 
 
@@ -217,20 +228,27 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
     rng = random.Random(task.seed)
     gamma = gamma_torsion(M, xs)
     samples = []
-    for _ in range(task.samples):
+    for s in range(task.samples):
         m = random_element(M, rng)
         through = rho_eval(IdealTransformElement.tau(xs, m))
         natural = CechCocycle.from_global(xs, m, exponent=0)
+        components = [
+            {"through": ser_vec(through.components[i].vec),
+             "lift": ser_vec(_certified(
+                 loc_equal(natural.component_fraction(i),
+                           through.component_fraction(i)),
+                 s, f"m/1 = rho(tau(m)) at chart {i}").lift)}
+            for i in range(xs.k)
+        ]
+        in_torsion, zero_cocycle = gamma.contains(m), natural.is_zero()
+        if in_torsion != zero_cocycle:
+            raise InternalError(f"sample {s}: m in Gamma_J(M) is {in_torsion} "
+                                f"but m/1 = 0 is {zero_cocycle}")
         samples.append({
             "element": ser_vec(m.vec),
-            "components": [
-                {"through": ser_vec(through.components[i].vec),
-                 "lift": _lift(loc_equal(natural.component_fraction(i),
-                                         through.component_fraction(i)))}
-                for i in range(xs.k)
-            ],
-            "in_torsion": gamma.contains(m),
-            "zero_cocycle": natural.is_zero(),
+            "components": components,
+            "in_torsion": in_torsion,
+            "zero_cocycle": zero_cocycle,
         })
     return _record(task, {"samples": samples})
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 import weakref
 
 import pytest
@@ -23,6 +24,7 @@ from deligne_kit.cli import (
 )
 from deligne_kit import idealization
 from deligne_kit.check import LocEqualCertificate, de_poly
+from deligne_kit.deligne import IncompatibleWitness
 from deligne_kit.errors import (
     DimensionError,
     InternalError,
@@ -456,6 +458,21 @@ def _each_not_recovered(rec):
         sample["glued"]["recover_certificate"] = None
 
 
+def _claim_fail(mutate):
+    """A forgery that claims the outcome "fail" for a record whose evidence
+    `mutate` nulls or contradicts: no outcome rests on a null field, so
+    each must fail its replay."""
+    def forged(rec):
+        rec["outcome"] = "fail"
+        mutate(rec)
+    return forged
+
+
+def _flip_first_flag(rec):
+    sample = _samples(rec)[0]
+    sample["in_torsion"] = not sample["in_torsion"]
+
+
 def _zero_probe(rec):
     # M_0 = 0, so over the base 0 any two fractions are equal
     probe = _samples(rec)[0]["probes"][0]
@@ -507,7 +524,8 @@ FORGERIES = {
     "stage-true": (1, lambda r: _samples(r)[1].update(stage=True)),
     "c-false": (2, lambda r: _samples(r)[0]["glued"]["recover_certificate"]
                 .update(c=False)),
-    # a null lift is the one encoding of a failed equality
+    # a lift is a list of polynomial strings, and no other JSON value
+    # stands for one
     "equal-one": (1, lambda r: _samples(r)[0]["probes"][0].update(lift=1)),
     "compat-false": (2, lambda r: _samples(r)[0]["glued"].update(exponent=True)),
     "recovers-element-one":
@@ -520,6 +538,15 @@ FORGERIES = {
     "restriction-lifts-strings":
         (2, lambda r: _samples(r)[0]["glued"]
          .update(restriction_lifts=["", ""])),
+    "fail-null-lift": (1, _claim_fail(
+        lambda r: _samples(r)[0]["probes"][0].update(lift=None))),
+    "fail-null-glued": (2, _claim_fail(
+        lambda r: _samples(r)[0].update(glued=None))),
+    "fail-null-recovery": (2, _claim_fail(
+        lambda r: _samples(r)[0]["glued"].update(recover_certificate=None))),
+    "fail-null-chart-lift": (3, _claim_fail(
+        lambda r: _samples(r)[0]["components"][0].update(lift=None))),
+    "fail-flipped-flag": (3, _claim_fail(_flip_first_flag)),
 }
 
 
@@ -974,13 +1001,44 @@ def _answers(text):
     )
 
 
+def _rewritten(text, sequence=None, row=None):
+    """`text` printed by ``Session.pretty`` with each sequence's elements
+    mapped by ``sequence(ring, polys)`` and each row of each module matrix
+    by ``row(ring, row)``."""
+    session = parse_session(text)
+    ring = session.ring
+    if sequence is not None:
+        for name, polys in session.sequences.items():
+            session.sequences[name] = sequence(ring, polys)
+    if row is not None:
+        for name, rows in session.module_matrices.items():
+            session.module_matrices[name] = tuple(row(ring, r) for r in rows)
+    return session.pretty()
+
+
+def _rotated_by_units(ring, polys):
+    """The sequence rotated one place, with its j-th element times the unit
+    j + 2: the same Koszul homology up to isomorphism."""
+    return tuple(ring.const(j + 2) * p
+                 for j, p in enumerate(polys[1:] + polys[:1]))
+
+
+def _redundant_relation(ring, row):
+    """The row with one more entry, row[0]*y + row[-1]*z: the new relation
+    column is y times the first plus z times the last, so the module is the
+    same."""
+    y, z = (ring.gen(ring.variables.index(v)) for v in "yz")
+    return row + (row[0] * y + row[-1] * z,)
+
+
 def test_transform_answers_do_not_depend_on_order_or_names():
     """A metamorphic guard: the seed-1 transform session under order lex,
-    with its variable list reversed, with x renamed t, and with both lex
-    and t (``TRANSFORM_LEX``) gives every task the same outcome and every
-    diagram sample the same ``in_torsion`` and ``zero_cocycle`` flags as
-    the session as written.  The name t is the one the localization
-    kernel's own variable must never clash with."""
+    with its variable list reversed, with x renamed t, with both lex and t
+    (``TRANSFORM_LEX``), and with every module given a redundant relation
+    column gives every task the same outcome and every diagram sample the
+    same ``in_torsion`` and ``zero_cocycle`` flags as the session as
+    written.  The name t is the one the localization kernel's own variable
+    must never clash with."""
     lex = BENCH_TRANSFORM.replace("order grevlex", "order lex")
     variants = [
         lex,
@@ -990,6 +1048,7 @@ def test_transform_answers_do_not_depend_on_order_or_names():
     ]
     with open(TRANSFORM_LEX, encoding="utf-8") as fh:
         assert fh.read() == variants[-1]
+    variants.append(_rewritten(BENCH_TRANSFORM, row=_redundant_relation))
     expected = _answers(BENCH_TRANSFORM)
     assert [o for _, o in expected[0]] == ["pass"] * 3
     for text in variants:
@@ -1004,18 +1063,24 @@ def _task_answers(text):
 
 
 def test_tower_answers_do_not_depend_on_sequence_order():
-    """A metamorphic guard: H_i of the Koszul complex does not depend on
-    the order of the sequence, so the seed-1 tower session with every
-    ``sequence`` reversed gives each task the same kind, outcome and
+    """A metamorphic guard: H_i of the Koszul complex depends neither on
+    the order of the sequence nor on units on its elements, and M neither
+    on its presentation, so the seed-1 tower session with every
+    ``sequence`` reversed, with every ``sequence`` rotated and scaled by
+    ``_rotated_by_units``, and with every module given a redundant
+    relation column gives each task the same kind, outcome and
     ``witness_m``."""
-    session = parse_session(BENCH_TOWER)
-    for name, polys in session.sequences.items():
-        session.sequences[name] = tuple(reversed(polys))
-    reversed_text = session.pretty()
-    assert parse_session(reversed_text) != parse_session(BENCH_TOWER)
+    variants = [
+        _rewritten(BENCH_TOWER,
+                   sequence=lambda ring, polys: tuple(reversed(polys))),
+        _rewritten(BENCH_TOWER, sequence=_rotated_by_units),
+        _rewritten(BENCH_TOWER, row=_redundant_relation),
+    ]
     expected = _task_answers(BENCH_TOWER)
     assert [o for _, o, _ in expected] == ["pass"] * 4 + ["exhausted", "pass"]
-    assert _task_answers(reversed_text) == expected
+    for text in variants:
+        assert parse_session(text) != parse_session(BENCH_TOWER)
+        assert _task_answers(text) == expected
 
 
 # a session whose diagram samples are J-torsion and whose sheaf-glue
@@ -1214,17 +1279,48 @@ def _zero_first_relation_lift(search):
     return zeroed
 
 
-# (workload, forged function, forger, the first task the forgery breaks):
-# the first tower task's module is free, so its relation lifts are empty
-@pytest.mark.parametrize("workload, name, forge, broken", [
-    ("transform", "loc_equal", _shift_first_lift, 0),
-    ("tower", "pro_zero_search", _zero_first_relation_lift, 1),
-], ids=["loc-equal", "prozero"])
+def _no_equality(loc_equal):
+    return lambda f, g: None
+
+
+def _no_gluing(sheaf_check):
+    def incompatible(sections, cover):
+        return IncompatibleWitness(0, 1, 0, sections[0].numerator)
+    return incompatible
+
+
+def _flip_torsion(gamma_torsion):
+    def flipped(M, xs):
+        gamma = gamma_torsion(M, xs)
+        return types.SimpleNamespace(generators=gamma.generators,
+                                     contains=lambda m: not gamma.contains(m))
+    return flipped
+
+
+NOT_VERIFIED = "the record does not verify"
+
+
+# (workload, forged function, forger, the first task the forgery breaks, the
+# message after its label): the first tower task's module is free, so its
+# relation lifts are empty; the transform tasks are roundtrip, sheaf-glue
+# and diagram
+@pytest.mark.parametrize("workload, name, forge, broken, message", [
+    ("transform", "loc_equal", _shift_first_lift, 0, NOT_VERIFIED),
+    ("tower", "pro_zero_search", _zero_first_relation_lift, 1, NOT_VERIFIED),
+    ("transform", "loc_equal", _no_equality, 0,
+     "sample 0: sigma(rho(phi)) = theta(phi) at probe 0 does not hold"),
+    ("transform", "sheaf_check", _no_gluing, 1,
+     "sample 0: the compatible family does not glue at charts 0 and 1"),
+    ("transform", "gamma_torsion", _flip_torsion, 2,
+     "sample 0: m in Gamma_J(M) is True but m/1 = 0 is False"),
+], ids=["loc-equal", "prozero", "no-equality", "no-gluing", "torsion-flag"])
 def test_run_whose_evidence_does_not_verify_exits_3(
-        monkeypatch, tmp_path, capsys, workload, name, forge, broken):
+        monkeypatch, tmp_path, capsys, workload, name, forge, broken, message):
     """A runner that writes evidence its own check rejects is a bug, not a
     pass: ``run`` sets each outcome with the check ``--replay`` runs, so it
-    exits 3, names the task and writes no report."""
+    exits 3, names the task and writes no report.  A sampled theorem that
+    does not certify on a sample is a bug too, and the runner also names
+    the sample."""
     text = _bench_workloads().make(workload, 1).text
     monkeypatch.setattr(tasks, name, forge(getattr(tasks, name)))
     f, out = tmp_path / "s.dk", tmp_path / "r.json"
@@ -1232,7 +1328,7 @@ def test_run_whose_evidence_does_not_verify_exits_3(
     assert main(["run", str(f), "--out", str(out)]) == 3
     label = parse_session(text).tasks[broken].pretty()
     err = capsys.readouterr().err
-    assert err.startswith(f"internal error: {label}: the record does not verify")
+    assert err.startswith(f"internal error: {label}: {message}")
     assert not out.exists()
 
 
