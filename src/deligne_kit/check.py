@@ -9,8 +9,9 @@ rebuilt from the task (``decide`` compares them), a fraction's base is its
 probe or chart, roundtrip and diagram kill exponents are 0, theta's
 exponent is the stage and through's 1, and the idealization witnesses,
 closed forms of (pole, cap), are rebuilt and verified.  Each replayer
-returns the outcome its evidence supports, or None when the evidence does
-not verify; no field is ever null, so a null fails as a wrong JSON type.
+returns the outcome its evidence supports or raises ValueError naming
+where it does not verify: the sample and its probe or chart, or the
+prozero stage and entry.  No field is null, so a null is a wrong type.
 Replay is plain arithmetic over the declared relation generators: it never
 re-runs the bounded searches or the sampling, builds no Gröbner basis, and
 imports nothing from the modules that produce a record.
@@ -387,6 +388,14 @@ def _require_positive(**bounds):
             raise StructuralError(f"{name} must be >= 1")
 
 
+def _samples(record: dict, task) -> list:
+    """The record's samples, one for each sample the task draws."""
+    samples = record["certificate"]["samples"]
+    if len(samples) != task.samples:
+        raise ValueError(f"{len(samples)} samples, not {task.samples}")
+    return samples
+
+
 def replay_prozero(record: dict, task, session):
     """The certificate is checked at base stage `from` and stage
     `bounds.witness_m`, which must lie in from..cap."""
@@ -395,7 +404,7 @@ def replay_prozero(record: dict, task, session):
         return "exhausted"
     witness_m = record["bounds"]["witness_m"]
     if not task.from_n <= witness_m <= task.cap:
-        return None
+        raise ValueError(f"witness_m {witness_m} is outside from..cap")
     ring = session.ring
     entries = [
         CertificateEntry(
@@ -406,15 +415,16 @@ def replay_prozero(record: dict, task, session):
         )
         for e in payload["entries"]
     ]
-    cert = ProZeroCertificate(
-        x=SequenceSpec(session.sequences[task.sequence]),
-        i=task.degree,
-        base_n=task.from_n,
-        witness_m=witness_m,
-        M=session.modules[task.module],
-        entries=entries,
-    )
-    return "pass" if cert.verify() else None
+
+    def cert(entries):
+        return ProZeroCertificate(
+            SequenceSpec(session.sequences[task.sequence]), task.degree,
+            task.from_n, witness_m, session.modules[task.module], entries)
+
+    if not cert(entries).verify():  # which checks each entry on its own
+        bad = next(j for j, e in enumerate(entries) if not cert([e]).verify())
+        raise ValueError(f"stage witness_m = {witness_m}: entry {bad} fails")
+    return "pass"
 
 
 def replay_roundtrip(record: dict, task, session):
@@ -426,23 +436,20 @@ def replay_roundtrip(record: dict, task, session):
     _require_positive(samples=task.samples, probes=task.probes)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
-    samples = record["certificate"]["samples"]
-    if len(samples) != task.samples:
-        return None
-    for sample in samples:
+    for s, sample in enumerate(_samples(record, task)):
         n = de_int(sample["stage"])
         if n not in ROUNDTRIP_STAGES or len(sample["probes"]) != task.probes:
-            return None
-        for pr in sample["probes"]:
+            raise ValueError(f"sample {s}: stage {n} or probe count")
+        for p, pr in enumerate(sample["probes"]):
             y = de_poly(M.ring, pr["y"])
             d = de_int(pr["sigma"]["exponent"])
             if not 1 <= d <= xs.pigeonhole_bound(n):
-                return None
+                raise ValueError(f"sample {s}, probe {p}: sigma exponent {d}")
             if not _read_loc(M, 0, pr["lift"]).verify(
                     M, y.total_degree(), lambda: y,
                     de_vec(M.ring, pr["sigma"]["numerator"], M.rank), d,
                     de_vec(M.ring, pr["theta"], M.rank), n):
-                return None
+                raise ValueError(f"sample {s}, probe {p}: sigma = theta fails")
     return "pass"
 
 
@@ -458,18 +465,15 @@ def replay_sheaf(record: dict, task, session):
     ring = session.ring
     rels = list(M.relations.gens)
     lemma = _top_leads_distinct(xs.elements)
-    samples = record["certificate"]["samples"]
-    if len(samples) != task.samples:
-        return None
-    for sample in samples:
+    for s, sample in enumerate(_samples(record, task)):
         glued = sample["glued"]
         e = de_int(glued["exponent"])
         if e < 1:
-            return None
+            raise ValueError(f"sample {s}: glue exponent {e}")
         num = de_vec(ring, glued["numerator"], M.rank)
         primed, lifts = glued["primed"], glued["restriction_lifts"]
         if len(primed) != xs.k or len(lifts) != xs.k:
-            return None
+            raise ValueError(f"sample {s}: primed or restriction lift count")
         primed = [de_vec(ring, mp, M.rank) for mp in primed]
         element = de_vec(ring, sample["element"], M.rank)
         by_degrees = lemma and e > max(map(vec_degree,
@@ -483,11 +487,11 @@ def replay_sheaf(record: dict, task, session):
             if by_degrees and vec_degree(rhs) != max(
                     (e * xs.elements[j].total_degree() + vec_degree(v)
                      for j, v in terms), default=-1):
-                return None
+                raise ValueError(f"sample {s}, chart {i}: restriction degree")
             lhs = vec_dot([power(j) for j, _ in terms], [v for _, v in terms],
                           ring, M.rank)
             if not vec_is_zero(vec_sub(lhs, rhs)):
-                return None
+                raise ValueError(f"sample {s}, chart {i}: restriction fails")
 
         @functools.cache
         def y():
@@ -498,7 +502,7 @@ def replay_sheaf(record: dict, task, session):
         cert = _read_loc(M, de_int(back["c"]), back["lift"])
         if not cert.verify(M, y_degree if lemma else y().total_degree(), y,
                            num, 1, element, 0):
-            return None
+            raise ValueError(f"sample {s}: recovery m/y = element/1 fails")
     return "pass"
 
 
@@ -510,19 +514,17 @@ def replay_diagram(record: dict, task, session):
     _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
-    samples = record["certificate"]["samples"]
-    if len(samples) != task.samples:
-        return None
-    for sample in samples:
-        if (de_flag(sample["in_torsion"]) != de_flag(sample["zero_cocycle"])
-                or len(sample["components"]) != xs.k):
-            return None
+    for s, sample in enumerate(_samples(record, task)):
+        if de_flag(sample["in_torsion"]) != de_flag(sample["zero_cocycle"]):
+            raise ValueError(f"sample {s}: in_torsion != zero_cocycle")
+        if len(sample["components"]) != xs.k:
+            raise ValueError(f"sample {s}: chart count")
         element = de_vec(M.ring, sample["element"], M.rank)
-        for x, comp in zip(xs.elements, sample["components"]):
+        for i, (x, comp) in enumerate(zip(xs.elements, sample["components"])):
             through = de_vec(M.ring, comp["through"], M.rank)
             if not _read_loc(M, 0, comp["lift"]).verify(
                     M, x.total_degree(), lambda: x, element, 0, through, 1):
-                return None
+                raise ValueError(f"sample {s}, chart {i}: m/1 = through fails")
     return "pass"
 
 
@@ -531,7 +533,7 @@ def idealization_outcome(record: dict, task, session):
     witness of every pole at every stage 1..cap; the witnesses are closed
     forms of (pole, cap), so the certificate is empty."""
     if record["certificate"] != {}:
-        return None
+        raise ValueError("the idealization certificate is not empty")
     _require_positive(cap=task.cap)
     ring = IdealizationRing(session.ring.field)
     for p in task.poles:
@@ -553,21 +555,23 @@ OUTCOMES = ("pass", "exhausted", "obstruction")
 
 
 def decide(record: dict, task, session):
-    """The outcome the record's evidence supports, or None: the one
-    decision of an outcome, for the record ``run`` writes and for the one
-    ``--replay`` reads.  The record's kind, label and bounds must be the
-    task's; a prozero record with a certificate also carries the witness_m
-    it is checked at.  A field missing or of the wrong type or value
-    raises KeyError, TypeError, ValueError or StructuralError, and a task
-    that checks nothing StructuralError."""
+    """The outcome, one of ``OUTCOMES``, that the record's evidence
+    supports: the one decision of an outcome, for the record ``run``
+    writes and for the one ``--replay`` reads.  The record's kind, label
+    and bounds must be the task's; a prozero record with a certificate
+    also carries the witness_m it is checked at.  Evidence that does not
+    verify raises ValueError naming where; a field missing or of the wrong
+    type or form raises KeyError, TypeError or ValueError, and an unknown
+    variable or a task that checks nothing StructuralError."""
     bounds = task.bounds()
     if task.kind == "prozero" and record["certificate"] != {}:
         bounds["witness_m"] = de_int(record["bounds"]["witness_m"])
     # compared as JSON text, which tells 7 from 7.0 and 1 from true
     claimed = [record["kind"], record["label"], record["bounds"]]
     given = [task.kind, task.pretty(), bounds]
-    if json.dumps(claimed, sort_keys=True) != json.dumps(given, sort_keys=True):
-        return None
+    for name, a, b in zip(("kind", "label", "bounds"), claimed, given):
+        if json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True):
+            raise ValueError(f"the {name} field is not the task's")
     return _REPLAYERS[task.kind](record, task, session)
 
 

@@ -2,13 +2,13 @@
 [--out <path>]`; `-h`/`--help` prints that usage.
 
 Exit codes: 0 on success (every task acceptable, or every certificate
-re-verified) or help, 1 on an exhausted search the task does not allow or
-a failed replay, 2 on any other command line, parse or structural errors,
-an unreadable session or report file or an unwritable ``--out`` path, 3
-on an internal error (a broken invariant, named with the task it broke
-in).  Report format: versioned
-JSON, documented in docs/report-schema.md; timing fields are excluded from
-the content digests.
+re-verified) or help, 1 on an exhausted search the task does not allow
+(a stderr line names each such task and its stages) or a failed replay,
+2 on any other command line, parse or structural errors, an unreadable
+session or report file or an unwritable ``--out`` path, 3 on an internal
+error (a broken invariant, named with the task it broke in).  Report
+format: versioned JSON, documented in docs/report-schema.md; timing
+fields are excluded from the content digests.
 """
 
 from __future__ import annotations
@@ -178,6 +178,13 @@ def main(argv=None) -> int:
             return 2
     else:
         print(payload)
+    if replay is None:
+        # only a prozero search exhausted without allow-exhausted is not
+        # acceptable, since ``decide`` gives each other kind one outcome
+        for record, task in zip(result["records"], session.tasks):
+            if not record_acceptable(record, task):
+                print(f"exhausted: {record['label']}: no certificate at "
+                      f"stages {task.from_n}..{task.cap}", file=sys.stderr)
     return 0 if result["ok"] else 1
 
 

@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 import deligne_kit
-from deligne_kit import tasks
+from deligne_kit import check, tasks
 from deligne_kit.cli import (
     SCHEMA,
     build_report,
@@ -1106,6 +1106,149 @@ def test_torsion_session_runs_and_replays(tmp_path, capsys):
     assert {g["exponent"] for g in glued} == {2}
 
 
+# ------------------------------------------------- where a check rejects
+
+
+IDEALIZATION = "ring Q[x];\ntask idealization poles (1) cap 2;\n"
+
+@pytest.fixture(scope="module")
+def source_reports():
+    """The records and session of each session the rejection tests forge
+    records of."""
+    with open(TORSION, encoding="utf-8") as fh:
+        torsion = fh.read()
+    out = {}
+    for name, text in [("tower", BENCH_TOWER), ("transform", BENCH_TRANSFORM),
+                       ("torsion", torsion), ("idealization", IDEALIZATION)]:
+        session = parse_session(text)
+        out[name] = build_report(text, session)["records"], session
+    return out
+
+
+def _glued(rec, s):
+    return _samples(rec)[s]["glued"]
+
+
+# (session, record index, mutation, the location the check names): one
+# forgery for each ValueError that decide, _samples and the replayers of
+# check.py raise.  The transform records are roundtrip, sheaf-glue and
+# diagram; the torsion records are diagram and sheaf-glue.
+REJECTIONS = {
+    "kind": ("tower", 0, lambda r: r.update(kind="diagram"),
+             "the kind field is not"),
+    "label": ("tower", 0, lambda r: r.update(label="task;"),
+              "the label field is not"),
+    "bounds": ("tower", 0, lambda r: r["bounds"].update(cap=5),
+               "the bounds field is not"),
+    "sample-count": ("transform", 0, lambda r: _samples(r).pop(),
+                     "2 samples, not 3"),
+    "witness-m": ("tower", 0, lambda r: r["bounds"].update(witness_m=5),
+                  "witness_m 5 is outside from..cap"),
+    "prozero-entry": ("tower", 1, lambda r: r["certificate"]["entries"][3]
+                      ["relation_lift"].__setitem__(0, "1"),
+                      "stage witness_m = 2: entry 3 fails"),
+    "roundtrip-stage": ("transform", 0, lambda r: _samples(r)[1]
+                        .update(stage=3), "sample 1: stage 3"),
+    "sigma-exponent": ("transform", 0, lambda r: _samples(r)[2]["probes"][1]
+                       ["sigma"].update(exponent=0),
+                       "sample 2, probe 1: sigma exponent 0"),
+    "sigma-theta": ("transform", 0, lambda r: _samples(r)[0]["probes"][2]
+                    .update(lift=["1", "0"]),
+                    "sample 0, probe 2: sigma = theta fails"),
+    "glue-exponent": ("transform", 1, lambda r: _glued(r, 0)
+                      .update(exponent=0), "sample 0: glue exponent 0"),
+    "primed-count": ("transform", 1, lambda r: _glued(r, 2)["primed"].pop(),
+                     "sample 2: primed or restriction lift count"),
+    # torsion sheaf-glue sample 1 has e = 2 above every degree, so the
+    # degree test applies; transform sheaf-glue sample 1 has e = 2 below
+    # its degree 4, so only the identity does
+    "restriction-degree": ("torsion", 1, lambda r: _glued(r, 1)
+                           ["restriction_lifts"][0].__setitem__(0, "x^5"),
+                           "sample 1, chart 0: restriction degree"),
+    "restriction": ("transform", 1, lambda r: _glued(r, 1)
+                    ["restriction_lifts"][0].__setitem__(1, "x^3"),
+                    "sample 1, chart 0: restriction fails"),
+    "recovery": ("transform", 1, lambda r: _glued(r, 1)
+                 ["recover_certificate"].update(lift=["0", "x"]),
+                 "sample 1: recovery m/y = element/1 fails"),
+    "torsion-flags": ("torsion", 0, lambda r: _samples(r)[0]
+                      .update(zero_cocycle=False),
+                      "sample 0: in_torsion != zero_cocycle"),
+    "chart-count": ("transform", 2, lambda r: _samples(r)[1]["components"]
+                    .pop(), "sample 1: chart count"),
+    "chart": ("transform", 2, lambda r: _samples(r)[0]["components"][2]
+              .update(lift=["0", "w", "0"]),
+              "sample 0, chart 2: m/1 = through fails"),
+    "idealization": ("idealization", 0,
+                     lambda r: r.update(certificate={"targets": []}),
+                     "the idealization certificate is not empty"),
+}
+
+
+def _rejected(source_reports, name):
+    """The ValueError that decide raises on the forgery `name`, after
+    checking that replay_record fails the forged record."""
+    source, index, mutate, _ = REJECTIONS[name]
+    records, session = source_reports[source]
+    forged = json.loads(json.dumps(records[index]))
+    mutate(forged)
+    task = session.tasks[index]
+    assert replay_record(forged, task, session) is False
+    with pytest.raises(ValueError) as info:
+        check.decide(forged, task, session)
+    return info
+
+
+@pytest.mark.parametrize("name", list(REJECTIONS))
+def test_check_names_where_it_rejects(source_reports, name):
+    info = _rejected(source_reports, name)
+    assert info.match(re.escape(REJECTIONS[name][3]))
+
+
+def test_every_rejection_site_has_a_forgery(source_reports):
+    """Each line of check.py that raises ValueError in decide, _samples or
+    a replayer is the line some forgery of REJECTIONS stops at."""
+    with open(check.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set(check._REPLAYERS.values()) | {check.decide, check._samples}
+    sites = {
+        node.lineno
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+        and getattr(check, f.name, None) in names
+        for node in ast.walk(f)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ValueError"
+    }
+    raised = set()
+    for name in REJECTIONS:
+        tb = _rejected(source_reports, name).tb
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_filename == check.__file__
+        raised.add(tb.tb_lineno)
+    assert len(sites) == 16 and raised == sites
+
+
+def test_main_names_the_exhausted_search(tmp_path, capsys):
+    """A run that exits 1 says why on stderr, one line for each record
+    that is not acceptable, and still writes its report."""
+    text = ("ring F32003[x,y,z,w];\n"
+            "module M = coker [[x*y - z*w, 0, z^2], [0, y*z, x^2 - w^2]];\n"
+            "sequence u = (x*y, z*w);\n"
+            "task prozero u degree 1 from 1 cap 3 module M;\n")
+    f, out = tmp_path / "s.dk", tmp_path / "r.json"
+    f.write_text(text)
+    assert main(["run", str(f), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert [r["outcome"] for r in report["records"]] == ["exhausted"]
+    label = parse_session(text).tasks[0].pretty()
+    assert capsys.readouterr().err == (
+        f"exhausted: {label}: no certificate at stages 1..3\n")
+    assert main(["run", str(f), "--replay", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_replay_builds_no_groebner_basis(monkeypatch):
     """Replay is arithmetic on the record's polynomials: parsing the session
     and replaying the reports of ``GOOD`` and of the tower, transform and
@@ -1297,22 +1440,25 @@ def _flip_torsion(gamma_torsion):
     return flipped
 
 
-NOT_VERIFIED = "the record does not verify"
+NOT_VERIFIED = "the record does not verify: "
 
 
 # (workload, forged function, forger, the first task the forgery breaks, the
 # message after its label): the first tower task's module is free, so its
 # relation lifts are empty; the transform tasks are roundtrip, sheaf-glue
-# and diagram
+# and diagram.  A record the check rejects names where: the sample and its
+# probe, the prozero stage and entry, or the sample whose flags differ.
 @pytest.mark.parametrize("workload, name, forge, broken, message", [
-    ("transform", "loc_equal", _shift_first_lift, 0, NOT_VERIFIED),
-    ("tower", "pro_zero_search", _zero_first_relation_lift, 1, NOT_VERIFIED),
+    ("transform", "loc_equal", _shift_first_lift, 0,
+     NOT_VERIFIED + "sample 0, probe 0: sigma = theta fails"),
+    ("tower", "pro_zero_search", _zero_first_relation_lift, 1,
+     NOT_VERIFIED + "stage witness_m = 2: entry 0 fails"),
     ("transform", "loc_equal", _no_equality, 0,
      "sample 0: sigma(rho(phi)) = theta(phi) at probe 0 does not hold"),
     ("transform", "sheaf_check", _no_gluing, 1,
      "sample 0: the compatible family does not glue at charts 0 and 1"),
     ("transform", "gamma_torsion", _flip_torsion, 2,
-     "sample 0: m in Gamma_J(M) is True but m/1 = 0 is False"),
+     NOT_VERIFIED + "sample 0: in_torsion != zero_cocycle"),
 ], ids=["loc-equal", "prozero", "no-equality", "no-gluing", "torsion-flag"])
 def test_run_whose_evidence_does_not_verify_exits_3(
         monkeypatch, tmp_path, capsys, workload, name, forge, broken, message):
