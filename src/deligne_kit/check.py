@@ -5,10 +5,11 @@ only when it gives the outcome the record claims.
 
 A record holds only the evidence that replay cannot recompute by plain
 arithmetic from its task and its other fields: kind, label and bounds are
-rebuilt from the task (``decide`` compares them), a fraction's base is its
-probe or chart, roundtrip and diagram kill exponents are 0, theta's
-exponent is the stage and through's 1, and the idealization witnesses,
-closed forms of (pole, cap), are rebuilt and verified.  Each replayer
+rebuilt from the task (``decide`` compares them), a roundtrip fraction's
+base is its probe, its kill exponent 0 and theta's exponent the stage, the
+sheaf-glue numerator is the sum of the primed components, and the
+idealization witnesses, closed forms of (pole, cap), are rebuilt and
+verified.  A diagram sample holds only its two torsion flags.  Each replayer
 returns the outcome its evidence supports or raises ValueError naming
 where it does not verify: the sample and its probe or chart, or the
 prozero stage and entry.  No field is null, so a null is a wrong type.
@@ -26,9 +27,8 @@ degree of an entry, -1 for zero), so L can equal the right side only if
 both have the same degree; replay reads deg L off the degrees of the
 record's polynomials and rejects a mismatch.  Every power it then raises
 has a degree that the degrees of the record's polynomials bound.  The
-localization identities (roundtrip probes, diagram charts, the sheaf-glue
-recovery) are checked, degree test included, by
-``LocEqualCertificate.verify``.
+localization identities (roundtrip probes, the sheaf-glue recovery) are
+checked, degree test included, by ``LocEqualCertificate.verify``.
 
 - Sheaf-glue restriction at chart i: with y = sum(x_j^e),
   L = x_i^e*m - y*m'_i = sum_j x_j^e*v_j, v_i = m - m'_i and v_j = -m'_i.
@@ -306,7 +306,7 @@ class LocEqualCertificate:
     c and a lift with base^(c+b)*na - base^(c+a)*nb = sum(lift_i *
     relation_i) as raw ambient vectors, checked by ``verify`` with
     polynomial arithmetic alone.  Only the sheaf-glue recovery records c;
-    replay gives a roundtrip probe and a diagram chart c = 0."""
+    replay gives a roundtrip probe c = 0."""
 
     __slots__ = ("c", "lift")
 
@@ -438,8 +438,11 @@ def replay_roundtrip(record: dict, task, session):
     M = session.modules[task.module]
     for s, sample in enumerate(_samples(record, task)):
         n = de_int(sample["stage"])
-        if n not in ROUNDTRIP_STAGES or len(sample["probes"]) != task.probes:
-            raise ValueError(f"sample {s}: stage {n} or probe count")
+        if n not in ROUNDTRIP_STAGES:
+            raise ValueError(f"sample {s}: stage {n}")
+        if len(sample["probes"]) != task.probes:
+            raise ValueError(f"sample {s}: {len(sample['probes'])} probes, "
+                             f"not {task.probes}")
         for p, pr in enumerate(sample["probes"]):
             y = de_poly(M.ring, pr["y"])
             d = de_int(pr["sigma"]["exponent"])
@@ -454,11 +457,13 @@ def replay_roundtrip(record: dict, task, session):
 
 
 def replay_sheaf(record: dict, task, session):
-    """The glue denominator is y = sum(x_i^e), e >= 1 the glued exponent;
-    each chart's restriction identity x_i^e*m - y*m'_i is in the relation
-    span, and the glued m/y equals element/1 in M_y.  The degree tests of
-    the module docstring and of ``LocEqualCertificate.verify`` come before
-    any power."""
+    """The glued numerator m is the sum of the primed components m'_i, which
+    the record does not write: a sum of normal forms is one.  The glue
+    denominator is y = sum(x_i^e), e >= 1 the glued exponent; each chart's
+    restriction identity x_i^e*m - y*m'_i is in the relation span, and the
+    glued m/y equals element/1 in M_y.  The degree tests of the module
+    docstring and of ``LocEqualCertificate.verify`` come before any
+    power."""
     _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
@@ -470,14 +475,14 @@ def replay_sheaf(record: dict, task, session):
         e = de_int(glued["exponent"])
         if e < 1:
             raise ValueError(f"sample {s}: glue exponent {e}")
-        num = de_vec(ring, glued["numerator"], M.rank)
         primed, lifts = glued["primed"], glued["restriction_lifts"]
         if len(primed) != xs.k or len(lifts) != xs.k:
             raise ValueError(f"sample {s}: primed or restriction lift count")
         primed = [de_vec(ring, mp, M.rank) for mp in primed]
+        num = vec_dot([ring.one()] * xs.k, primed, ring, M.rank)
         element = de_vec(ring, sample["element"], M.rank)
-        by_degrees = lemma and e > max(map(vec_degree,
-                                           [num, element, *primed]))
+        # deg num <= max deg m'_i
+        by_degrees = lemma and e > max(map(vec_degree, [element, *primed]))
         power = functools.cache(lambda j: xs.elements[j] ** e)
         for i, (mp, lift) in enumerate(zip(primed, lifts)):
             minus = tuple(-p for p in mp)
@@ -507,24 +512,12 @@ def replay_sheaf(record: dict, task, session):
 
 
 def replay_diagram(record: dict, task, session):
-    """Chart i compares the natural element/1 with the through fraction
-    tau(element)(x_i)/x_i, both over the base x_i; tau(element)(x_i) is
-    x_i*element in M, so c = 0.  The torsion flags must be equal, since
-    Gamma_J(M) is the intersection of the kernels of M -> M_(x_i)."""
+    """The torsion flags must be equal, since Gamma_J(M) is the
+    intersection of the kernels of M -> M_(x_i)."""
     _require_positive(samples=task.samples)
-    xs = SequenceSpec(session.ideals[task.ideal])
-    M = session.modules[task.module]
     for s, sample in enumerate(_samples(record, task)):
         if de_flag(sample["in_torsion"]) != de_flag(sample["zero_cocycle"]):
             raise ValueError(f"sample {s}: in_torsion != zero_cocycle")
-        if len(sample["components"]) != xs.k:
-            raise ValueError(f"sample {s}: chart count")
-        element = de_vec(M.ring, sample["element"], M.rank)
-        for i, (x, comp) in enumerate(zip(xs.elements, sample["components"])):
-            through = de_vec(M.ring, comp["through"], M.rank)
-            if not _read_loc(M, 0, comp["lift"]).verify(
-                    M, x.total_degree(), lambda: x, element, 0, through, 1):
-                raise ValueError(f"sample {s}, chart {i}: m/1 = through fails")
     return "pass"
 
 

@@ -30,7 +30,7 @@ from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
 from .tasks import replay_record, run_task
 
-SCHEMA = "deligne-kit/report/v3"
+SCHEMA = "deligne-kit/report/v4"
 USAGE = "usage: deligne-kit run FILE [--replay REPORT] [--out PATH]"
 
 

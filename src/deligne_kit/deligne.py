@@ -399,7 +399,10 @@ def diagram_check(m: ModuleElement, xs: SequenceSpec) -> bool:
 class Glued:
     """A glued section m / y, y = sum(x_i^e), with the primed components
     m'_i and per-chart restriction identities x_i^e * m = y * m'_i, exact
-    in the module."""
+    in the module.  The numerator m is the plain sum of the m'_i: no term
+    of a normal form is divisible by a basis lead, so neither is any term
+    of their sum, and reducing it changes nothing.  So a record leaves m
+    out and replay forms the sum."""
 
     __slots__ = ("y", "numerator", "e", "primed", "cocycle",
                  "restriction_lifts")

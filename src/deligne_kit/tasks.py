@@ -1,6 +1,7 @@
 """Task runners: each task produces one record whose certificate payload
-embeds the exact polynomial identities behind every claim (boundary
-preimages, localization-kill lifts, restriction identities).  A runner
+embeds the exact polynomial identities behind its claims (boundary
+preimages, localization-kill lifts, restriction identities); a diagram
+sample writes only its two torsion flags, which replay compares.  A runner
 writes evidence only: ``run_task`` sets the record's outcome with
 ``check.decide``, the check ``--replay`` runs, and ``replay_record``
 accepts a record whose claimed outcome that check gives.  A sampled
@@ -14,11 +15,11 @@ from itertools import product
 
 from .check import OUTCOMES, ROUNDTRIP_STAGES, LocEqualCertificate, decide
 from .deligne import (
-    CechCocycle,
     Glued,
     IdealTransformElement,
     LocalFraction,
     gamma_torsion,
+    kill_exponent,
     loc_equal,
     rho_eval,
     sheaf_check,
@@ -211,7 +212,6 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
         samples.append({
             "element": ser_vec(m.vec),
             "glued": {
-                "numerator": ser_vec(res.numerator.vec),
                 "exponent": res.e,
                 "primed": [ser_vec(p.vec) for p in res.primed],
                 "restriction_lifts": [ser_vec(l) for l in res.restriction_lifts],
@@ -223,28 +223,19 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
 
 
 def run_diagram(task: DiagramTask, session: Session) -> dict:
+    """Each sample's J-power torsion decided twice: by the colon chain of
+    ``gamma_torsion`` and by the kernels of M -> M_(x_i)."""
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     rng = random.Random(task.seed)
     gamma = gamma_torsion(M, xs)
     samples = []
-    for s in range(task.samples):
+    for _ in range(task.samples):
         m = random_element(M, rng)
-        through = rho_eval(IdealTransformElement.tau(xs, m))
-        natural = CechCocycle.from_global(xs, m, exponent=0)
-        components = [
-            {"through": ser_vec(through.components[i].vec),
-             "lift": ser_vec(_certified(
-                 loc_equal(natural.component_fraction(i),
-                           through.component_fraction(i)),
-                 s, f"m/1 = rho(tau(m)) at chart {i}").lift)}
-            for i in range(xs.k)
-        ]
         samples.append({
-            "element": ser_vec(m.vec),
-            "components": components,
             "in_torsion": gamma.contains(m),
-            "zero_cocycle": natural.is_zero(),
+            "zero_cocycle": all(kill_exponent(M, x, m) is not None
+                                for x in xs.elements),
         })
     return _record(task, {"samples": samples})
 

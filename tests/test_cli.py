@@ -490,7 +490,6 @@ FORGERIES = {
     "sheaf-no-samples": (2, lambda r: r["certificate"].update(samples=[])),
     "diagram-no-samples": (3, lambda r: r["certificate"].update(samples=[])),
     "probe-dropped": (1, lambda r: _samples(r)[0]["probes"].pop()),
-    "component-dropped": (3, lambda r: _samples(r)[1]["components"].pop()),
     "primed-dropped": (2, lambda r: _samples(r)[0]["glued"]["primed"].pop()),
     "restriction-lift-dropped":
         (2, lambda r: _samples(r)[0]["glued"]["restriction_lifts"].pop()),
@@ -508,8 +507,6 @@ FORGERIES = {
     "junk-polynomial": (0, lambda r: _entry(r)["cycle"].__setitem__(0, "x +")),
     "sigma-long": (1, lambda r: _samples(r)[0]["probes"][0]["sigma"]
                    ["numerator"].append("x + 1")),
-    "through-long": (3, lambda r: _samples(r)[1]["components"][0]["through"]
-                     .append("x + 1")),
     "loc-lift-long": (1, lambda r: _samples(r)[0]["probes"][0]
                       .update(lift=["x"] * 3)),
     "null-outcome": (1, lambda r: r.update(outcome=None,
@@ -531,8 +528,6 @@ FORGERIES = {
     "recovers-element-one":
         (2, lambda r: _samples(r)[0]["glued"].update(recover_certificate=1)),
     "in-torsion-zero": (3, lambda r: _samples(r)[1].update(in_torsion=0)),
-    "lift-string": (3, lambda r: _samples(r)[0]["components"][0]
-                    .update(lift="00")),
     "preimage-chain-string":
         (0, lambda r: _entry(r).update(preimage_chain="1")),
     "restriction-lifts-strings":
@@ -544,8 +539,6 @@ FORGERIES = {
         lambda r: _samples(r)[0].update(glued=None))),
     "fail-null-recovery": (2, _claim_fail(
         lambda r: _samples(r)[0]["glued"].update(recover_certificate=None))),
-    "fail-null-chart-lift": (3, _claim_fail(
-        lambda r: _samples(r)[0]["components"][0].update(lift=None))),
     "fail-flipped-flag": (3, _claim_fail(_flip_first_flag)),
 }
 
@@ -629,8 +622,8 @@ INFLATED = {
     # expand a power: 135,751 terms, and a 10^10-bit integer over Q
     "roundtrip-lift-power": (0, lambda r: _longest_probe(r)["lift"]
                              .__setitem__(0, "(x + y + z + w + 1)^40")),
-    "diagram-numerator-power": (2, lambda r: _samples(r)[0]["components"][0]
-                                ["through"].__setitem__(0, "2^10000000000")),
+    "diagram-numerator-power": (1, lambda r: _samples(r)[0]["glued"]["primed"]
+                                [0].__setitem__(0, "2^10000000000")),
 }
 
 
@@ -775,6 +768,8 @@ def test_main_replay_v1_report_exits_2(report, tmp_path, capsys):
     assert "unknown report schema" in capsys.readouterr().err
     assert _main_replay(tmp_path, dict(rep, schema="deligne-kit/report/v2")) == 2
     assert "unknown report schema" in capsys.readouterr().err
+    assert _main_replay(tmp_path, dict(rep, schema="deligne-kit/report/v3")) == 2
+    assert "unknown report schema" in capsys.readouterr().err
 
 
 def _main_replay(tmp_path, report):
@@ -881,8 +876,8 @@ PINNED_DIGESTS = {
     "good": (GOOD, [
         "97fabbb9c2b232becea1a9b1cbec07982da13e786c13841d64e28da17915d439",
         "6c8f2b6eddc10062f191a60718d06d5228de4b16115edaafc7d4e4a2c742f7c7",
-        "e80b6fb03c969c068d463d2919c06f30473f43bfd95245ccd879fbe4be36d61a",
-        "827fc03135a8d9769993d616a9fc5fc77cdc436bb01e4b2aed63b017c08c0bf9",
+        "c9057461721ba997c47ee1103147ac94e2e7b044a564bc613db52b227d3010d5",
+        "75b0ba2d8654b147316b255f3517845f75823e8cb80b4142a57d5e4c4e5046b6",
         "a3586096cb2b68a41f88bdb142cdb13913ddb85b33b5f46bdd208d1bc8283673",
     ]),
     "rank2-tower": (RANK2_TOWER, [
@@ -900,8 +895,8 @@ PINNED_DIGESTS = {
     ]),
     "bench-transform": (BENCH_TRANSFORM, [
         "cf8460395b7d39443d855b26151fedf9dc2e229bf2a1a88203a6296b132c8106",
-        "655f17e30408d3a2761f421b1b029ca847407e78a4038ec7d35db787bed18089",
-        "1632f09e947e8f5a22c80e8b11c6c33fcdcb107427b722757a361ec1cde6943b",
+        "3ab84ff23621d37cfc5f1620b20080b03113f914ef5b4962fbc8c3fdd1e8a84c",
+        "232a587c4c0a26e35cf22d056b7f8e7e9ad74881730ae42d97d7eadd14cc3bc0",
     ]),
 }
 
@@ -916,7 +911,7 @@ def test_pinned_digests(name):
 
 
 def test_bench_transform_work_counts(monkeypatch):
-    """The Gröbner work of the seed-1 transform session: 12 computed bases
+    """The Gröbner work of the seed-1 transform session: 11 computed bases
     and 5 ``kernel_mod`` calls, counted by wrapping
     ``FreeSubmodule._compute_basis`` and every module's binding of
     ``kernel_mod``, so that work added or removed anywhere shows here.
@@ -947,7 +942,7 @@ def test_bench_transform_work_counts(monkeypatch):
         monkeypatch.setattr(mod, "kernel_mod", counting_kernel)
     rep = build_report(BENCH_TRANSFORM, parse_session(BENCH_TRANSFORM))
     assert rep["ok"] is True
-    assert (len(bases), len(kernels)) == (12, 5)
+    assert (len(bases), len(kernels)) == (11, 5)
 
 
 def test_bench_tower_work_counts(monkeypatch):
@@ -1098,7 +1093,6 @@ def test_torsion_session_runs_and_replays(tmp_path, capsys):
     capsys.readouterr()
     diagram, glue = json.loads(path.read_text())["records"]
     samples = diagram["certificate"]["samples"]
-    assert [s["element"] for s in samples] == [["5*x"], ["0"], ["2*y"], ["0"]]
     assert [(s["in_torsion"], s["zero_cocycle"]) for s in samples] == [
         (True, True), (True, True), (False, False), (True, True)]
     glued = [s["glued"] for s in glue["certificate"]["samples"]]
@@ -1149,6 +1143,8 @@ REJECTIONS = {
                       "stage witness_m = 2: entry 3 fails"),
     "roundtrip-stage": ("transform", 0, lambda r: _samples(r)[1]
                         .update(stage=3), "sample 1: stage 3"),
+    "probe-count": ("transform", 0, lambda r: _samples(r)[2]["probes"].pop(),
+                    "sample 2: 4 probes, not 5"),
     "sigma-exponent": ("transform", 0, lambda r: _samples(r)[2]["probes"][1]
                        ["sigma"].update(exponent=0),
                        "sample 2, probe 1: sigma exponent 0"),
@@ -1174,11 +1170,6 @@ REJECTIONS = {
     "torsion-flags": ("torsion", 0, lambda r: _samples(r)[0]
                       .update(zero_cocycle=False),
                       "sample 0: in_torsion != zero_cocycle"),
-    "chart-count": ("transform", 2, lambda r: _samples(r)[1]["components"]
-                    .pop(), "sample 1: chart count"),
-    "chart": ("transform", 2, lambda r: _samples(r)[0]["components"][2]
-              .update(lift=["0", "w", "0"]),
-              "sample 0, chart 2: m/1 = through fails"),
     "idealization": ("idealization", 0,
                      lambda r: r.update(certificate={"targets": []}),
                      "the idealization certificate is not empty"),
@@ -1227,7 +1218,7 @@ def test_every_rejection_site_has_a_forgery(source_reports):
             tb = tb.tb_next
         assert tb.tb_frame.f_code.co_filename == check.__file__
         raised.add(tb.tb_lineno)
-    assert len(sites) == 16 and raised == sites
+    assert len(sites) == 15 and raised == sites
 
 
 def test_main_names_the_exhausted_search(tmp_path, capsys):

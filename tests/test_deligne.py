@@ -25,7 +25,7 @@ from deligne_kit.deligne import (
 from deligne_kit.errors import StructuralError
 from deligne_kit.koszul import pro_zero_search
 from deligne_kit.modules import FpModule
-from deligne_kit.rings import GF, QQ, PolyRing, SequenceSpec, vec_scale
+from deligne_kit.rings import GF, QQ, PolyRing, SequenceSpec, vec_dot, vec_scale
 from deligne_kit.tasks import (
     probe_elements,
     random_element,
@@ -529,6 +529,43 @@ def test_sheaf_glue_restriction_of_element(R):
     out = sheaf_check(secs, xs)
     assert isinstance(out, Glued)
     assert loc_equal(out.fraction(), LocalFraction(m, out.y, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)],
+                         ids=["Q", "F2", "F32003"])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("tweaked", [False, True], ids=["plain", "tweaked"])
+def test_glued_numerator_is_the_sum_of_primed(field, rank, tweaked):
+    # replay forms the glued numerator as the plain sum of the primed
+    # components; sheaf_check's reduced sum must be that sum itself.  The
+    # families are built as run_sheaf builds them: x_i^e_i * m over
+    # x_i^e_i, plus, when tweaked, a combination of J-torsion generators
+    R = PolyRing(field, ("x", "y", "z"))
+    x, y, z = R.gens()
+    xs = SequenceSpec((x, y))
+    rng = random.Random(f"glued:{field.name}:{rank}:{tweaked}")
+    # x*e_0 is J-torsion, as in tests/data/torsion.dk
+    rels = [(x**2, R.zero()), (x * y, R.zero()), (y * z, x**2 - z)]
+    M = FpModule(R, rank, [r[:rank] for r in rels[:rank + 1]])
+    torsion = [M.element(g) for g in gamma_torsion(M, xs).generators]
+    assert torsion
+    tweaks = 0
+    for _ in range(6):
+        m = random_element(M, rng)
+        secs = []
+        for x_i in xs.elements:
+            e = rng.randint(0, 2)
+            # x and y kill x*e_0, so a tweak is a unit or z times a generator
+            coeffs = [rng.choice((R.zero(), R.one(), z)) if tweaked
+                      else R.zero() for _ in torsion]
+            num = M.combine([x_i**e, *coeffs], [m, *torsion])
+            tweaks += num != (x_i**e) * m
+            secs.append(LocalFraction(num, x_i, e))
+        out = sheaf_check(secs, xs)
+        assert isinstance(out, Glued)
+        assert out.numerator.vec == vec_dot(
+            [R.one()] * xs.k, [p.vec for p in out.primed], R, rank)
+    assert (tweaks > 0) == tweaked
 
 
 def test_sheaf_incompatible_witness(R):

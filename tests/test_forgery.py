@@ -159,23 +159,15 @@ def _forge_roundtrip(sample, session, task):
 
 
 def _forge_diagram(sample, session, task):
-    """The element (x + 7, 0, ...), through = x_i * element, zero lifts and
-    both torsion flags true."""
-    ring = session.ring
-    element = [ring.gens()[0] + ring.one() * 7] + [ring.zero()] * (
-        session.modules[task.module].rank - 1)
-    sample["element"] = [str(p) for p in element]
-    for comp, x_i in zip(sample["components"], session.ideals[task.ideal]):
-        comp["through"] = [str(x_i * p) for p in element]
-        comp["lift"] = _zeros(comp["lift"])
-    sample["in_torsion"] = sample["zero_cocycle"] = True
+    """Both torsion flags flipped."""
+    sample["in_torsion"] = not sample["in_torsion"]
+    sample["zero_cocycle"] = not sample["zero_cocycle"]
 
 
 def _forge_sheaf(sample, session, task):
-    """A zero element, numerator, primed components and lifts, and c = 0."""
+    """A zero element, primed components and lifts, and c = 0."""
     sample["element"] = _zeros(sample["element"])
     glued = sample["glued"]
-    glued["numerator"] = _zeros(glued["numerator"])
     glued["primed"] = [_zeros(p) for p in glued["primed"]]
     glued["restriction_lifts"] = [_zeros(lift)
                                   for lift in glued["restriction_lifts"]]
