@@ -1,7 +1,8 @@
 """Certificate replay: every check ``--replay`` runs on a record once the
 session is parsed.  ``decide`` is the one decision of an outcome: ``run``
 sets each record's outcome with it, and ``--replay`` accepts a record
-only when it gives the outcome the record claims.
+only when it gives the outcome the record claims (``replay_record``,
+which otherwise says why not).
 
 A record holds only the evidence that replay cannot recompute by plain
 arithmetic from its task and its other fields: kind, label and bounds are
@@ -15,7 +16,11 @@ where it does not verify: the sample and its probe or chart, or the
 prozero stage and entry.  No field is null, so a null is a wrong type.
 Replay is plain arithmetic over the declared relation generators: it never
 re-runs the bounded searches or the sampling, builds no Gröbner basis, and
-imports nothing from the modules that produce a record.
+imports nothing from the modules that produce a record.  A check reads a
+module only as its ring, rank and relation ``columns``: the session's
+``Presentation`` at replay, an FpModule at run.  So a replay process
+executes ``cli``, ``session`` and this module with what it imports, and
+none of ``groebner``, ``modules``, ``koszul``, ``deligne`` or ``tasks``.
 
 Replay bounds its work by degrees before it raises a power.  A record sets
 few exponents: a roundtrip probe sigma's, within the pigeonhole bound of
@@ -249,13 +254,11 @@ class ProZeroCertificate:
         k = x.k
         blocks_i = len(koszul_subsets(k, i))
         rank_i = M.rank * blocks_i
-        rels_i = blockdiag_relations(M.relations.gens, M.rank, blocks_i, ring)
+        rels_i = blockdiag_relations(M.columns, M.rank, blocks_i, ring)
         if i >= 1:
             blocks_im1 = len(koszul_subsets(k, i - 1))
             rank_im1 = M.rank * blocks_im1
-            rels_im1 = blockdiag_relations(
-                M.relations.gens, M.rank, blocks_im1, ring
-            )
+            rels_im1 = blockdiag_relations(M.columns, M.rank, blocks_im1, ring)
             d_i_m = koszul_differential_columns(x, m, M.rank, i)
         else:
             rels_im1 = []
@@ -337,7 +340,7 @@ class LocEqualCertificate:
         c = self.c
         if base_degree < 0 or min(a, b, c) < 0:
             return False
-        rhs = vec_dot(self.lift, M.relations.gens, M.ring, M.rank)
+        rhs = vec_dot(self.lift, M.columns, M.ring, M.rank)
         mu = min(a, b)
         n_1, n_2 = (na, nb) if a <= b else (nb, na)
         deg_1, deg_2 = vec_degree(n_1), vec_degree(n_2)
@@ -367,7 +370,7 @@ ROUNDTRIP_STAGES = (1, 2)  # the stages a roundtrip run samples its homs at
 
 def _read_loc(M, c: int, lift) -> LocEqualCertificate:
     """The certificate of kill exponent c and one lift entry per relation."""
-    return LocEqualCertificate(c, de_vec(M.ring, lift, len(M.relations.gens)))
+    return LocEqualCertificate(c, de_vec(M.ring, lift, len(M.columns)))
 
 
 def _top_leads_distinct(xs) -> bool:
@@ -419,7 +422,8 @@ def replay_prozero(record: dict, task, session):
     def cert(entries):
         return ProZeroCertificate(
             SequenceSpec(session.sequences[task.sequence]), task.degree,
-            task.from_n, witness_m, session.modules[task.module], entries)
+            task.from_n, witness_m,
+            session.modules.presentations[task.module], entries)
 
     if not cert(entries).verify():  # which checks each entry on its own
         bad = next(j for j, e in enumerate(entries) if not cert([e]).verify())
@@ -435,7 +439,7 @@ def replay_roundtrip(record: dict, task, session):
     phi(y^n*y^d) - phi(y^d*y^n) is 0 in M, so c = 0."""
     _require_positive(samples=task.samples, probes=task.probes)
     xs = SequenceSpec(session.ideals[task.ideal])
-    M = session.modules[task.module]
+    M = session.modules.presentations[task.module]
     for s, sample in enumerate(_samples(record, task)):
         n = de_int(sample["stage"])
         if n not in ROUNDTRIP_STAGES:
@@ -466,9 +470,9 @@ def replay_sheaf(record: dict, task, session):
     power."""
     _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
-    M = session.modules[task.module]
+    M = session.modules.presentations[task.module]
     ring = session.ring
-    rels = list(M.relations.gens)
+    rels = list(M.columns)
     lemma = _top_leads_distinct(xs.elements)
     for s, sample in enumerate(_samples(record, task)):
         glued = sample["glued"]
@@ -566,6 +570,26 @@ def decide(record: dict, task, session):
         if json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True):
             raise ValueError(f"the {name} field is not the task's")
     return _REPLAYERS[task.kind](record, task, session)
+
+
+def replay_record(record: dict, task, session) -> str | None:
+    """None when ``decide`` gives the outcome the record claims, else why
+    not: where the evidence does not verify, the field that is missing or
+    of the wrong type, an unknown variable, or the outcome the evidence
+    gives instead.  ``--replay`` writes it as the record's reason and goes
+    on to the next record."""
+    try:
+        outcome = record["outcome"]
+        if outcome not in OUTCOMES:
+            return f"unknown outcome {outcome!r}"
+        given = decide(record, task, session)
+    except KeyError as ex:
+        return f"the field {ex} is missing"
+    except TypeError as ex:
+        return f"a field of the wrong type: {ex}"
+    except (ValueError, StructuralError) as ex:
+        return str(ex)
+    return None if given == outcome else f"the evidence gives {given}"
 
 
 def record_acceptable(record: dict, task) -> bool:

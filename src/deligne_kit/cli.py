@@ -3,12 +3,13 @@
 
 Exit codes: 0 on success (every task acceptable, or every certificate
 re-verified) or help, 1 on an exhausted search the task does not allow
-(a stderr line names each such task and its stages) or a failed replay,
-2 on any other command line, parse or structural errors, an unreadable
-session or report file or an unwritable ``--out`` path, 3 on an internal
-error (a broken invariant, named with the task it broke in).  Report
-format: versioned JSON, documented in docs/report-schema.md; timing
-fields are excluded from the content digests.
+(a stderr line names each such task and its stages) or a failed replay
+(whose output gives each failing record's reason), 2 on any other
+command line, parse or structural errors, an unreadable session or report
+file or an unwritable ``--out`` path, 3 on an internal error (a broken
+invariant, named with the task it broke in).  Report format: versioned
+JSON, documented in docs/report-schema.md; timing fields are excluded
+from the content digests.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .check import record_acceptable
+from .check import record_acceptable, replay_record
 from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
-from .tasks import replay_record, run_task
 
 SCHEMA = "deligne-kit/report/v4"
 USAGE = "usage: deligne-kit run FILE [--replay REPORT] [--out PATH]"
@@ -44,6 +44,8 @@ def record_digest(record: dict) -> str:
 
 
 def build_report(session_text: str, session) -> dict:
+    from .tasks import run_task  # the producers; a replay imports none
+
     records = []
     for task in session.tasks:
         start = time.monotonic()
@@ -66,8 +68,9 @@ def build_report(session_text: str, session) -> dict:
 
 def replay_report(session_text: str, session, report: dict) -> dict:
     """Re-verify certificates only; no searches, no sampling.  A record that
-    is not a JSON object fails its own replay.  The report's ``ok``, which
-    no digest covers, must be what the verified outcomes give."""
+    is not a JSON object fails its own replay, and each result that does
+    not verify carries the reason.  The report's ``ok``, which no digest
+    covers, must be what the verified outcomes give."""
     if not isinstance(report, dict):
         raise StructuralError("report is not a JSON object")
     if report.get("schema") != SCHEMA:
@@ -81,21 +84,20 @@ def replay_report(session_text: str, session, report: dict) -> dict:
     if len(records) != len(session.tasks):
         raise StructuralError("record count does not match the task list")
     results = []
-    ok = True
     for record, task in zip(records, session.tasks):
         if not isinstance(record, dict):
-            record = {}
-        if record_digest(record) != record.get("digest"):
-            verified = False
+            record, reason = {}, "the record is not a JSON object"
+        elif record_digest(record) != record.get("digest"):
+            reason = "the digest does not match the record"
         else:
-            verified = replay_record(record, task, session)
-        ok = ok and verified
-        results.append(
-            {"label": record.get("label"), "outcome": record.get("outcome"),
-             "verified": verified}
-        )
+            reason = replay_record(record, task, session)
+        result = {"label": record.get("label"),
+                  "outcome": record.get("outcome"), "verified": reason is None}
+        if reason is not None:
+            result["reason"] = reason
+        results.append(result)
     # every record verified, so each carries one of the documented outcomes
-    ok = ok and report.get("ok") is all(
+    ok = all(r["verified"] for r in results) and report.get("ok") is all(
         record_acceptable(r, t) for r, t in zip(records, session.tasks)
     )
     return {"schema": SCHEMA + "/replay", "results": results, "ok": ok}

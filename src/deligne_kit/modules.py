@@ -45,6 +45,12 @@ class FpModule:
         self.memo: dict = {}
         self._key = None
 
+    @property
+    def columns(self) -> tuple:
+        """The relation generators as given, which ``check`` reads as it
+        reads a ``session.Presentation``'s."""
+        return self.relations.gens
+
     @classmethod
     def free(cls, ring: PolyRing, rank: int) -> "FpModule":
         return cls(ring, rank, [])

@@ -25,7 +25,7 @@ the form.  An element of F_p is an int in [0, p).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 
 from .errors import StructuralError
 
@@ -476,17 +476,17 @@ class Poly:
         )
 
     def evaluate(self, point):
-        """Evaluate at a tuple of field values."""
+        """Evaluate at a tuple of field values, each raised to its exponent
+        by ``power`` through the field's product."""
         if len(point) != self.ring.nvars:
             raise StructuralError("wrong number of coordinates")
         fld = self.ring.field
+        point = [fld.of(x) for x in point]
         total = fld.zero
         for mon, c in self.terms.items():
-            v = c
             for e, x in zip(mon, point):
-                for _ in range(e):
-                    v = fld.mul(v, fld.of(x))
-            total = fld.add(total, v)
+                c = fld.mul(c, power(x, e, fld.one, fld.mul))
+            total = fld.add(total, c)
         return total
 
     # -- identity -------------------------------------------------------
@@ -548,19 +548,19 @@ class Poly:
         return f"Poly({self})"
 
 
-def power(base, n: int, one):
-    """base**n for n >= 0 in a commutative ring with identity ``one``, by
-    square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3): multiply the result
-    by the base when the low bit of n is set, then square the base and
-    shift n right.  That is at most 2*n.bit_length() products instead of
-    n."""
+def power(base, n: int, one, mul=mul):
+    """base**n for n >= 0 in a commutative ring with identity ``one`` and
+    product ``mul``, by square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3):
+    multiply the result by the base when the low bit of n is set, then
+    square the base and shift n right.  That is at most 2*n.bit_length()
+    products instead of n."""
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

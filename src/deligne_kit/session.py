@@ -12,7 +12,6 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .modules import FpModule
 from .rings import GF, MAX_DIGITS, QQ, Poly, PolyRing, vec_dot
 
 
@@ -179,12 +178,52 @@ class IdealizationTask(_Record):
         return {"cap": self.cap, "poles": list(self.poles)}
 
 
+class Presentation(_Record):
+    """A declared module: R^rank modulo the span of its relation columns,
+    the columns of its matrix.  Ring, rank and columns are all that
+    ``check`` reads of a module, and an FpModule has them too."""
+
+    __slots__ = ("ring", "rank", "columns")
+
+    def __init__(self, ring: PolyRing, rank: int, columns: tuple):
+        self.ring = ring
+        self.rank = rank
+        self.columns = columns
+
+
+class ModuleTable:
+    """The declared modules by name: ``presentations`` holds each one as
+    parsed, and reading ``table[name]`` builds its FpModule once, so that
+    parsing and replay import no Gröbner code.  Two tables are equal when
+    their presentations are."""
+
+    __slots__ = ("presentations", "_built")
+
+    def __init__(self, presentations: dict):
+        self.presentations = presentations
+        self._built = {}
+
+    def __contains__(self, name) -> bool:
+        return name in self.presentations
+
+    def __getitem__(self, name: str):
+        if name not in self._built:
+            from .modules import FpModule
+
+            p = self.presentations[name]
+            self._built[name] = FpModule(p.ring, p.rank, p.columns)
+        return self._built[name]
+
+    def __eq__(self, other):
+        if type(other) is not ModuleTable:
+            return NotImplemented
+        return self.presentations == other.presentations
+
+
 class Session(_Record):
     """A parsed session: its ring, the declared tables by name and the
     tasks in source order; the module ``R`` is predefined."""
 
-    # modules last: each is built from its matrix, and comparing two
-    # modules compares Groebner bases
     __slots__ = ("ring", "module_matrices", "ideals", "sequences", "tasks",
                  "modules")
 
@@ -194,7 +233,7 @@ class Session(_Record):
         self.ideals = {}
         self.sequences = {}
         self.tasks = []
-        self.modules = {"R": FpModule.free(ring, 1)}
+        self.modules = ModuleTable({"R": Presentation(ring, 1, ())})
 
     def pretty(self) -> str:
         lines = []
@@ -455,19 +494,19 @@ class _Parser:
                     f"{name_tok.line}:{name_tok.col}: ragged matrix for {name!r}"
                 )
         rank = len(rows)
-        columns = [tuple(rows[i][j] for i in range(rank)) for j in range(width)]
+        columns = tuple(tuple(rows[i][j] for i in range(rank))
+                        for j in range(width))
         if name in session.modules:
             self.fail(f"duplicate name {name!r}", name_tok)
-        session.modules[name] = FpModule(session.ring, rank, columns)
+        session.modules.presentations[name] = Presentation(session.ring, rank,
+                                                           columns)
         session.module_matrices[name] = tuple(tuple(r) for r in rows)
 
     def _resolve(self, session: Session, table: str, name: str, tok: Token):
-        values = getattr(session, table)
-        if name not in values:
+        if name not in getattr(session, table):
             raise NameResolutionError(
                 f"{tok.line}:{tok.col}: unknown {table[:-1]} {name!r}"
             )
-        return values[name]
 
     def task_decl(self, session: Session):
         kind_tok = self.peek()

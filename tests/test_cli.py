@@ -174,16 +174,16 @@ def test_main_nothing_to_check_exits_2(tmp_path, capsys, task, bound, _):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("task, _, certificate", _NOTHING_CHECKED,
+@pytest.mark.parametrize("task, bound, certificate", _NOTHING_CHECKED,
                          ids=["roundtrip", "probes", "sheaf", "diagram"])
-def test_replay_refuses_pass_with_nothing_checked(task, _, certificate):
+def test_replay_refuses_pass_with_nothing_checked(task, bound, certificate):
     # a written record of such a task, empty as its bounds allow, does not
     # verify either
     session = parse_session(f"ring Q[x,y];\nideal J = (x, y);\n{task}\n")
     t = session.tasks[0]
     record = {"kind": t.kind, "label": t.pretty(), "outcome": "pass",
               "bounds": t.bounds(), "certificate": certificate}
-    assert replay_record(record, t, session) is False
+    assert replay_record(record, t, session) == f"{bound} must be >= 1"
 
 
 @pytest.mark.parametrize("nested", ["(" * 5000 + "x" + ")" * 5000,
@@ -808,6 +808,38 @@ def test_replay_record_not_an_object_fails_that_record(report, tmp_path, capsys)
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_replay_says_why_a_record_fails(report):
+    """Each unverified result carries a reason; a verified one carries
+    none, so its result is what it was before reasons."""
+    rep, session = report
+    forged = json.loads(json.dumps(rep))
+    records = forged["records"]
+    records[0] = 7
+    records[1]["certificate"]["samples"][0]["probes"][0]["theta"] = ["1"]
+    records[2]["certificate"]["samples"][1]["glued"]["exponent"] = "2"
+    del records[3]["certificate"]
+    records[4]["outcome"] = "pass"
+    for record in records[1:]:
+        record["digest"] = record_digest(record)
+    out = replay_report(GOOD, session, forged)
+    assert out["ok"] is False
+    assert [r.get("reason") for r in out["results"]] == [
+        "the record is not a JSON object",
+        "sample 0, probe 0: sigma = theta fails",
+        "a field of the wrong type: '2' is not an integer",
+        "the field 'certificate' is missing",
+        "the evidence gives obstruction",
+    ]
+    records[4]["outcome"] = "obstruction"
+    out = replay_report(GOOD, session, forged)
+    assert out["results"][4] == {"label": records[4]["label"],
+                                 "outcome": "obstruction",
+                                 "reason": "the digest does not match the "
+                                           "record", "verified": False}
+    verified = replay_report(GOOD, session, rep)["results"]
+    assert [sorted(r) for r in verified] == [["label", "outcome", "verified"]] * 5
+
+
 TOWER = """\
 ring F32003[a,b,c] order grevlex;
 module N = coker [[a*b, c^2]];
@@ -1178,15 +1210,17 @@ REJECTIONS = {
 
 def _rejected(source_reports, name):
     """The ValueError that decide raises on the forgery `name`, after
-    checking that replay_record fails the forged record."""
+    checking that replay_record gives its text as the forged record's
+    reason."""
     source, index, mutate, _ = REJECTIONS[name]
     records, session = source_reports[source]
     forged = json.loads(json.dumps(records[index]))
     mutate(forged)
     task = session.tasks[index]
-    assert replay_record(forged, task, session) is False
+    reason = replay_record(forged, task, session)
     with pytest.raises(ValueError) as info:
         check.decide(forged, task, session)
+    assert reason == str(info.value)
     return info
 
 
@@ -1275,10 +1309,8 @@ REPLAY_MODULES = {"check", "rings", "idealization", "errors", "session", "cli"}
 def test_replay_runs_no_producer_code():
     """Replaying the reports of ``GOOD`` and of the tower, transform and
     obstruction benchmark sessions at seeds 1-3 and 7 enters, after the
-    session is parsed, only functions defined in ``REPLAY_MODULES`` and
-    ``tasks.replay_record``, which compares a record's kind, label and
-    bounds before it hands the record to ``check``; the calls are seen
-    with ``sys.setprofile``."""
+    session is parsed, only functions defined in ``REPLAY_MODULES``; the
+    calls are seen with ``sys.setprofile``."""
     package = os.path.dirname(os.path.abspath(deligne_kit.__file__))
     workloads = _bench_workloads()
     texts = [GOOD] + [workloads.make(name, seed).text
@@ -1306,7 +1338,7 @@ def test_replay_runs_no_producer_code():
     assert "check.idealization_outcome" in entered
     outside = {name for name in entered
                if name.split(".")[0] not in REPLAY_MODULES}
-    assert outside == {"tasks.replay_record"}
+    assert outside == set()
 
 
 def test_checker_imports_only_errors_rings_and_idealization():
@@ -1559,11 +1591,14 @@ def test_de_poly_errors():
     text = "ring Q[x];\nsequence s = (x, x);\ntask prozero s degree 1 from 1 cap 6;\n"
     session = parse_session(text)
     record = build_report(text, session)["records"][0]
-    assert replay_record(record, session.tasks[0], session) is True
-    for bad in ("1/0", "2*z", long_run):
+    assert replay_record(record, session.tasks[0], session) is None
+    for bad, reason in (("1/0", "zero denominator"),
+                        ("2*z", "unknown variable 'z'"),
+                        (long_run, "a polynomial not in the form a report "
+                                   "writes")):
         forged = json.loads(json.dumps(record))
         forged["certificate"]["entries"][0]["preimage_chain"][0] = bad
-        assert replay_record(forged, session.tasks[0], session) is False
+        assert replay_record(forged, session.tasks[0], session) == reason
 
 
 # ---------------------------------------------------------------- exit codes
@@ -1762,3 +1797,93 @@ def test_cli_import_adds_no_introspection_modules():
     assert "deligne_kit.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize",
                         "linecache", "hashlib", "_hashlib", "argparse"}
+
+
+# --------------------------------------------- what each process executes
+
+# the modules only ``run`` executes: the package registers them as lazy
+# modules, executed on the first read of an attribute
+RUN_MODULES = ("groebner", "modules", "koszul", "deligne", "tasks")
+
+# appended to a fresh process's code: the RUN_MODULES it executed
+_EXECUTED = (
+    "\nimport sys as _sys, types as _types\n"
+    f"print(' '.join(m for m in {RUN_MODULES!r} if type("
+    "_sys.modules['deligne_kit.' + m]) is _types.ModuleType))\n"
+)
+
+
+def _executed(code, *args):
+    """The RUN_MODULES that a fresh process running `code` with `args`
+    executed, read off the type of their ``sys.modules`` entries."""
+    src = os.path.dirname(os.path.dirname(deligne_kit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code + _EXECUTED, *map(str, args)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    return set(out.splitlines()[-1].split())
+
+
+_REPLAY = (
+    "import sys; from deligne_kit.cli import main\n"
+    "assert main(['run', sys.argv[1], '--replay', sys.argv[2], "
+    "'--out', sys.argv[3]]) == 0\n"
+)
+
+
+def test_cli_import_executes_no_run_module():
+    assert _executed("import deligne_kit.cli") == set()
+
+
+def test_bench_setup_probe_executes_no_run_module(tmp_path):
+    """The set-up probe of perfbench/run.py, read from its source."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    code = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["SETUP_CODE"])
+    session = tmp_path / "s.dk"
+    session.write_text(_bench_workloads().make("transform", 1).text)
+    assert _executed(code, session) == set()
+
+
+@pytest.mark.parametrize("source", ["tower", "transform", "obstruction",
+                                    "torsion"])
+def test_replay_executes_no_run_module(tmp_path, source):
+    """A ``--replay`` process of the seed-1 benchmark reports and of
+    ``tests/data/torsion.dk`` checks every record without executing any
+    of RUN_MODULES."""
+    if source == "torsion":
+        with open(TORSION, encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = _bench_workloads().make(source, 1).text
+    session, report, out = (tmp_path / n for n in ("s.dk", "r.json", "o.json"))
+    session.write_text(text)
+    report.write_text(json.dumps(build_report(text, parse_session(text))))
+    assert _executed(_REPLAY, session, report, out) == set()
+    assert json.loads(out.read_text())["ok"] is True
+
+
+def test_run_executes_every_run_module(tmp_path):
+    session, report = tmp_path / "s.dk", tmp_path / "r.json"
+    session.write_text(_bench_workloads().make("obstruction", 1).text)
+    code = ("import sys; from deligne_kit.cli import main\n"
+            "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n")
+    assert _executed(code, session, report) == set(RUN_MODULES)
+    assert json.loads(report.read_text())["ok"] is True
+
+
+def test_cli_runs_as_a_module_without_warnings():
+    """``python -m deligne_kit.cli`` would import ``cli`` twice, with a
+    RuntimeWarning, if the package registered it in sys.modules."""
+    src = os.path.dirname(os.path.dirname(deligne_kit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "deligne_kit.cli", "--help"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.startswith("usage: deligne-kit run FILE")
+    assert out.stderr == ""

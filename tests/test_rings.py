@@ -319,6 +319,24 @@ def test_evaluate(R):
     assert p.evaluate((2, 5)) == Fraction(14)
 
 
+def test_evaluate_large_exponent_by_squaring():
+    R = PolyRing(GF(32003), ("x", "y"))
+    x, y = R.gens()
+    p = x ** (10**9) * y
+    start = time.perf_counter()
+    value = p.evaluate((5, 7))
+    assert time.perf_counter() - start < 1.0
+    assert value == pow(5, 10**9, 32003) * 7 % 32003
+
+
+def test_evaluate_at_a_rational_point_is_exact(R):
+    x, y = R.gens()
+    p = R.const(Fraction(2, 3)) * x**5 * y**2 - 7 * x * y**3 + R.const(4)
+    a, b = Fraction(-3, 2), Fraction(5, 7)
+    assert p.evaluate((a, b)) == Fraction(2, 3) * a**5 * b**2 - 7 * a * b**3 + 4
+    assert p.evaluate((3, 0)) == 4
+
+
 # ---------------------------------------------------------------- powers
 
 
