@@ -4,11 +4,16 @@ transforms, Čech 0-cocycles with constructive gluing, and the idealization
 counterexample backend, plus a batch CLI emitting replayable reports.
 
 Importing the package executes none of its modules.  A name below is
-imported from its module on first use (PEP 562), and the modules that only
-``run`` needs are registered as lazy modules, executed on the first read
-of one of their attributes: ``import deligne_kit.cli`` and ``--replay``
-execute only ``cli``, ``check``, ``errors``, ``idealization``, ``rings``
-and ``session``."""
+imported from its module on first use (PEP 562), and the modules that
+compute, ``groebner``, ``modules``, ``koszul``, ``deligne``,
+``idealization`` and ``tasks``, are registered as lazy modules, executed
+on the first read of one of their attributes.  The package reaches them
+only through their module objects, never by ``from .koszul import name``,
+which would execute the module where it is imported.  So ``import
+deligne_kit.cli`` executes only ``cli``, ``check``, ``errors``, ``rings``
+and ``session``, a run executes besides ``tasks`` only the modules its
+task kinds call, and a replay none of them but ``idealization``, for an
+idealization record."""
 
 import sys
 from importlib import import_module
@@ -42,7 +47,8 @@ __version__ = "0.1.0"
 # In sys.modules, so that code wrapping their functions from outside finds
 # them; never ``cli``, which ``python -m deligne_kit.cli`` would then
 # import a second time.
-for _name in ("groebner", "modules", "koszul", "deligne", "tasks"):
+for _name in ("groebner", "modules", "koszul", "deligne", "idealization",
+              "tasks"):
     _spec = find_spec(f"{__name__}.{_name}")
     _spec.loader = LazyLoader(_spec.loader)
     sys.modules[_spec.name] = globals()[_name] = module_from_spec(_spec)

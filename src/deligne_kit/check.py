@@ -20,7 +20,9 @@ imports nothing from the modules that produce a record.  A check reads a
 module only as its ring, rank and relation ``columns``: the session's
 ``Presentation`` at replay, an FpModule at run.  So a replay process
 executes ``cli``, ``session`` and this module with what it imports, and
-none of ``groebner``, ``modules``, ``koszul``, ``deligne`` or ``tasks``.
+none of ``groebner``, ``modules``, ``koszul``, ``deligne`` or ``tasks``;
+it executes ``idealization``, a lazy module, only for an idealization
+record.
 
 Replay bounds its work by degrees before it raises a power.  A record sets
 few exponents: a roundtrip probe sigma's, within the pigeonhole bound of
@@ -65,8 +67,8 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
+from . import idealization
 from .errors import NameResolutionError, StructuralError
-from .idealization import IdealizationRing, rho_obstruction
 from .rings import (
     MAX_DIGITS,
     Poly,
@@ -126,27 +128,33 @@ def de_poly(ring: PolyRing, text) -> Poly:
     return Poly(ring, {mon: c for mon, c in terms.items() if c != fld.zero})
 
 
-def de_vec(ring: PolyRing, items, length: int | None = None) -> tuple:
-    """A vector is a list of polynomial strings (``de_poly``), else TypeError;
-    with `length`, one of any other length raises ValueError."""
+def de_vec(ring: PolyRing, items, length: int | None, where: str,
+           *at) -> tuple:
+    """A vector is a list of polynomial strings (``de_poly``); with
+    `length`, of that length.  Anything else raises ValueError naming
+    where: `where` is a format string of the field's location, filled with
+    `at` only then, as in ``de_int`` and ``de_flag``."""
     if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-        raise TypeError("a vector is a list of polynomial strings")
+        raise ValueError(f"{where.format(*at)}: a vector is a list of "
+                         "polynomial strings")
     if length is not None and len(items) != length:
-        raise ValueError(f"vector of length {len(items)}, not {length}")
+        raise ValueError(f"{where.format(*at)}: vector of length "
+                         f"{len(items)}, not {length}")
     return tuple(de_poly(ring, s) for s in items)
 
 
-def de_int(value) -> int:
-    """A JSON integer; a bool or a float raises TypeError."""
+def de_int(value, where: str, *at) -> int:
+    """A JSON integer; a bool, a float or any other value raises ValueError
+    naming where."""
     if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
+        raise ValueError(f"{where.format(*at)}: {value!r} is not an integer")
     return value
 
 
-def de_flag(value) -> bool:
-    """A JSON boolean; anything else raises TypeError."""
+def de_flag(value, where: str, *at) -> bool:
+    """A JSON boolean; anything else raises ValueError naming where."""
     if type(value) is not bool:
-        raise TypeError(f"{value!r} is not a boolean")
+        raise ValueError(f"{where.format(*at)}: {value!r} is not a boolean")
     return value
 
 
@@ -368,9 +376,11 @@ class LocEqualCertificate:
 ROUNDTRIP_STAGES = (1, 2)  # the stages a roundtrip run samples its homs at
 
 
-def _read_loc(M, c: int, lift) -> LocEqualCertificate:
-    """The certificate of kill exponent c and one lift entry per relation."""
-    return LocEqualCertificate(c, de_vec(M.ring, lift, len(M.columns)))
+def _read_loc(M, c: int, lift, where: str, *at) -> LocEqualCertificate:
+    """The certificate of kill exponent c and one lift entry per relation,
+    the lift read as ``de_vec`` reads `where`."""
+    return LocEqualCertificate(
+        c, de_vec(M.ring, lift, len(M.columns), where, *at))
 
 
 def _top_leads_distinct(xs) -> bool:
@@ -411,12 +421,15 @@ def replay_prozero(record: dict, task, session):
     ring = session.ring
     entries = [
         CertificateEntry(
-            cycle=de_vec(ring, e["cycle"]),
-            preimage_chain=de_vec(ring, e["preimage_chain"]),
-            relation_lift=de_vec(ring, e["relation_lift"]),
-            cycle_relation_lift=de_vec(ring, e["cycle_relation_lift"]),
+            cycle=de_vec(ring, e["cycle"], None, "entry {}: cycle", j),
+            preimage_chain=de_vec(ring, e["preimage_chain"], None,
+                                  "entry {}: preimage_chain", j),
+            relation_lift=de_vec(ring, e["relation_lift"], None,
+                                 "entry {}: relation_lift", j),
+            cycle_relation_lift=de_vec(ring, e["cycle_relation_lift"], None,
+                                       "entry {}: cycle_relation_lift", j),
         )
-        for e in payload["entries"]
+        for j, e in enumerate(payload["entries"])
     ]
 
     def cert(entries):
@@ -441,7 +454,7 @@ def replay_roundtrip(record: dict, task, session):
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules.presentations[task.module]
     for s, sample in enumerate(_samples(record, task)):
-        n = de_int(sample["stage"])
+        n = de_int(sample["stage"], "sample {}: stage", s)
         if n not in ROUNDTRIP_STAGES:
             raise ValueError(f"sample {s}: stage {n}")
         if len(sample["probes"]) != task.probes:
@@ -449,13 +462,18 @@ def replay_roundtrip(record: dict, task, session):
                              f"not {task.probes}")
         for p, pr in enumerate(sample["probes"]):
             y = de_poly(M.ring, pr["y"])
-            d = de_int(pr["sigma"]["exponent"])
+            d = de_int(pr["sigma"]["exponent"],
+                       "sample {}, probe {}: sigma.exponent", s, p)
             if not 1 <= d <= xs.pigeonhole_bound(n):
                 raise ValueError(f"sample {s}, probe {p}: sigma exponent {d}")
-            if not _read_loc(M, 0, pr["lift"]).verify(
-                    M, y.total_degree(), lambda: y,
-                    de_vec(M.ring, pr["sigma"]["numerator"], M.rank), d,
-                    de_vec(M.ring, pr["theta"], M.rank), n):
+            cert = _read_loc(M, 0, pr["lift"], "sample {}, probe {}: lift",
+                             s, p)
+            sigma = de_vec(M.ring, pr["sigma"]["numerator"], M.rank,
+                           "sample {}, probe {}: sigma.numerator", s, p)
+            theta = de_vec(M.ring, pr["theta"], M.rank,
+                           "sample {}, probe {}: theta", s, p)
+            if not cert.verify(M, y.total_degree(), lambda: y, sigma, d,
+                               theta, n):
                 raise ValueError(f"sample {s}, probe {p}: sigma = theta fails")
     return "pass"
 
@@ -476,15 +494,17 @@ def replay_sheaf(record: dict, task, session):
     lemma = _top_leads_distinct(xs.elements)
     for s, sample in enumerate(_samples(record, task)):
         glued = sample["glued"]
-        e = de_int(glued["exponent"])
+        e = de_int(glued["exponent"], "sample {}: glued.exponent", s)
         if e < 1:
             raise ValueError(f"sample {s}: glue exponent {e}")
         primed, lifts = glued["primed"], glued["restriction_lifts"]
         if len(primed) != xs.k or len(lifts) != xs.k:
             raise ValueError(f"sample {s}: primed or restriction lift count")
-        primed = [de_vec(ring, mp, M.rank) for mp in primed]
+        primed = [de_vec(ring, mp, M.rank, "sample {}, chart {}: glued.primed",
+                         s, i) for i, mp in enumerate(primed)]
         num = vec_dot([ring.one()] * xs.k, primed, ring, M.rank)
-        element = de_vec(ring, sample["element"], M.rank)
+        element = de_vec(ring, sample["element"], M.rank, "sample {}: element",
+                         s)
         # deg num <= max deg m'_i
         by_degrees = lemma and e > max(map(vec_degree, [element, *primed]))
         power = functools.cache(lambda j: xs.elements[j] ** e)
@@ -492,7 +512,9 @@ def replay_sheaf(record: dict, task, session):
             minus = tuple(-p for p in mp)
             vs = [vec_sub(num, mp) if j == i else minus for j in range(xs.k)]
             terms = [(j, v) for j, v in enumerate(vs) if not vec_is_zero(v)]
-            rhs = vec_dot(de_vec(ring, lift, len(rels)), rels, ring, M.rank)
+            rhs = vec_dot(de_vec(ring, lift, len(rels), "sample {}, chart "
+                                 "{}: glued.restriction_lifts", s, i),
+                          rels, ring, M.rank)
             if by_degrees and vec_degree(rhs) != max(
                     (e * xs.elements[j].total_degree() + vec_degree(v)
                      for j, v in terms), default=-1):
@@ -508,7 +530,9 @@ def replay_sheaf(record: dict, task, session):
 
         y_degree = e * max(x.total_degree() for x in xs.elements)
         back = glued["recover_certificate"]
-        cert = _read_loc(M, de_int(back["c"]), back["lift"])
+        c = de_int(back["c"], "sample {}: glued.recover_certificate.c", s)
+        cert = _read_loc(M, c, back["lift"],
+                         "sample {}: glued.recover_certificate.lift", s)
         if not cert.verify(M, y_degree if lemma else y().total_degree(), y,
                            num, 1, element, 0):
             raise ValueError(f"sample {s}: recovery m/y = element/1 fails")
@@ -520,7 +544,10 @@ def replay_diagram(record: dict, task, session):
     intersection of the kernels of M -> M_(x_i)."""
     _require_positive(samples=task.samples)
     for s, sample in enumerate(_samples(record, task)):
-        if de_flag(sample["in_torsion"]) != de_flag(sample["zero_cocycle"]):
+        torsion = de_flag(sample["in_torsion"], "sample {}: in_torsion", s)
+        cocycle = de_flag(sample["zero_cocycle"], "sample {}: zero_cocycle",
+                          s)
+        if torsion != cocycle:
             raise ValueError(f"sample {s}: in_torsion != zero_cocycle")
     return "pass"
 
@@ -532,11 +559,11 @@ def idealization_outcome(record: dict, task, session):
     if record["certificate"] != {}:
         raise ValueError("the idealization certificate is not empty")
     _require_positive(cap=task.cap)
-    ring = IdealizationRing(session.ring.field)
+    ring = idealization.IdealizationRing(session.ring.field)
     for p in task.poles:
         if p < 1:
             raise StructuralError("pole orders must be positive")
-        rho_obstruction(ring, ring.R.one(), p, task.cap)
+        idealization.rho_obstruction(ring, ring.R.one(), p, task.cap)
     return "obstruction"
 
 
@@ -557,12 +584,15 @@ def decide(record: dict, task, session):
     writes and for the one ``--replay`` reads.  The record's kind, label
     and bounds must be the task's; a prozero record with a certificate
     also carries the witness_m it is checked at.  Evidence that does not
-    verify raises ValueError naming where; a field missing or of the wrong
-    type or form raises KeyError, TypeError or ValueError, and an unknown
-    variable or a task that checks nothing StructuralError."""
+    verify raises ValueError naming where, and so does a field of the wrong
+    type or form that ``de_int``, ``de_flag`` or ``de_vec`` reads; a field
+    missing raises KeyError, another wrong type TypeError (a null
+    ``glued``), and an unknown variable or a task that checks nothing
+    StructuralError."""
     bounds = task.bounds()
     if task.kind == "prozero" and record["certificate"] != {}:
-        bounds["witness_m"] = de_int(record["bounds"]["witness_m"])
+        bounds["witness_m"] = de_int(record["bounds"]["witness_m"],
+                                     "bounds.witness_m")
     # compared as JSON text, which tells 7 from 7.0 and 1 from true
     claimed = [record["kind"], record["label"], record["bounds"]]
     given = [task.kind, task.pretty(), bounds]

@@ -26,6 +26,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from . import tasks  # the producers, a lazy module that a replay never reads
 from .check import record_acceptable, replay_record
 from .errors import InternalError, ParseError, StructuralError
 from .session import parse_session
@@ -44,13 +45,11 @@ def record_digest(record: dict) -> str:
 
 
 def build_report(session_text: str, session) -> dict:
-    from .tasks import run_task  # the producers; a replay imports none
-
     records = []
     for task in session.tasks:
         start = time.monotonic()
         try:
-            record = run_task(task, session)
+            record = tasks.run_task(task, session)
         except (InternalError, StructuralError) as ex:
             raise type(ex)(f"{task.pretty()}: {ex}") from ex
         record["digest"] = record_digest(record)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import re
 
+from . import modules  # a lazy module, executed when a run reads one
 from .errors import (
     DimensionError,
     NameResolutionError,
@@ -208,10 +209,8 @@ class ModuleTable:
 
     def __getitem__(self, name: str):
         if name not in self._built:
-            from .modules import FpModule
-
             p = self.presentations[name]
-            self._built[name] = FpModule(p.ring, p.rank, p.columns)
+            self._built[name] = modules.FpModule(p.ring, p.rank, p.columns)
         return self._built[name]
 
     def __eq__(self, other):

@@ -13,23 +13,11 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from . import check
+# the producers through their lazy module objects, so that a run executes
+# only the modules its task kinds call
+from . import check, deligne, koszul, modules
 from .check import ROUNDTRIP_STAGES, LocEqualCertificate, decide
-from .deligne import (
-    Glued,
-    IdealTransformElement,
-    LocalFraction,
-    gamma_torsion,
-    kill_exponent,
-    loc_equal,
-    rho_eval,
-    sheaf_check,
-    sigma_inverse,
-    theta_probe,
-)
 from .errors import InternalError
-from .koszul import SearchExhausted, pro_zero_search
-from .modules import FpModule, hom_module, ideal_as_module
 from .rings import Poly, PolyRing, SequenceSpec
 from .session import (
     DiagramTask,
@@ -79,23 +67,24 @@ def random_poly(ring: PolyRing, rng: random.Random, max_deg=2,
     return ring.poly(terms)
 
 
-def random_element(M: FpModule, rng: random.Random):
+def random_element(M: modules.FpModule, rng: random.Random):
     vec = [random_poly(M.ring, rng) for _ in range(M.rank)]
     return M.element(vec)
 
 
-def random_hom(xs: SequenceSpec, stage: int, M: FpModule, rng: random.Random):
+def random_hom(xs: SequenceSpec, stage: int, M: modules.FpModule,
+               rng: random.Random):
     """A seeded random ideal-transform element, sampled through the
     presented Hom module so the syzygy conditions hold by construction."""
-    pres, gens = ideal_as_module(xs.elements, stage)
-    H = hom_module(pres, M)
+    pres, gens = modules.ideal_as_module(xs.elements, stage)
+    H = modules.hom_module(pres, M)
     coeffs = [
         random_poly(xs.ring, rng, max_deg=1, max_terms=1)
         for _ in H.generators
     ]
     cols = H.matrix_of(coeffs)
     values = [M.element(c) for c in cols]
-    return IdealTransformElement(xs, stage, values, M)
+    return deligne.IdealTransformElement(xs, stage, values, M)
 
 
 def probe_elements(xs: SequenceSpec, count: int, rng: random.Random):
@@ -137,8 +126,8 @@ def _certified(cert: LocEqualCertificate | None, sample: int,
 def run_prozero(task: ProzeroTask, session: Session) -> dict:
     xs = SequenceSpec(session.sequences[task.sequence])
     M = session.modules[task.module]
-    result = pro_zero_search(xs, task.degree, task.from_n, M, task.cap)
-    if isinstance(result, SearchExhausted):
+    result = koszul.pro_zero_search(xs, task.degree, task.from_n, M, task.cap)
+    if isinstance(result, koszul.SearchExhausted):
         return _record(task, {})
     entries = [
         {
@@ -160,12 +149,12 @@ def run_roundtrip(task: RoundtripTask, session: Session) -> dict:
     for s in range(task.samples):
         stage = rng.choice(ROUNDTRIP_STAGES)
         phi = random_hom(xs, stage, M, rng)
-        cocycle = rho_eval(phi)
+        cocycle = deligne.rho_eval(phi)
         probe_records = []
         for p, y in enumerate(probe_elements(xs, task.probes, rng)):
-            sig = sigma_inverse(cocycle, y)
-            the = theta_probe(phi, y)
-            cert = _certified(loc_equal(sig, the), s,
+            sig = deligne.sigma_inverse(cocycle, y)
+            the = deligne.theta_probe(phi, y)
+            cert = _certified(deligne.loc_equal(sig, the), s,
                               f"sigma(rho(phi)) = theta(phi) at probe {p}")
             probe_records.append({
                 "y": str(y),
@@ -187,7 +176,7 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
     M = session.modules[task.module]
     ring = session.ring
     rng = random.Random(task.seed)
-    gamma = gamma_torsion(M, xs)
+    gamma = deligne.gamma_torsion(M, xs)
     torsion_gens = [M.element(g) for g in gamma.generators]
     samples = []
     for s in range(task.samples):
@@ -200,13 +189,14 @@ def run_sheaf(task: SheafGlueTask, session: Session) -> dict:
                      if rng.random() < 0.5 else ring.zero()
                      for _ in torsion_gens]
             num = M.combine([x ** exps[i], *tweak], [m, *torsion_gens])
-            sections.append(LocalFraction(num, x, exps[i]))
-        res = sheaf_check(sections, xs)
-        if not isinstance(res, Glued):
+            sections.append(deligne.LocalFraction(num, x, exps[i]))
+        res = deligne.sheaf_check(sections, xs)
+        if not isinstance(res, deligne.Glued):
             raise InternalError(f"sample {s}: the compatible family does not "
                                 f"glue at charts {res.i} and {res.j}")
         back = _certified(
-            loc_equal(res.fraction(), LocalFraction(m, res.y, 0)), s,
+            deligne.loc_equal(res.fraction(),
+                              deligne.LocalFraction(m, res.y, 0)), s,
             "m/y = element/1 in M_y")
         # an unused chart draw, kept so each seed samples what it always has
         rng.randrange(xs.k)
@@ -229,13 +219,13 @@ def run_diagram(task: DiagramTask, session: Session) -> dict:
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules[task.module]
     rng = random.Random(task.seed)
-    gamma = gamma_torsion(M, xs)
+    gamma = deligne.gamma_torsion(M, xs)
     samples = []
     for _ in range(task.samples):
         m = random_element(M, rng)
         samples.append({
             "in_torsion": gamma.contains(m),
-            "zero_cocycle": all(kill_exponent(M, x, m) is not None
+            "zero_cocycle": all(deligne.kill_exponent(M, x, m) is not None
                                 for x in xs.elements),
         })
     return _record(task, {"samples": samples})

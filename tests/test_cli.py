@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 import deligne_kit
-from deligne_kit import check, tasks
+from deligne_kit import check
 from deligne_kit.cli import (
     SCHEMA,
     build_report,
@@ -826,7 +826,7 @@ def test_replay_says_why_a_record_fails(report):
     assert [r.get("reason") for r in out["results"]] == [
         "the record is not a JSON object",
         "sample 0, probe 0: sigma = theta fails",
-        "a field of the wrong type: '2' is not an integer",
+        "sample 1: glued.exponent: '2' is not an integer",
         "the field 'certificate' is missing",
         "the evidence gives obstruction",
     ]
@@ -838,6 +838,38 @@ def test_replay_says_why_a_record_fails(report):
                                            "record", "verified": False}
     verified = replay_report(GOOD, session, rep)["results"]
     assert [sorted(r) for r in verified] == [["label", "outcome", "verified"]] * 5
+
+
+# the reason of a field that de_int, de_flag or de_vec reads: its path, then
+# what is wrong with it
+FIELD_REASONS = {
+    "witness-m-float": "bounds.witness_m: 2.0 is not an integer",
+    "preimage-chain-string":
+        "entry 0: preimage_chain: a vector is a list of polynomial strings",
+    "stage-true": "sample 1: stage: True is not an integer",
+    "exponent-true": "sample 1, probe 0: sigma.exponent: True is not an "
+                     "integer",
+    "sigma-long": "sample 0, probe 0: sigma.numerator: vector of length 2, "
+                  "not 1",
+    "equal-one": "sample 0, probe 0: lift: a vector is a list of polynomial "
+                 "strings",
+    "compat-false": "sample 0: glued.exponent: True is not an integer",
+    "primed-long": "sample 0, chart 0: glued.primed: vector of length 2, "
+                   "not 1",
+    "restriction-lifts-strings": "sample 0, chart 0: glued.restriction_lifts: "
+                                 "a vector is a list of polynomial strings",
+    "c-false": "sample 0: glued.recover_certificate.c: False is not an "
+               "integer",
+    "in-torsion-zero": "sample 1: in_torsion: 0 is not a boolean",
+}
+
+
+@pytest.mark.parametrize("name", list(FIELD_REASONS))
+def test_replay_reason_names_the_field(report, name):
+    rep, session = report
+    index, mutate = FORGERIES[name]
+    out = replay_report(GOOD, session, _forge(rep, index, mutate))
+    assert out["results"][index]["reason"] == FIELD_REASONS[name]
 
 
 TOWER = """\
@@ -1345,15 +1377,23 @@ def test_checker_imports_only_errors_rings_and_idealization():
     """The static side of ``test_replay_runs_no_producer_code``: ``check``
     imports the standard library and the package's ``errors``, ``rings``
     and ``idealization`` only, and ``deligne`` imports nothing from
-    ``koszul``."""
+    ``koszul``.  The modules a replay executes reach a lazily registered
+    module only through its module object: a name bound by
+    ``from .koszul import name`` would execute ``koszul`` where it is
+    imported."""
     package = os.path.dirname(os.path.abspath(deligne_kit.__file__))
 
-    def imports(name):
+    def nodes(name):
         with open(os.path.join(package, name + ".py"), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
+            return list(ast.walk(ast.parse(fh.read())))
+
+    def imports(name):
+        """(level, module) of each import, with ``from . import X`` as X."""
+        for node in nodes(name):
             if isinstance(node, ast.Import):
                 yield from ((0, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                yield from ((node.level, a.name) for a in node.names)
             elif isinstance(node, ast.ImportFrom):
                 yield node.level, node.module
 
@@ -1364,6 +1404,12 @@ def test_checker_imports_only_errors_rings_and_idealization():
     assert absolute <= set(sys.stdlib_module_names)
     assert not [module for level, module in imports("deligne")
                 if module in ("koszul", "deligne_kit.koszul")]
+    bound = [(name, node.module)
+             for name in ("cli", "check", "session", "tasks")
+             for node in nodes(name)
+             if isinstance(node, ast.ImportFrom) and node.level
+             and node.module in LAZY_MODULES]
+    assert bound == []
 
 
 def test_outcome_names_are_written_only_in_check():
@@ -1472,15 +1518,15 @@ NOT_VERIFIED = "the record does not verify: "
 # and diagram.  A record the check rejects names where: the sample and its
 # probe, the prozero stage and entry, or the sample whose flags differ.
 @pytest.mark.parametrize("workload, name, forge, broken, message", [
-    ("transform", "loc_equal", _shift_first_lift, 0,
+    ("transform", "deligne.loc_equal", _shift_first_lift, 0,
      NOT_VERIFIED + "sample 0, probe 0: sigma = theta fails"),
-    ("tower", "pro_zero_search", _zero_first_relation_lift, 1,
+    ("tower", "koszul.pro_zero_search", _zero_first_relation_lift, 1,
      NOT_VERIFIED + "stage witness_m = 2: entry 0 fails"),
-    ("transform", "loc_equal", _no_equality, 0,
+    ("transform", "deligne.loc_equal", _no_equality, 0,
      "sample 0: sigma(rho(phi)) = theta(phi) at probe 0 does not hold"),
-    ("transform", "sheaf_check", _no_gluing, 1,
+    ("transform", "deligne.sheaf_check", _no_gluing, 1,
      "sample 0: the compatible family does not glue at charts 0 and 1"),
-    ("transform", "gamma_torsion", _flip_torsion, 2,
+    ("transform", "deligne.gamma_torsion", _flip_torsion, 2,
      NOT_VERIFIED + "sample 0: in_torsion != zero_cocycle"),
 ], ids=["loc-equal", "prozero", "no-equality", "no-gluing", "torsion-flag"])
 def test_run_whose_evidence_does_not_verify_exits_3(
@@ -1489,9 +1535,12 @@ def test_run_whose_evidence_does_not_verify_exits_3(
     pass: ``run`` sets each outcome with the check ``--replay`` runs, so it
     exits 3, names the task and writes no report.  A sampled theorem that
     does not certify on a sample is a bug too, and the runner also names
-    the sample."""
+    the sample.  The forged function is patched in the module that
+    defines it, which ``tasks`` reads it from at each call."""
     text = _bench_workloads().make(workload, 1).text
-    monkeypatch.setattr(tasks, name, forge(getattr(tasks, name)))
+    home, attr = name.split(".")
+    module = getattr(deligne_kit, home)
+    monkeypatch.setattr(module, attr, forge(getattr(module, attr)))
     f, out = tmp_path / "s.dk", tmp_path / "r.json"
     f.write_text(text)
     assert main(["run", str(f), "--out", str(out)]) == 3
@@ -1801,20 +1850,21 @@ def test_cli_import_adds_no_introspection_modules():
 
 # --------------------------------------------- what each process executes
 
-# the modules only ``run`` executes: the package registers them as lazy
-# modules, executed on the first read of an attribute
-RUN_MODULES = ("groebner", "modules", "koszul", "deligne", "tasks")
+# the modules the package registers as lazy modules, executed on the first
+# read of an attribute
+LAZY_MODULES = ("groebner", "modules", "koszul", "deligne", "idealization",
+                "tasks")
 
-# appended to a fresh process's code: the RUN_MODULES it executed
+# appended to a fresh process's code: the LAZY_MODULES it executed
 _EXECUTED = (
     "\nimport sys as _sys, types as _types\n"
-    f"print(' '.join(m for m in {RUN_MODULES!r} if type("
+    f"print(' '.join(m for m in {LAZY_MODULES!r} if type("
     "_sys.modules['deligne_kit.' + m]) is _types.ModuleType))\n"
 )
 
 
 def _executed(code, *args):
-    """The RUN_MODULES that a fresh process running `code` with `args`
+    """The LAZY_MODULES that a fresh process running `code` with `args`
     executed, read off the type of their ``sys.modules`` entries."""
     src = os.path.dirname(os.path.dirname(deligne_kit.__file__))
     out = subprocess.run(
@@ -1849,30 +1899,46 @@ def test_bench_setup_probe_executes_no_run_module(tmp_path):
     assert _executed(code, session) == set()
 
 
+def _source_text(source):
+    """The seed-1 session of a benchmark workload, or
+    ``tests/data/torsion.dk``."""
+    if source == "torsion":
+        with open(TORSION, encoding="utf-8") as fh:
+            return fh.read()
+    return _bench_workloads().make(source, 1).text
+
+
 @pytest.mark.parametrize("source", ["tower", "transform", "obstruction",
                                     "torsion"])
 def test_replay_executes_no_run_module(tmp_path, source):
     """A ``--replay`` process of the seed-1 benchmark reports and of
     ``tests/data/torsion.dk`` checks every record without executing any
-    of RUN_MODULES."""
-    if source == "torsion":
-        with open(TORSION, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = _bench_workloads().make(source, 1).text
+    of LAZY_MODULES but ``idealization``, which the check of an
+    idealization record calls."""
+    text = _source_text(source)
     session, report, out = (tmp_path / n for n in ("s.dk", "r.json", "o.json"))
     session.write_text(text)
     report.write_text(json.dumps(build_report(text, parse_session(text))))
-    assert _executed(_REPLAY, session, report, out) == set()
+    expected = {"idealization"} if source == "obstruction" else set()
+    assert _executed(_REPLAY, session, report, out) == expected
     assert json.loads(out.read_text())["ok"] is True
 
 
-def test_run_executes_every_run_module(tmp_path):
+# what a run executes besides ``tasks``: prozero calls ``koszul``, the
+# sampled kinds ``deligne``, and both of them ``modules`` and ``groebner``;
+# an idealization task calls only ``idealization``
+@pytest.mark.parametrize("source, kinds_call", [
+    ("tower", {"groebner", "modules", "koszul"}),
+    ("transform", {"groebner", "modules", "deligne"}),
+    ("obstruction", {"idealization"}),
+    ("torsion", {"groebner", "modules", "deligne"}),
+], ids=["tower", "transform", "obstruction", "torsion"])
+def test_run_executes_only_what_its_kinds_call(tmp_path, source, kinds_call):
     session, report = tmp_path / "s.dk", tmp_path / "r.json"
-    session.write_text(_bench_workloads().make("obstruction", 1).text)
+    session.write_text(_source_text(source))
     code = ("import sys; from deligne_kit.cli import main\n"
             "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n")
-    assert _executed(code, session, report) == set(RUN_MODULES)
+    assert _executed(code, session, report) == kinds_call | {"tasks"}
     assert json.loads(report.read_text())["ok"] is True
 
 
