@@ -9,11 +9,13 @@ arithmetic from its task and its other fields: kind, label and bounds are
 rebuilt from the task (``decide`` compares them), a roundtrip fraction's
 base is its probe, its kill exponent 0 and theta's exponent the stage, the
 sheaf-glue numerator is the sum of the primed components, and the
-idealization witnesses, closed forms of (pole, cap), are rebuilt and
-verified.  A diagram sample holds only its two torsion flags.  Each replayer
-returns the outcome its evidence supports or raises ValueError naming
-where it does not verify: the sample and its probe or chart, or the
-prozero stage and entry.  No field is null, so a null is a wrong type.
+idealization witnesses are closed forms of (pole, stage): one per pole is
+verified, and the lemma of ``idealization.rho_obstruction`` gives every
+stage 1..cap, so that check costs the same for every cap.  A diagram
+sample holds only its two torsion flags.  Each replayer returns the
+outcome its evidence supports or raises ValueError naming where it does
+not verify: the sample and its probe or chart, or the prozero stage and
+entry.  No field is null, so a null is a wrong type.
 Replay is plain arithmetic over the declared relation generators: it never
 re-runs the bounded searches or the sampling, builds no Gröbner basis, and
 imports nothing from the modules that produce a record.  A check reads a
@@ -155,6 +157,13 @@ def de_flag(value, where: str, *at) -> bool:
     """A JSON boolean; anything else raises ValueError naming where."""
     if type(value) is not bool:
         raise ValueError(f"{where.format(*at)}: {value!r} is not a boolean")
+    return value
+
+
+def de_obj(value, where: str, *at) -> dict:
+    """A JSON object; anything else raises ValueError naming where."""
+    if type(value) is not dict:
+        raise ValueError(f"{where.format(*at)}: {value!r} is not an object")
     return value
 
 
@@ -402,11 +411,11 @@ def _require_positive(**bounds):
 
 
 def _samples(record: dict, task) -> list:
-    """The record's samples, one for each sample the task draws."""
+    """The record's samples, one object for each sample the task draws."""
     samples = record["certificate"]["samples"]
     if len(samples) != task.samples:
         raise ValueError(f"{len(samples)} samples, not {task.samples}")
-    return samples
+    return [de_obj(sample, "sample {}", s) for s, sample in enumerate(samples)]
 
 
 def replay_prozero(record: dict, task, session):
@@ -461,14 +470,16 @@ def replay_roundtrip(record: dict, task, session):
             raise ValueError(f"sample {s}: {len(sample['probes'])} probes, "
                              f"not {task.probes}")
         for p, pr in enumerate(sample["probes"]):
+            pr = de_obj(pr, "sample {}, probe {}", s, p)
             y = de_poly(M.ring, pr["y"])
-            d = de_int(pr["sigma"]["exponent"],
+            frac = de_obj(pr["sigma"], "sample {}, probe {}: sigma", s, p)
+            d = de_int(frac["exponent"],
                        "sample {}, probe {}: sigma.exponent", s, p)
             if not 1 <= d <= xs.pigeonhole_bound(n):
                 raise ValueError(f"sample {s}, probe {p}: sigma exponent {d}")
             cert = _read_loc(M, 0, pr["lift"], "sample {}, probe {}: lift",
                              s, p)
-            sigma = de_vec(M.ring, pr["sigma"]["numerator"], M.rank,
+            sigma = de_vec(M.ring, frac["numerator"], M.rank,
                            "sample {}, probe {}: sigma.numerator", s, p)
             theta = de_vec(M.ring, pr["theta"], M.rank,
                            "sample {}, probe {}: theta", s, p)
@@ -493,7 +504,7 @@ def replay_sheaf(record: dict, task, session):
     rels = list(M.columns)
     lemma = _top_leads_distinct(xs.elements)
     for s, sample in enumerate(_samples(record, task)):
-        glued = sample["glued"]
+        glued = de_obj(sample["glued"], "sample {}: glued", s)
         e = de_int(glued["exponent"], "sample {}: glued.exponent", s)
         if e < 1:
             raise ValueError(f"sample {s}: glue exponent {e}")
@@ -529,7 +540,8 @@ def replay_sheaf(record: dict, task, session):
             return sum(map(power, range(xs.k)), ring.zero())
 
         y_degree = e * max(x.total_degree() for x in xs.elements)
-        back = glued["recover_certificate"]
+        back = de_obj(glued["recover_certificate"],
+                      "sample {}: glued.recover_certificate", s)
         c = de_int(back["c"], "sample {}: glued.recover_certificate.c", s)
         cert = _read_loc(M, c, back["lift"],
                          "sample {}: glued.recover_certificate.lift", s)
@@ -553,9 +565,10 @@ def replay_diagram(record: dict, task, session):
 
 
 def idealization_outcome(record: dict, task, session):
-    """The outcome "obstruction", once rho_obstruction has verified the
-    witness of every pole at every stage 1..cap; the witnesses are closed
-    forms of (pole, cap), so the certificate is empty."""
+    """The outcome "obstruction", once rho_obstruction has verified one
+    witness per pole, which with its lemma covers every stage 1..cap: the
+    work grows with the number of poles, not with cap.  The witnesses are
+    closed forms of (pole, stage), so the certificate is empty."""
     if record["certificate"] != {}:
         raise ValueError("the idealization certificate is not empty")
     _require_positive(cap=task.cap)
@@ -585,10 +598,10 @@ def decide(record: dict, task, session):
     and bounds must be the task's; a prozero record with a certificate
     also carries the witness_m it is checked at.  Evidence that does not
     verify raises ValueError naming where, and so does a field of the wrong
-    type or form that ``de_int``, ``de_flag`` or ``de_vec`` reads; a field
-    missing raises KeyError, another wrong type TypeError (a null
-    ``glued``), and an unknown variable or a task that checks nothing
-    StructuralError."""
+    type or form that ``de_int``, ``de_flag``, ``de_vec`` or ``de_obj``
+    reads (a null ``glued``); a field missing raises KeyError, another
+    wrong type TypeError, and an unknown variable or a task that checks
+    nothing StructuralError."""
     bounds = task.bounds()
     if task.kind == "prozero" and record["certificate"] != {}:
         bounds["witness_m"] = de_int(record["bounds"]["witness_m"],

@@ -290,13 +290,16 @@ def pole_order(g: Poly, q: int):
 
 
 class PoleWitness:
-    """Per-stage obstruction to a rho-preimage of a target with a pole: any
-    stage-n hom value for the target would be (x^(n') * target, e) with
-    first component outside x^(n') R; pairing with the annihilator element
+    """The obstruction at stage n to a rho-preimage of a target with a
+    pole of order p: any stage-n hom value for the target would be, at the
+    effective stage n' = max(n, p), (x^(n') * target, e) with first
+    component outside x^(n') R; pairing with the annihilator element
     (0, e_{n'-1}) extracts exactly the principal part and is nonzero.
 
     ``pairing`` is that principal part in closed form (``principal_part``);
-    ``verify`` checks that the product equals it."""
+    ``verify`` checks that the product equals it.  ``rho_obstruction``
+    verifies the witness of one stage per target, and the lemma in its
+    docstring gives every other stage's."""
 
     __slots__ = ("stage", "effective_stage", "required_value", "probe",
                  "pairing")
@@ -329,34 +332,67 @@ def principal_part(ring: IdealizationRing, g: Poly, q: int) -> SElement:
     return ring.s(ring.R.zero(), e)
 
 
-def rho_obstruction(ring: IdealizationRing, numerator: Poly, denom_exp: int,
-                    cap: int):
-    """For a target g/x^q in R_x with a genuine pole, produce a verified
-    witness at every stage 1..cap.  Stages below the pole order are handled
-    at the effective stage max(n, p): a preimage at stage n would restrict
-    to one there, so the obstruction propagates.  The pairing is the
-    stage-independent principal part of the target; each witness's
-    ``verify`` recomputes it as a product."""
-    p = pole_order(numerator, denom_exp)
-    if p <= 0:
-        raise StructuralError("target has no pole; it lies in the transform")
-    g, q = normalize_laurent(numerator, denom_exp)
-    pairing = principal_part(ring, g, q)
-    witnesses = []
-    for n in range(1, cap + 1):
-        n_eff = max(n, p)
-        required = ring.s(g.mul_term(ring.field.one, (n_eff - q,)), ring.e_zero())
-        probe = ring.s(ring.R.zero(), ring.e(n_eff - 1))
-        w = PoleWitness(
+class PoleWitnesses:
+    """The witnesses of stages 1..cap of a target g/x^p normalized by
+    ``normalize_laurent``, in order: a sequence that can be read any number
+    of times, indexed from 0 like the stages' ``range`` (a ``for`` loop
+    reads it by index), that builds each witness in closed form (``at``)
+    only when it is read.  Holding it costs the same for every cap; ``len``
+    raises OverflowError past sys.maxsize, as a ``range`` does."""
+
+    __slots__ = ("ring", "g", "p", "pairing", "stages")
+
+    def __init__(self, ring: IdealizationRing, g: Poly, p: int, cap: int):
+        self.ring = ring
+        self.g = g
+        self.p = p
+        self.pairing = principal_part(ring, g, p)
+        self.stages = range(1, cap + 1)
+
+    def at(self, n: int) -> PoleWitness:
+        """The witness of stage n, at the effective stage max(n, p)."""
+        ring, n_eff = self.ring, max(n, self.p)
+        return PoleWitness(
             stage=n,
             effective_stage=n_eff,
-            required_value=required,
-            probe=probe,
-            pairing=pairing,
+            required_value=ring.s(
+                self.g.mul_term(ring.field.one, (n_eff - self.p,)),
+                ring.e_zero()),
+            probe=ring.s(ring.R.zero(), ring.e(n_eff - 1)),
+            pairing=self.pairing,
         )
-        if not w.verify():
-            raise InternalError("pole witness failed verification")
-        witnesses.append(w)
+
+    def __getitem__(self, i: int) -> PoleWitness:
+        return self.at(self.stages[i])
+
+    def __len__(self):
+        return len(self.stages)
+
+
+def rho_obstruction(ring: IdealizationRing, numerator: Poly, denom_exp: int,
+                    cap: int) -> PoleWitnesses:
+    """For a target g/x^q in R_x with a genuine pole, the witnesses of
+    stages 1..cap, of which one is verified; the lemma below gives the
+    rest, so the work does not depend on cap.
+
+    After ``normalize_laurent``, g(0) != 0, so q is the pole order p.  A
+    stage n below p is handled at the effective stage n' = max(n, p): a
+    preimage at stage n would restrict to one there, so the stage-p
+    witness is also the witness of every stage n <= p.  That witness is
+    verified, and its ``verify`` recomputes the pairing, the principal
+    part of the target, as a product.  Lemma: for n' >= p,
+    - x^(n'-p)·e_(n'-1) = e_(p-1), by E's shift and the associativity of
+      the k[x]-action;
+    - so probe(n')·required(n') = (x^(n'-p)·g)·e_(n'-1) = g·e_(p-1),
+      which is the stage-p pairing;
+    - and x^(n')·e_(n'-1) = x·(x^(n'-1)·e_(n'-1)) = x·e_0 = 0.
+    So the stage-n' witness verifies whenever the stage-p one does."""
+    if pole_order(numerator, denom_exp) <= 0:
+        raise StructuralError("target has no pole; it lies in the transform")
+    g, p = normalize_laurent(numerator, denom_exp)
+    witnesses = PoleWitnesses(ring, g, p, cap)
+    if not witnesses.at(p).verify():
+        raise InternalError("pole witness failed verification")
     return witnesses
 
 

@@ -537,6 +537,12 @@ FORGERIES = {
         lambda r: _samples(r)[0]["probes"][0].update(lift=None))),
     "fail-null-glued": (2, _claim_fail(
         lambda r: _samples(r)[0].update(glued=None))),
+    # a sample, a probe, sigma, glued or a recovery that is not an object
+    "null-sample": (3, lambda r: _samples(r).__setitem__(1, None)),
+    "null-probe": (1, lambda r: _samples(r)[0]["probes"].__setitem__(0, None)),
+    "sigma-list": (1, lambda r: _samples(r)[0]["probes"][0]
+                   .update(sigma=["x"])),
+    "null-glued": (2, lambda r: _samples(r)[1].update(glued=None)),
     "fail-null-recovery": (2, _claim_fail(
         lambda r: _samples(r)[0]["glued"].update(recover_certificate=None))),
     "fail-flipped-flag": (3, _claim_fail(_flip_first_flag)),
@@ -840,8 +846,8 @@ def test_replay_says_why_a_record_fails(report):
     assert [sorted(r) for r in verified] == [["label", "outcome", "verified"]] * 5
 
 
-# the reason of a field that de_int, de_flag or de_vec reads: its path, then
-# what is wrong with it
+# the reason of a field that de_int, de_flag, de_vec or de_obj reads: its
+# path, then what is wrong with it
 FIELD_REASONS = {
     "witness-m-float": "bounds.witness_m: 2.0 is not an integer",
     "preimage-chain-string":
@@ -861,6 +867,14 @@ FIELD_REASONS = {
     "c-false": "sample 0: glued.recover_certificate.c: False is not an "
                "integer",
     "in-torsion-zero": "sample 1: in_torsion: 0 is not a boolean",
+    "null-sample": "sample 1: None is not an object",
+    "null-probe": "sample 0, probe 0: None is not an object",
+    "sigma-list": "sample 0, probe 0: sigma: ['x'] is not an object",
+    "null-glued": "sample 1: glued: None is not an object",
+    "recovers-element-one": "sample 0: glued.recover_certificate: 1 is not "
+                            "an object",
+    "not-recovered": "sample 0: glued.recover_certificate: None is not an "
+                     "object",
 }
 
 

@@ -1,11 +1,15 @@
 import random
+import time
 
 import pytest
 
+from deligne_kit import check, idealization
+from deligne_kit.cli import main
 from deligne_kit.errors import StructuralError
 from deligne_kit.idealization import (
     EElement,
     IdealizationRing,
+    PoleWitness,
     h1_transition_witness,
     ideal_transform_stage,
     normalize_laurent,
@@ -209,6 +213,83 @@ def test_obstruction_pairing_is_the_principal_part(field, coeffs, q, principal):
         assert w.required_value == S.s(g * S.x ** (n_eff - q))
         assert w.pairing == s_mul(w.probe, w.required_value)
         assert w.pairing == expected
+
+
+def _laurent_target(S, rng, p):
+    """A seeded g/x^q with pole order p: g = x^v * (c_0 + ...), c_0 != 0 in
+    the field, and q = p + v; with its principal part, where g_i x^(i-q)
+    with i < q is g_i e_(q-1-i), read off g/x^q without normalizing it."""
+    fld = S.field
+    v = rng.randint(0, 3)
+    coeffs = {v + i: rng.randint(-9, 9) for i in range(1, rng.randint(1, 9))}
+    coeffs[v] = rng.choice([c for c in range(1, 10) if fld.of(c) != fld.zero])
+    g = S.R.poly({(i,): c for i, c in coeffs.items()})
+    q = p + v
+    principal = EElement(S, {q - 1 - i: c for i, c in coeffs.items() if i < q})
+    return g, q, S.s(S.R.zero(), principal)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003)],
+                         ids=["Q", "F2", "F5", "F32003"])
+def test_every_stage_holds_the_lemma(field):
+    """The one verified witness stands for every stage: each witness the
+    sequence yields, at caps below and above the pole order, verifies, sits
+    at the effective stage max(stage, p) and pairs to the stage-p pairing,
+    the principal part of the target."""
+    S = IdealizationRing(field)
+    rng = random.Random(37)
+    for p in range(1, 7):
+        for _ in range(3):
+            g, q, expected = _laurent_target(S, rng, p)
+            assert pole_order(g, q) == p
+            for cap in sorted({1, max(1, p - 1), p, p + 1, 2 * p + 5}):
+                ws = rho_obstruction(S, g, q, cap=cap)
+                assert [w.stage for w in ws] == list(range(1, cap + 1))
+                for w in ws:
+                    assert w.verify()
+                    assert w.effective_stage == max(w.stage, p)
+                    assert s_mul(w.probe, w.required_value) == expected
+                    assert w.pairing == expected
+
+
+def test_obstruction_check_work_does_not_grow_with_cap(monkeypatch):
+    """check.idealization_outcome verifies one witness per pole, with the
+    same S-arithmetic, whatever the cap, up to a 4,001-digit one."""
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(PoleWitness, "verify",
+                        counted("verify", PoleWitness.verify))
+    monkeypatch.setattr(idealization, "s_mul",
+                        counted("s_mul", idealization.s_mul))
+    seen = []
+    for cap in (1, 120, 10**4000):
+        session = parse_session(
+            f"ring Q[x];\ntask idealization poles (1, 2, 3, 4, 5, 6) cap {cap};\n")
+        (task,) = session.tasks
+        counts.clear()
+        outcome = check.idealization_outcome({"certificate": {}}, task, session)
+        assert outcome == "obstruction"
+        seen.append(dict(counts))
+    assert seen[0]["verify"] == 6
+    assert seen == [seen[0]] * 3
+
+
+def test_cap_of_4001_digits_runs_and_replays(tmp_path, capsys):
+    f = tmp_path / "s.dk"
+    f.write_text("ring Q[x];\n"
+                 f"task idealization poles (1, 2, 3, 4, 5, 6) cap {10**4000};\n")
+    report = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(["run", str(f), "--out", str(report)]) == 0
+    assert main(["run", str(f), "--replay", str(report)]) == 0
+    assert time.perf_counter() - start < 2
+    capsys.readouterr()
 
 
 def test_obstruction_run_builds_no_powers(monkeypatch):
