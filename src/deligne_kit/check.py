@@ -12,10 +12,10 @@ sheaf-glue numerator is the sum of the primed components, and the
 idealization witnesses are closed forms of (pole, stage): one per pole is
 verified, and the lemma of ``idealization.rho_obstruction`` gives every
 stage 1..cap, so that check costs the same for every cap.  A diagram
-sample holds only its two torsion flags.  Each replayer returns the
-outcome its evidence supports or raises ValueError naming where it does
-not verify: the sample and its probe or chart, or the prozero stage and
-entry.  No field is null, so a null is a wrong type.
+sample holds only its two torsion flags.  Each replayer reads the record
+through ``Field`` and returns the outcome its evidence supports, or raises
+one ValueError naming where: the sample and its probe or chart, or the
+prozero stage and entry, and the path of a field that is wrong.
 Replay is plain arithmetic over the declared relation generators: it never
 re-runs the bounded searches or the sampling, builds no Gröbner basis, and
 imports nothing from the modules that produce a record.  A check reads a
@@ -130,41 +130,77 @@ def de_poly(ring: PolyRing, text) -> Poly:
     return Poly(ring, {mon: c for mon, c in terms.items() if c != fld.zero})
 
 
-def de_vec(ring: PolyRing, items, length: int | None, where: str,
-           *at) -> tuple:
-    """A vector is a list of polynomial strings (``de_poly``); with
-    `length`, of that length.  Anything else raises ValueError naming
-    where: `where` is a format string of the field's location, filled with
-    `at` only then, as in ``de_int`` and ``de_flag``."""
-    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-        raise ValueError(f"{where.format(*at)}: a vector is a list of "
-                         "polynomial strings")
-    if length is not None and len(items) != length:
-        raise ValueError(f"{where.format(*at)}: vector of length "
-                         f"{len(items)}, not {length}")
-    return tuple(de_poly(ring, s) for s in items)
+class Field:
+    """A JSON value of a record and where it sits: its location (``sample
+    s``, ``sample s, probe p``, ``sample s, chart i`` or ``entry j``) and
+    its path, the keys that lead to it from there; an element of a list
+    keeps the list's path, and the keys under it start their own.
+    ``field["key"]`` is the field under a key, and each reader returns the
+    value in the form it names.  A key missing, a wrong JSON type (a null
+    is always one), a wrong length or a polynomial a report does not write
+    raises ValueError: the location, the path and what is wrong."""
 
+    __slots__ = ("value", "loc", "path", "element")
 
-def de_int(value, where: str, *at) -> int:
-    """A JSON integer; a bool, a float or any other value raises ValueError
-    naming where."""
-    if type(value) is not int:
-        raise ValueError(f"{where.format(*at)}: {value!r} is not an integer")
-    return value
+    def __init__(self, value, loc: str = "", path: str = "",
+                 element: bool = False):
+        self.value = value
+        self.loc = loc
+        self.path = path
+        self.element = element
 
+    def _where(self, what: str) -> str:
+        return ": ".join(part for part in (self.loc, self.path, what) if part)
 
-def de_flag(value, where: str, *at) -> bool:
-    """A JSON boolean; anything else raises ValueError naming where."""
-    if type(value) is not bool:
-        raise ValueError(f"{where.format(*at)}: {value!r} is not a boolean")
-    return value
+    def _typed(self, kind: type, name: str):
+        # type(), not isinstance: true is not an integer
+        if type(self.value) is not kind:
+            raise ValueError(self._where(f"{self.value!r} is not {name}"))
+        return self.value
 
+    def __getitem__(self, key: str) -> Field:
+        obj = self._typed(dict, "an object")
+        field = Field(obj.get(key), self.loc, key if self.element
+                      or not self.path else f"{self.path}.{key}")
+        if key not in obj:
+            raise ValueError(field._where("missing"))
+        return field
 
-def de_obj(value, where: str, *at) -> dict:
-    """A JSON object; anything else raises ValueError naming where."""
-    if type(value) is not dict:
-        raise ValueError(f"{where.format(*at)}: {value!r} is not an object")
-    return value
+    def int(self) -> int:
+        return self._typed(int, "an integer")
+
+    def flag(self) -> bool:
+        return self._typed(bool, "a boolean")
+
+    def items(self, name: str, count: int | None = None) -> list:
+        """The list's elements, the j-th located at `name` j."""
+        values = self._typed(list, "a list")
+        if count is not None and len(values) != count:
+            raise ValueError(self._where(f"list of length {len(values)}, "
+                                         f"not {count}"))
+        loc = f"{self.loc}, {name}" if self.loc else name
+        return [Field(v, f"{loc} {j}", self.path, True)
+                for j, v in enumerate(values)]
+
+    def poly(self, ring: PolyRing) -> Poly:
+        return self._polys(ring, (self.value,))[0]
+
+    def vec(self, ring: PolyRing, length: int | None = None) -> tuple:
+        """A list of polynomial strings; with `length`, of that length."""
+        texts = self.value
+        if type(texts) is not list:
+            raise ValueError(self._where("a vector is a list of polynomial "
+                                         "strings"))
+        if length is not None and len(texts) != length:
+            raise ValueError(self._where(f"vector of length {len(texts)}, "
+                                         f"not {length}"))
+        return self._polys(ring, texts)
+
+    def _polys(self, ring: PolyRing, texts) -> tuple:
+        try:
+            return tuple(de_poly(ring, text) for text in texts)
+        except (ValueError, StructuralError) as ex:
+            raise ValueError(self._where(str(ex))) from None
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +421,6 @@ class LocEqualCertificate:
 ROUNDTRIP_STAGES = (1, 2)  # the stages a roundtrip run samples its homs at
 
 
-def _read_loc(M, c: int, lift, where: str, *at) -> LocEqualCertificate:
-    """The certificate of kill exponent c and one lift entry per relation,
-    the lift read as ``de_vec`` reads `where`."""
-    return LocEqualCertificate(
-        c, de_vec(M.ring, lift, len(M.columns), where, *at))
-
-
 def _top_leads_distinct(xs) -> bool:
     """Whether the top-degree forms of xs have pairwise distinct leading
     monomials, the condition of the module docstring's lemma."""
@@ -410,35 +439,24 @@ def _require_positive(**bounds):
             raise StructuralError(f"{name} must be >= 1")
 
 
-def _samples(record: dict, task) -> list:
-    """The record's samples, one object for each sample the task draws."""
-    samples = record["certificate"]["samples"]
-    if len(samples) != task.samples:
-        raise ValueError(f"{len(samples)} samples, not {task.samples}")
-    return [de_obj(sample, "sample {}", s) for s, sample in enumerate(samples)]
-
-
-def replay_prozero(record: dict, task, session):
+def replay_prozero(record: Field, task, session):
     """The certificate is checked at base stage `from` and stage
     `bounds.witness_m`, which must lie in from..cap."""
     payload = record["certificate"]
-    if payload == {}:
+    if payload.value == {}:
         return "exhausted"
-    witness_m = record["bounds"]["witness_m"]
+    witness_m = record["bounds"]["witness_m"].int()
     if not task.from_n <= witness_m <= task.cap:
         raise ValueError(f"witness_m {witness_m} is outside from..cap")
     ring = session.ring
     entries = [
         CertificateEntry(
-            cycle=de_vec(ring, e["cycle"], None, "entry {}: cycle", j),
-            preimage_chain=de_vec(ring, e["preimage_chain"], None,
-                                  "entry {}: preimage_chain", j),
-            relation_lift=de_vec(ring, e["relation_lift"], None,
-                                 "entry {}: relation_lift", j),
-            cycle_relation_lift=de_vec(ring, e["cycle_relation_lift"], None,
-                                       "entry {}: cycle_relation_lift", j),
+            cycle=e["cycle"].vec(ring),
+            preimage_chain=e["preimage_chain"].vec(ring),
+            relation_lift=e["relation_lift"].vec(ring),
+            cycle_relation_lift=e["cycle_relation_lift"].vec(ring),
         )
-        for j, e in enumerate(payload["entries"])
+        for e in payload["entries"].items("entry")
     ]
 
     def cert(entries):
@@ -453,7 +471,7 @@ def replay_prozero(record: dict, task, session):
     return "pass"
 
 
-def replay_roundtrip(record: dict, task, session):
+def replay_roundtrip(record: Field, task, session):
     """Both fractions of a probe have the probe y as their base: sigma is
     over y^d, with y^d in (x_1^n, ..., x_k^n), and theta over y^n, n the
     sample's stage.  A hom's cocycle has compatibility exponent 0, so d is
@@ -462,34 +480,27 @@ def replay_roundtrip(record: dict, task, session):
     _require_positive(samples=task.samples, probes=task.probes)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules.presentations[task.module]
-    for s, sample in enumerate(_samples(record, task)):
-        n = de_int(sample["stage"], "sample {}: stage", s)
+    samples = record["certificate"]["samples"].items("sample", task.samples)
+    for s, sample in enumerate(samples):
+        n = sample["stage"].int()
         if n not in ROUNDTRIP_STAGES:
             raise ValueError(f"sample {s}: stage {n}")
-        if len(sample["probes"]) != task.probes:
-            raise ValueError(f"sample {s}: {len(sample['probes'])} probes, "
-                             f"not {task.probes}")
-        for p, pr in enumerate(sample["probes"]):
-            pr = de_obj(pr, "sample {}, probe {}", s, p)
-            y = de_poly(M.ring, pr["y"])
-            frac = de_obj(pr["sigma"], "sample {}, probe {}: sigma", s, p)
-            d = de_int(frac["exponent"],
-                       "sample {}, probe {}: sigma.exponent", s, p)
+        for p, pr in enumerate(sample["probes"].items("probe", task.probes)):
+            y = pr["y"].poly(M.ring)
+            frac = pr["sigma"]
+            d = frac["exponent"].int()
             if not 1 <= d <= xs.pigeonhole_bound(n):
                 raise ValueError(f"sample {s}, probe {p}: sigma exponent {d}")
-            cert = _read_loc(M, 0, pr["lift"], "sample {}, probe {}: lift",
-                             s, p)
-            sigma = de_vec(M.ring, frac["numerator"], M.rank,
-                           "sample {}, probe {}: sigma.numerator", s, p)
-            theta = de_vec(M.ring, pr["theta"], M.rank,
-                           "sample {}, probe {}: theta", s, p)
-            if not cert.verify(M, y.total_degree(), lambda: y, sigma, d,
-                               theta, n):
+            lift = pr["lift"].vec(M.ring, len(M.columns))
+            sigma = frac["numerator"].vec(M.ring, M.rank)
+            theta = pr["theta"].vec(M.ring, M.rank)
+            if not LocEqualCertificate(0, lift).verify(
+                    M, y.total_degree(), lambda: y, sigma, d, theta, n):
                 raise ValueError(f"sample {s}, probe {p}: sigma = theta fails")
     return "pass"
 
 
-def replay_sheaf(record: dict, task, session):
+def replay_sheaf(record: Field, task, session):
     """The glued numerator m is the sum of the primed components m'_i, which
     the record does not write: a sum of normal forms is one.  The glue
     denominator is y = sum(x_i^e), e >= 1 the glued exponent; each chart's
@@ -503,19 +514,17 @@ def replay_sheaf(record: dict, task, session):
     ring = session.ring
     rels = list(M.columns)
     lemma = _top_leads_distinct(xs.elements)
-    for s, sample in enumerate(_samples(record, task)):
-        glued = de_obj(sample["glued"], "sample {}: glued", s)
-        e = de_int(glued["exponent"], "sample {}: glued.exponent", s)
+    samples = record["certificate"]["samples"].items("sample", task.samples)
+    for s, sample in enumerate(samples):
+        glued = sample["glued"]
+        e = glued["exponent"].int()
         if e < 1:
             raise ValueError(f"sample {s}: glue exponent {e}")
-        primed, lifts = glued["primed"], glued["restriction_lifts"]
-        if len(primed) != xs.k or len(lifts) != xs.k:
-            raise ValueError(f"sample {s}: primed or restriction lift count")
-        primed = [de_vec(ring, mp, M.rank, "sample {}, chart {}: glued.primed",
-                         s, i) for i, mp in enumerate(primed)]
+        primed = glued["primed"].items("chart", xs.k)
+        lifts = glued["restriction_lifts"].items("chart", xs.k)
+        primed = [mp.vec(ring, M.rank) for mp in primed]
         num = vec_dot([ring.one()] * xs.k, primed, ring, M.rank)
-        element = de_vec(ring, sample["element"], M.rank, "sample {}: element",
-                         s)
+        element = sample["element"].vec(ring, M.rank)
         # deg num <= max deg m'_i
         by_degrees = lemma and e > max(map(vec_degree, [element, *primed]))
         power = functools.cache(lambda j: xs.elements[j] ** e)
@@ -523,9 +532,7 @@ def replay_sheaf(record: dict, task, session):
             minus = tuple(-p for p in mp)
             vs = [vec_sub(num, mp) if j == i else minus for j in range(xs.k)]
             terms = [(j, v) for j, v in enumerate(vs) if not vec_is_zero(v)]
-            rhs = vec_dot(de_vec(ring, lift, len(rels), "sample {}, chart "
-                                 "{}: glued.restriction_lifts", s, i),
-                          rels, ring, M.rank)
+            rhs = vec_dot(lift.vec(ring, len(rels)), rels, ring, M.rank)
             if by_degrees and vec_degree(rhs) != max(
                     (e * xs.elements[j].total_degree() + vec_degree(v)
                      for j, v in terms), default=-1):
@@ -540,36 +547,32 @@ def replay_sheaf(record: dict, task, session):
             return sum(map(power, range(xs.k)), ring.zero())
 
         y_degree = e * max(x.total_degree() for x in xs.elements)
-        back = de_obj(glued["recover_certificate"],
-                      "sample {}: glued.recover_certificate", s)
-        c = de_int(back["c"], "sample {}: glued.recover_certificate.c", s)
-        cert = _read_loc(M, c, back["lift"],
-                         "sample {}: glued.recover_certificate.lift", s)
+        back = glued["recover_certificate"]
+        cert = LocEqualCertificate(back["c"].int(),
+                                   back["lift"].vec(M.ring, len(M.columns)))
         if not cert.verify(M, y_degree if lemma else y().total_degree(), y,
                            num, 1, element, 0):
             raise ValueError(f"sample {s}: recovery m/y = element/1 fails")
     return "pass"
 
 
-def replay_diagram(record: dict, task, session):
+def replay_diagram(record: Field, task, session):
     """The torsion flags must be equal, since Gamma_J(M) is the
     intersection of the kernels of M -> M_(x_i)."""
     _require_positive(samples=task.samples)
-    for s, sample in enumerate(_samples(record, task)):
-        torsion = de_flag(sample["in_torsion"], "sample {}: in_torsion", s)
-        cocycle = de_flag(sample["zero_cocycle"], "sample {}: zero_cocycle",
-                          s)
-        if torsion != cocycle:
+    samples = record["certificate"]["samples"].items("sample", task.samples)
+    for s, sample in enumerate(samples):
+        if sample["in_torsion"].flag() != sample["zero_cocycle"].flag():
             raise ValueError(f"sample {s}: in_torsion != zero_cocycle")
     return "pass"
 
 
-def idealization_outcome(record: dict, task, session):
+def idealization_outcome(record: Field, task, session):
     """The outcome "obstruction", once rho_obstruction has verified one
     witness per pole, which with its lemma covers every stage 1..cap: the
     work grows with the number of poles, not with cap.  The witnesses are
     closed forms of (pole, stage), so the certificate is empty."""
-    if record["certificate"] != {}:
+    if record["certificate"].value != {}:
         raise ValueError("the idealization certificate is not empty")
     _require_positive(cap=task.cap)
     ring = idealization.IdealizationRing(session.ring.field)
@@ -596,40 +599,32 @@ def decide(record: dict, task, session):
     supports: the one decision of an outcome, for the record ``run``
     writes and for the one ``--replay`` reads.  The record's kind, label
     and bounds must be the task's; a prozero record with a certificate
-    also carries the witness_m it is checked at.  Evidence that does not
-    verify raises ValueError naming where, and so does a field of the wrong
-    type or form that ``de_int``, ``de_flag``, ``de_vec`` or ``de_obj``
-    reads (a null ``glued``); a field missing raises KeyError, another
-    wrong type TypeError, and an unknown variable or a task that checks
-    nothing StructuralError."""
+    also carries the witness_m it is checked at.  A record, read through
+    ``Field``, that does not verify raises ValueError naming where, and a
+    task that checks nothing StructuralError."""
+    rec = Field(record)
     bounds = task.bounds()
-    if task.kind == "prozero" and record["certificate"] != {}:
-        bounds["witness_m"] = de_int(record["bounds"]["witness_m"],
-                                     "bounds.witness_m")
+    if task.kind == "prozero" and rec["certificate"].value != {}:
+        bounds["witness_m"] = rec["bounds"]["witness_m"].int()
     # compared as JSON text, which tells 7 from 7.0 and 1 from true
-    claimed = [record["kind"], record["label"], record["bounds"]]
+    claimed = [rec["kind"].value, rec["label"].value, rec["bounds"].value]
     given = [task.kind, task.pretty(), bounds]
     for name, a, b in zip(("kind", "label", "bounds"), claimed, given):
         if json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True):
             raise ValueError(f"the {name} field is not the task's")
-    return _REPLAYERS[task.kind](record, task, session)
+    return _REPLAYERS[task.kind](rec, task, session)
 
 
 def replay_record(record: dict, task, session) -> str | None:
     """None when ``decide`` gives the outcome the record claims, else why
-    not: where the evidence does not verify, the field that is missing or
-    of the wrong type, an unknown variable, or the outcome the evidence
-    gives instead.  ``--replay`` writes it as the record's reason and goes
-    on to the next record."""
+    not: the text of the ValueError or StructuralError it raises, or the
+    outcome the evidence gives instead.  ``--replay`` writes it as the
+    record's reason and goes on to the next record."""
     try:
-        outcome = record["outcome"]
+        outcome = Field(record)["outcome"].value
         if outcome not in OUTCOMES:
             return f"unknown outcome {outcome!r}"
         given = decide(record, task, session)
-    except KeyError as ex:
-        return f"the field {ex} is missing"
-    except TypeError as ex:
-        return f"a field of the wrong type: {ex}"
     except (ValueError, StructuralError) as ex:
         return str(ex)
     return None if given == outcome else f"the evidence gives {given}"

@@ -223,12 +223,10 @@ class Session(_Record):
     """A parsed session: its ring, the declared tables by name and the
     tasks in source order; the module ``R`` is predefined."""
 
-    __slots__ = ("ring", "module_matrices", "ideals", "sequences", "tasks",
-                 "modules")
+    __slots__ = ("ring", "ideals", "sequences", "tasks", "modules")
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
-        self.module_matrices = {}
         self.ideals = {}
         self.sequences = {}
         self.tasks = []
@@ -240,11 +238,12 @@ class Session(_Record):
         lines.append(
             f"ring {fld}[{', '.join(self.ring.variables)}] order {self.ring.order};"
         )
-        for name, rows in self.module_matrices.items():
-            body = ", ".join(
-                "[" + ", ".join(str(p) for p in row) + "]" for row in rows
-            )
-            lines.append(f"module {name} = coker [{body}];")
+        for name, p in self.modules.presentations.items():
+            if name != "R":
+                body = ", ".join(
+                    "[" + ", ".join(str(col[i]) for col in p.columns) + "]"
+                    for i in range(p.rank))
+                lines.append(f"module {name} = coker [{body}];")
         for word, table in (("ideal", self.ideals),
                             ("sequence", self.sequences)):
             for name, polys in table.items():
@@ -499,7 +498,6 @@ class _Parser:
             self.fail(f"duplicate name {name!r}", name_tok)
         session.modules.presentations[name] = Presentation(session.ring, rank,
                                                            columns)
-        session.module_matrices[name] = tuple(tuple(r) for r in rows)
 
     def _resolve(self, session: Session, table: str, name: str, tok: Token):
         if name not in getattr(session, table):

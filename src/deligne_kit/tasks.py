@@ -248,13 +248,13 @@ _RUNNERS = {
 
 def run_task(task, session: Session) -> dict:
     """The runner's record with the outcome ``decide`` reads off its
-    evidence.  A record that ``decide`` rejects is a bug of its runner:
-    InternalError, naming where the check failed.  A task that checks
-    nothing raises StructuralError."""
+    evidence.  A record that ``decide`` rejects, with one ValueError that
+    names where, is a bug of its runner: InternalError with that text.  A
+    task that checks nothing raises StructuralError."""
     record = _RUNNERS[task.kind](task, session)
     try:
         record["outcome"] = decide(record, task, session)
-    except (KeyError, TypeError, ValueError) as ex:
+    except ValueError as ex:
         raise InternalError(f"the record does not verify: {ex}") from ex
     return record
 

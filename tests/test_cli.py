@@ -36,6 +36,7 @@ from deligne_kit.modules import FpModule
 from deligne_kit.rings import GF, MAX_DIGITS, QQ, Poly, PolyRing
 from deligne_kit.session import (
     DiagramTask,
+    Presentation,
     SheafGlueTask,
     parse_poly,
     parse_session,
@@ -833,7 +834,7 @@ def test_replay_says_why_a_record_fails(report):
         "the record is not a JSON object",
         "sample 0, probe 0: sigma = theta fails",
         "sample 1: glued.exponent: '2' is not an integer",
-        "the field 'certificate' is missing",
+        "certificate: missing",
         "the evidence gives obstruction",
     ]
     records[4]["outcome"] = "obstruction"
@@ -846,8 +847,8 @@ def test_replay_says_why_a_record_fails(report):
     assert [sorted(r) for r in verified] == [["label", "outcome", "verified"]] * 5
 
 
-# the reason of a field that de_int, de_flag, de_vec or de_obj reads: its
-# path, then what is wrong with it
+# the reason of a field that check.Field reads: its location, its path, then
+# what is wrong with it
 FIELD_REASONS = {
     "witness-m-float": "bounds.witness_m: 2.0 is not an integer",
     "preimage-chain-string":
@@ -867,8 +868,8 @@ FIELD_REASONS = {
     "c-false": "sample 0: glued.recover_certificate.c: False is not an "
                "integer",
     "in-torsion-zero": "sample 1: in_torsion: 0 is not a boolean",
-    "null-sample": "sample 1: None is not an object",
-    "null-probe": "sample 0, probe 0: None is not an object",
+    "null-sample": "sample 1: certificate.samples: None is not an object",
+    "null-probe": "sample 0, probe 0: probes: None is not an object",
     "sigma-list": "sample 0, probe 0: sigma: ['x'] is not an object",
     "null-glued": "sample 1: glued: None is not an object",
     "recovers-element-one": "sample 0: glued.recover_certificate: 1 is not "
@@ -884,6 +885,64 @@ def test_replay_reason_names_the_field(report, name):
     index, mutate = FORGERIES[name]
     out = replay_report(GOOD, session, _forge(rep, index, mutate))
     assert out["results"][index]["reason"] == FIELD_REASONS[name]
+
+
+# the word a location gives an index of each list of a record, and the
+# record's top-level fields, which a reason may name instead of a path
+INDEX_WORDS = {"samples": "sample", "probes": "probe", "entries": "entry",
+               "primed": "chart", "restriction_lifts": "chart"}
+TOP_FIELDS = {"kind", "label", "bounds", "outcome", "certificate"}
+
+
+def _paths(node, path=()):
+    """The path of each node under the JSON value `node`."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+def _path_names(path) -> set:
+    """The keys of `path`, and each of its list indices as its location
+    names it (``sample 1``, ``chart 0``)."""
+    names = {step for step in path if isinstance(step, str)}
+    names.update(f"{INDEX_WORDS[parent]} {step}"
+                 for parent, step in zip(path, path[1:])
+                 if isinstance(step, int) and parent in INDEX_WORDS)
+    return names
+
+
+def _set_at(path, value):
+    def mutate(rec):
+        for step in path[:-1]:
+            rec = rec[step]
+        rec[path[-1]] = value
+    return mutate
+
+
+def test_every_mutated_field_is_named_by_its_reason(report):
+    """Each node of each GOOD record but its digest and time, set to each
+    kind of JSON value and re-digested, replays without an exception, and
+    a record it makes fail has a reason that names a key or an index of
+    the node's path, or a top-level field."""
+    rep, session = report
+    rejected = 0
+    for index, record in enumerate(rep["records"]):
+        body = {k: v for k, v in record.items()
+                if k not in ("digest", "time_ms")}
+        for path in _paths(body):
+            names = _path_names(path) | TOP_FIELDS
+            for value in (None, 7, "q", [], {}, True):
+                forged = _forge(rep, index, _set_at(path, value))
+                result = replay_report(GOOD, session, forged)["results"][index]
+                if result["verified"]:
+                    continue
+                rejected += 1
+                reason = result["reason"]
+                assert any(re.search(rf"\b{re.escape(name)}\b", reason)
+                           for name in names), (path, value, reason)
+    assert rejected > 1000
 
 
 TOWER = """\
@@ -1076,16 +1135,20 @@ def _answers(text):
 
 def _rewritten(text, sequence=None, row=None):
     """`text` printed by ``Session.pretty`` with each sequence's elements
-    mapped by ``sequence(ring, polys)`` and each row of each module matrix
-    by ``row(ring, row)``."""
+    mapped by ``sequence(ring, polys)`` and each row of each declared
+    module's matrix by ``row(ring, row)``."""
     session = parse_session(text)
     ring = session.ring
     if sequence is not None:
         for name, polys in session.sequences.items():
             session.sequences[name] = sequence(ring, polys)
     if row is not None:
-        for name, rows in session.module_matrices.items():
-            session.module_matrices[name] = tuple(row(ring, r) for r in rows)
+        presentations = session.modules.presentations
+        for name, p in presentations.items():
+            if name != "R":
+                rows = [row(ring, r) for r in zip(*p.columns)]
+                presentations[name] = Presentation(ring, p.rank,
+                                                   tuple(zip(*rows)))
     return session.pretty()
 
 
@@ -1202,9 +1265,9 @@ def _glued(rec, s):
 
 
 # (session, record index, mutation, the location the check names): one
-# forgery for each ValueError that decide, _samples and the replayers of
-# check.py raise.  The transform records are roundtrip, sheaf-glue and
-# diagram; the torsion records are diagram and sheaf-glue.
+# forgery for each ValueError that decide, the replayers and the Field
+# readers of check.py raise.  The transform records are roundtrip,
+# sheaf-glue and diagram; the torsion records are diagram and sheaf-glue.
 REJECTIONS = {
     "kind": ("tower", 0, lambda r: r.update(kind="diagram"),
              "the kind field is not"),
@@ -1213,7 +1276,7 @@ REJECTIONS = {
     "bounds": ("tower", 0, lambda r: r["bounds"].update(cap=5),
                "the bounds field is not"),
     "sample-count": ("transform", 0, lambda r: _samples(r).pop(),
-                     "2 samples, not 3"),
+                     "certificate.samples: list of length 2, not 3"),
     "witness-m": ("tower", 0, lambda r: r["bounds"].update(witness_m=5),
                   "witness_m 5 is outside from..cap"),
     "prozero-entry": ("tower", 1, lambda r: r["certificate"]["entries"][3]
@@ -1222,7 +1285,7 @@ REJECTIONS = {
     "roundtrip-stage": ("transform", 0, lambda r: _samples(r)[1]
                         .update(stage=3), "sample 1: stage 3"),
     "probe-count": ("transform", 0, lambda r: _samples(r)[2]["probes"].pop(),
-                    "sample 2: 4 probes, not 5"),
+                    "sample 2: probes: list of length 4, not 5"),
     "sigma-exponent": ("transform", 0, lambda r: _samples(r)[2]["probes"][1]
                        ["sigma"].update(exponent=0),
                        "sample 2, probe 1: sigma exponent 0"),
@@ -1232,7 +1295,7 @@ REJECTIONS = {
     "glue-exponent": ("transform", 1, lambda r: _glued(r, 0)
                       .update(exponent=0), "sample 0: glue exponent 0"),
     "primed-count": ("transform", 1, lambda r: _glued(r, 2)["primed"].pop(),
-                     "sample 2: primed or restriction lift count"),
+                     "sample 2: glued.primed: list of length 3, not 4"),
     # torsion sheaf-glue sample 1 has e = 2 above every degree, so the
     # degree test applies; transform sheaf-glue sample 1 has e = 2 below
     # its degree 4, so only the identity does
@@ -1251,6 +1314,23 @@ REJECTIONS = {
     "idealization": ("idealization", 0,
                      lambda r: r.update(certificate={"targets": []}),
                      "the idealization certificate is not empty"),
+    # a field that check.Field reads, missing or of the wrong type or form
+    "null-entry": ("tower", 1, lambda r: r["certificate"]["entries"]
+                   .__setitem__(0, None),
+                   "entry 0: certificate.entries: None is not an object"),
+    "probes-number": ("transform", 0, lambda r: _samples(r)[1]
+                      .update(probes=7), "sample 1: probes: 7 is not a list"),
+    "primed-missing": ("transform", 1, lambda r: _glued(r, 0).pop("primed"),
+                       "sample 0: glued.primed: missing"),
+    "unknown-variable": ("transform", 0, lambda r: _samples(r)[0]["probes"][1]
+                         .update(y="q"),
+                         "sample 0, probe 1: y: unknown variable 'q'"),
+    "cycle-string": ("tower", 1, lambda r: r["certificate"]["entries"][2]
+                     .update(cycle="0"), "entry 2: cycle: a vector is a list "
+                                         "of polynomial strings"),
+    "theta-long": ("transform", 0, lambda r: _samples(r)[1]["probes"][3]
+                   ["theta"].append("0"),
+                   "sample 1, probe 3: theta: vector of length 2, not 1"),
 }
 
 
@@ -1277,16 +1357,19 @@ def test_check_names_where_it_rejects(source_reports, name):
 
 
 def test_every_rejection_site_has_a_forgery(source_reports):
-    """Each line of check.py that raises ValueError in decide, _samples or
-    a replayer is the line some forgery of REJECTIONS stops at."""
+    """Each line of check.py that raises ValueError in decide, a replayer
+    or a method of Field is the line some forgery of REJECTIONS stops at."""
     with open(check.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    names = set(check._REPLAYERS.values()) | {check.decide, check._samples}
+    names = set(check._REPLAYERS.values()) | {check.decide}
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                 and getattr(check, f.name, None) in names]
+    functions += [f for c in tree.body
+                  if isinstance(c, ast.ClassDef) and c.name == "Field"
+                  for f in c.body if isinstance(f, ast.FunctionDef)]
     sites = {
         node.lineno
-        for f in tree.body
-        if isinstance(f, ast.FunctionDef)
-        and getattr(check, f.name, None) in names
+        for f in functions
         for node in ast.walk(f)
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
         and getattr(node.exc.func, "id", None) == "ValueError"
@@ -1298,7 +1381,7 @@ def test_every_rejection_site_has_a_forgery(source_reports):
             tb = tb.tb_next
         assert tb.tb_frame.f_code.co_filename == check.__file__
         raised.add(tb.tb_lineno)
-    assert len(sites) == 15 and raised == sites
+    assert len(sites) == 18 and raised == sites
 
 
 def test_main_names_the_exhausted_search(tmp_path, capsys):
@@ -1661,7 +1744,8 @@ def test_de_poly_errors():
                                    "writes")):
         forged = json.loads(json.dumps(record))
         forged["certificate"]["entries"][0]["preimage_chain"][0] = bad
-        assert replay_record(forged, session.tasks[0], session) == reason
+        assert replay_record(forged, session.tasks[0], session) == (
+            "entry 0: preimage_chain: " + reason)
 
 
 # ---------------------------------------------------------------- exit codes

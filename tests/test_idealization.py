@@ -273,7 +273,8 @@ def test_obstruction_check_work_does_not_grow_with_cap(monkeypatch):
             f"ring Q[x];\ntask idealization poles (1, 2, 3, 4, 5, 6) cap {cap};\n")
         (task,) = session.tasks
         counts.clear()
-        outcome = check.idealization_outcome({"certificate": {}}, task, session)
+        outcome = check.idealization_outcome(check.Field({"certificate": {}}),
+                                             task, session)
         assert outcome == "obstruction"
         seen.append(dict(counts))
     assert seen[0]["verify"] == 6
