@@ -28,8 +28,8 @@ _API = {
                 "SaturationResult", "hom_module", "ideal_as_module",
                 "ideal_power", "module_kernel", "radical_lift", "saturate"),
     "check": ("ProZeroCertificate",),
-    "koszul": ("HomologyModule", "HomologyTransition", "SearchExhausted",
-               "homology_transition", "koszul_homology", "pro_zero_search"),
+    "koszul": ("HomologyModule", "SearchExhausted", "homology_transition",
+               "koszul_homology", "pro_zero_search"),
     "deligne": ("CechCocycle", "Glued", "IdealTransformElement",
                 "IncompatibleWitness", "LocalFraction", "RhoObstruction",
                 "alpha_map", "diagram_check", "gamma_torsion", "loc_equal",

@@ -130,6 +130,16 @@ def de_poly(ring: PolyRing, text) -> Poly:
     return Poly(ring, {mon: c for mon, c in terms.items() if c != fld.zero})
 
 
+def _describe(value) -> str:
+    """How a reason names a JSON value: a list or an object by its kind and
+    length, a scalar by its repr cut to 40 characters."""
+    if type(value) in (list, dict):
+        kind = "a list" if type(value) is list else "an object"
+        return f"{kind} of length {len(value)}"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 class Field:
     """A JSON value of a record and where it sits: its location (``sample
     s``, ``sample s, probe p``, ``sample s, chart i`` or ``entry j``) and
@@ -155,7 +165,8 @@ class Field:
     def _typed(self, kind: type, name: str):
         # type(), not isinstance: true is not an integer
         if type(self.value) is not kind:
-            raise ValueError(self._where(f"{self.value!r} is not {name}"))
+            raise ValueError(self._where(f"{_describe(self.value)} is not "
+                                         f"{name}"))
         return self.value
 
     def __getitem__(self, key: str) -> Field:
@@ -431,14 +442,6 @@ def _top_leads_distinct(xs) -> bool:
     return len(leads) == len(xs)
 
 
-def _require_positive(**bounds):
-    """A task whose sample count, probe count or cap is below 1 checks
-    nothing, so it has nothing to claim; its run and replay refuse it."""
-    for name, n in bounds.items():
-        if n < 1:
-            raise StructuralError(f"{name} must be >= 1")
-
-
 def replay_prozero(record: Field, task, session):
     """The certificate is checked at base stage `from` and stage
     `bounds.witness_m`, which must lie in from..cap."""
@@ -477,7 +480,6 @@ def replay_roundtrip(record: Field, task, session):
     sample's stage.  A hom's cocycle has compatibility exponent 0, so d is
     at most xs.pigeonhole_bound(n), and the cross difference
     phi(y^n*y^d) - phi(y^d*y^n) is 0 in M, so c = 0."""
-    _require_positive(samples=task.samples, probes=task.probes)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules.presentations[task.module]
     samples = record["certificate"]["samples"].items("sample", task.samples)
@@ -508,7 +510,6 @@ def replay_sheaf(record: Field, task, session):
     glued m/y equals element/1 in M_y.  The degree tests of the module
     docstring and of ``LocEqualCertificate.verify`` come before any
     power."""
-    _require_positive(samples=task.samples)
     xs = SequenceSpec(session.ideals[task.ideal])
     M = session.modules.presentations[task.module]
     ring = session.ring
@@ -559,7 +560,6 @@ def replay_sheaf(record: Field, task, session):
 def replay_diagram(record: Field, task, session):
     """The torsion flags must be equal, since Gamma_J(M) is the
     intersection of the kernels of M -> M_(x_i)."""
-    _require_positive(samples=task.samples)
     samples = record["certificate"]["samples"].items("sample", task.samples)
     for s, sample in enumerate(samples):
         if sample["in_torsion"].flag() != sample["zero_cocycle"].flag():
@@ -574,11 +574,8 @@ def idealization_outcome(record: Field, task, session):
     closed forms of (pole, stage), so the certificate is empty."""
     if record["certificate"].value != {}:
         raise ValueError("the idealization certificate is not empty")
-    _require_positive(cap=task.cap)
     ring = idealization.IdealizationRing(session.ring.field)
     for p in task.poles:
-        if p < 1:
-            raise StructuralError("pole orders must be positive")
         idealization.rho_obstruction(ring, ring.R.one(), p, task.cap)
     return "obstruction"
 
@@ -600,8 +597,8 @@ def decide(record: dict, task, session):
     writes and for the one ``--replay`` reads.  The record's kind, label
     and bounds must be the task's; a prozero record with a certificate
     also carries the witness_m it is checked at.  A record, read through
-    ``Field``, that does not verify raises ValueError naming where, and a
-    task that checks nothing StructuralError."""
+    ``Field``, that does not verify raises ValueError naming where; the
+    parser has refused every task that no record could check."""
     rec = Field(record)
     bounds = task.bounds()
     if task.kind == "prozero" and rec["certificate"].value != {}:
@@ -617,15 +614,15 @@ def decide(record: dict, task, session):
 
 def replay_record(record: dict, task, session) -> str | None:
     """None when ``decide`` gives the outcome the record claims, else why
-    not: the text of the ValueError or StructuralError it raises, or the
-    outcome the evidence gives instead.  ``--replay`` writes it as the
-    record's reason and goes on to the next record."""
+    not: the text of the ValueError it raises, or the outcome the evidence
+    gives instead.  ``--replay`` writes it as the record's reason and goes
+    on to the next record."""
     try:
         outcome = Field(record)["outcome"].value
         if outcome not in OUTCOMES:
             return f"unknown outcome {outcome!r}"
         given = decide(record, task, session)
-    except (ValueError, StructuralError) as ex:
+    except ValueError as ex:
         return str(ex)
     return None if given == outcome else f"the evidence gives {given}"
 

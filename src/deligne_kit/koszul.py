@@ -174,29 +174,11 @@ def koszul_homology(x: SequenceSpec, n: int, M: FpModule, i: int) -> HomologyMod
 # transitions between stages
 
 
-class HomologyTransition:
-    """The induced map H_i(x^(m); M) -> H_i(x^(n); M) on presentations."""
-
-    __slots__ = ("x", "i", "stage_m", "stage_n", "source", "target", "hom")
-
-    def __init__(self, x: SequenceSpec, i: int, stage_m: int, stage_n: int,
-                 source: HomologyModule, target: HomologyModule,
-                 hom: ModuleHom):
-        self.x = x
-        self.i = i
-        self.stage_m = stage_m
-        self.stage_n = stage_n
-        self.source = source
-        self.target = target
-        self.hom = hom
-
-    def is_zero(self) -> bool:
-        return self.hom.is_zero()
-
-
 def homology_transition(
     x: SequenceSpec, i: int, m: int, n: int, M: FpModule
-) -> HomologyTransition:
+) -> ModuleHom:
+    """The induced map H_i(x^(m); M) -> H_i(x^(n); M), from the stage-m
+    homology presentation to the stage-n one."""
     if m < n:
         raise StructuralError("transition requires m >= n")
     Hm = koszul_homology(x, n=m, M=M, i=i)
@@ -205,8 +187,7 @@ def homology_transition(
     for z in Hm.representatives:
         w = transport_cycle(x, i, m, n, M, z)
         cols.append(Hn.express(w).vec)
-    hom = ModuleHom(Hm.presentation, Hn.presentation, cols)
-    return HomologyTransition(x, i, m, n, Hm, Hn, hom)
+    return ModuleHom(Hm.presentation, Hn.presentation, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,18 @@ class _Parser:
         self.next()
         return self.int_value(t.text, t)
 
+    def expect_bounded(self, name: str, low: int,
+                       high: int | None = None) -> int:
+        """An integer in low..high (no upper bound for None); one outside
+        fails at its token."""
+        t = self.peek()
+        n = self.expect_int()
+        if n < low:
+            self.fail(f"{name} must be >= {low}", t)
+        if high is not None and n > high:
+            self.fail(f"{name} {n} out of range {low}..{high}", t)
+        return n
+
     def int_value(self, digits: str, tok: Token) -> int:
         if len(digits) > MAX_DIGITS:
             self.fail(f"integer literal longer than {MAX_DIGITS} digits", tok)
@@ -409,8 +421,13 @@ class _Parser:
         self.expect_punct(closing)
         return out
 
-    def poly_list(self, ring: PolyRing):
-        return self.delimited("(", lambda: self.poly_expr(ring), ")")
+    def nonzero_poly(self, ring: PolyRing, what: str) -> Poly:
+        """A polynomial that is not zero; zero fails at its first token."""
+        t = self.peek()
+        poly = self.poly_expr(ring)
+        if poly.is_zero():
+            self.fail(f"{what} entries must be nonzero", t)
+        return poly
 
     def matrix(self, ring: PolyRing):
         return self.delimited(
@@ -441,7 +458,8 @@ class _Parser:
                 self.next()
                 name = self.expect_name().text
                 self.expect_punct("=")
-                polys = self.poly_list(ring)
+                polys = self.delimited(
+                    "(", lambda: self.nonzero_poly(ring, head.text), ")")
                 self.expect_punct(";")
                 self._declare(getattr(session, head.text + "s"), name, polys,
                               head)
@@ -512,11 +530,12 @@ class _Parser:
             seq = self.expect_name()
             self._resolve(session, "sequences", seq.text, seq)
             self.expect_keyword("degree")
-            degree = self.expect_int()
+            degree = self.expect_bounded("degree", 0,
+                                         len(session.sequences[seq.text]))
             self.expect_keyword("from")
-            from_n = self.expect_int()
+            from_n = self.expect_bounded("from", 1)
             self.expect_keyword("cap")
-            cap = self.expect_int()
+            cap = self.expect_bounded("cap", from_n)
             module = "R"
             allow = False
             while self.peek().kind == "name":
@@ -539,19 +558,20 @@ class _Parser:
             module = self.expect_name()
             self._resolve(session, "modules", module.text, module)
             self.expect_keyword("samples")
-            samples = self.expect_int()
+            samples = self.expect_bounded("samples", 1)
             self.expect_keyword("seed")
             task = sampled(ideal.text, module.text, samples, self.expect_int())
             if sampled is RoundtripTask and self.peek().kind == "name":
                 self.expect_keyword("probes")
-                task.probes = self.expect_int()
+                task.probes = self.expect_bounded("probes", 1)
             self.expect_punct(";")
             return task
         if kind == "idealization":
             self.expect_keyword("poles")
-            poles = self.delimited("(", self.expect_int, ")")
+            poles = self.delimited(
+                "(", lambda: self.expect_bounded("pole order", 1), ")")
             self.expect_keyword("cap")
-            cap = self.expect_int()
+            cap = self.expect_bounded("cap", 1)
             self.expect_punct(";")
             return IdealizationTask(poles=tuple(poles), cap=cap)
         self.fail(f"unknown task kind {kind!r}", kind_tok)
@@ -560,7 +580,8 @@ class _Parser:
 def parse_session(text: str) -> Session:
     """Parse a session document; raises ParseError / NameResolutionError /
     DimensionError with source positions, and ParseError at the token where
-    an expression nests deeper than Python's recursion limit."""
+    an expression nests deeper than Python's recursion limit or where a
+    declaration no run can use (docs/grammar.md) is refused."""
     p = _Parser(text)
     try:
         return p.parse_session()

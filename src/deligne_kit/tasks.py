@@ -249,8 +249,7 @@ _RUNNERS = {
 def run_task(task, session: Session) -> dict:
     """The runner's record with the outcome ``decide`` reads off its
     evidence.  A record that ``decide`` rejects, with one ValueError that
-    names where, is a bug of its runner: InternalError with that text.  A
-    task that checks nothing raises StructuralError."""
+    names where, is a bug of its runner: InternalError with that text."""
     record = _RUNNERS[task.kind](task, session)
     try:
         record["outcome"] = decide(record, task, session)

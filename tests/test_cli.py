@@ -141,50 +141,165 @@ def test_main_refuses_coefficient_replay_cannot_read(tmp_path, capsys, body, tas
     assert "Traceback" not in err
 
 
-def test_main_idealization_cap_0_exits_2(tmp_path, capsys):
-    # a cap of 0 certifies no stage, so there is no obstruction to claim
-    task = "task idealization poles (1) cap 0;"
+def _report_of(text, records) -> dict:
+    """A report of the session `text` holding `records`, each digested as a
+    run digests it, so that only the checks of a replay can refuse it."""
+    for record in records:
+        record["digest"] = record_digest(record)
+    return {"schema": SCHEMA,
+            "session_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "records": records, "ok": True}
+
+
+def _run_and_replay(tmp_path, text, report) -> list:
+    """The exit codes of ``run`` on the session `text` and of ``run
+    --replay`` on `report`."""
     f = tmp_path / "s.dk"
-    f.write_text(f"ring Q[x];\n{task}\n")
-    assert main(["run", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {task}: cap must be >= 1")
-    assert "Traceback" not in err
+    f.write_text(text)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return [main(["run", str(f)]), main(["run", str(f), "--replay", str(path)])]
+
+
+def _claimed(task, outcome, bounds, certificate) -> dict:
+    """The record a forger writes for `task`, whatever the parser says."""
+    return {"kind": task.split()[1], "label": task, "outcome": outcome,
+            "bounds": bounds, "certificate": certificate}
+
+
+def test_main_idealization_cap_0_exits_2(tmp_path, capsys):
+    # a cap of 0 certifies no stage, so there is no obstruction to claim:
+    # run and replay refuse the task at its cap
+    task = "task idealization poles (1) cap 0;"
+    text = f"ring Q[x];\n{task}\n"
+    record = _claimed(task, "obstruction", {"cap": 0, "poles": [1]}, {})
+    assert _run_and_replay(tmp_path, text, _report_of(text, [record])) == [2, 2]
+    assert capsys.readouterr().err == "error: 2:33: cap must be >= 1\n" * 2
 
 
 _NOTHING_CHECKED = [
     ("task deligne-roundtrip J R samples 0 seed 1;", "samples",
-     {"samples": []}),
+     {"samples": 0, "seed": 1, "probes": 5}, {"samples": []}),
     ("task deligne-roundtrip J R samples 1 seed 1 probes 0;", "probes",
+     {"samples": 1, "seed": 1, "probes": 0},
      {"samples": [{"stage": 1, "values": [["x"]], "probes": []}]}),
     ("task sheaf-glue J R samples 0 seed 1;", "samples",
-     {"samples": []}),
-    ("task diagram J R samples 0 seed 1;", "samples", {"samples": []}),
+     {"samples": 0, "seed": 1}, {"samples": []}),
+    ("task diagram J R samples 0 seed 1;", "samples",
+     {"samples": 0, "seed": 1}, {"samples": []}),
 ]
 
 
-@pytest.mark.parametrize("task, bound, _", _NOTHING_CHECKED,
+def _nothing_checked_error(task, bound) -> str:
+    """The parse error of a count of 0, at its token on line 3."""
+    return f"error: 3:{task.rindex(' 0') + 2}: {bound} must be >= 1\n"
+
+
+@pytest.mark.parametrize("task, bound, _, __", _NOTHING_CHECKED,
                          ids=["roundtrip", "probes", "sheaf", "diagram"])
-def test_main_nothing_to_check_exits_2(tmp_path, capsys, task, bound, _):
-    # no sample or no probe checks nothing, so there is no pass to claim
+def test_main_nothing_to_check_exits_2(tmp_path, capsys, task, bound, _, __):
+    # no sample or no probe checks nothing, so there is no pass to claim;
+    # the session is refused before its first task runs, and no report is
+    # written
     f = tmp_path / "s.dk"
-    f.write_text(f"ring Q[x,y];\nideal J = (x, y);\n{task}\n")
-    assert main(["run", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {task}: {bound} must be >= 1")
-    assert "Traceback" not in err
+    f.write_text(f"ring Q[x,y];\nideal J = (x, y);\n{task}\n"
+                 "task idealization poles (1) cap 2;\n")
+    out = tmp_path / "report.json"
+    assert main(["run", str(f), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == _nothing_checked_error(task, bound)
 
 
-@pytest.mark.parametrize("task, bound, certificate", _NOTHING_CHECKED,
+@pytest.mark.parametrize("task, bound, bounds, certificate", _NOTHING_CHECKED,
                          ids=["roundtrip", "probes", "sheaf", "diagram"])
-def test_replay_refuses_pass_with_nothing_checked(task, bound, certificate):
-    # a written record of such a task, empty as its bounds allow, does not
-    # verify either
-    session = parse_session(f"ring Q[x,y];\nideal J = (x, y);\n{task}\n")
-    t = session.tasks[0]
-    record = {"kind": t.kind, "label": t.pretty(), "outcome": "pass",
-              "bounds": t.bounds(), "certificate": certificate}
-    assert replay_record(record, t, session) == f"{bound} must be >= 1"
+def test_replay_refuses_pass_with_nothing_checked(tmp_path, capsys, task, bound,
+                                                  bounds, certificate):
+    # a written record of such a task, empty as its bounds allow, is
+    # refused with the session before any record is read
+    text = f"ring Q[x,y];\nideal J = (x, y);\n{task}\n"
+    record = _claimed(task, "pass", bounds, certificate)
+    assert _run_and_replay(tmp_path, text, _report_of(text, [record])) == [2, 2]
+    assert capsys.readouterr().err == _nothing_checked_error(task, bound) * 2
+
+
+# Each declaration that no run can use, after the ring line: its text, the
+# line:col of the token that its parse error names, and the message.
+_REFUSED = {
+    "samples-0": ("ideal J = (x, y);\ntask diagram J R samples 0 seed 1;",
+                  "3:26", "samples must be >= 1"),
+    "probes-0": ("ideal J = (x, y);\n"
+                 "task deligne-roundtrip J R samples 1 seed 1 probes 0;",
+                 "3:52", "probes must be >= 1"),
+    "idealization-cap-0": ("task idealization poles (1) cap 0;", "2:33",
+                           "cap must be >= 1"),
+    "pole-0": ("task idealization poles (0) cap 2;", "2:26",
+               "pole order must be >= 1"),
+    "second-pole-0": ("task idealization poles (2, 0) cap 2;", "2:29",
+                      "pole order must be >= 1"),
+    "from-0": ("sequence s = (x, y);\n"
+               "task prozero s degree 1 from 0 cap 0 allow-exhausted;",
+               "3:30", "from must be >= 1"),
+    "cap-below-from": ("sequence s = (x, y);\n"
+                       "task prozero s degree 1 from 2 cap 1;",
+                       "3:36", "cap must be >= 2"),
+    "degree-above-length": ("sequence s = (x, y);\n"
+                            "task prozero s degree 3 from 1 cap 2;",
+                            "3:23", "degree 3 out of range 0..2"),
+    "zero-ideal-entry": ("ideal J = (x, y - y);", "2:15",
+                         "ideal entries must be nonzero"),
+    "zero-sequence-entry": ("sequence s = (0);", "2:15",
+                            "sequence entries must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("body, where, message", list(_REFUSED.values()),
+                         ids=list(_REFUSED))
+def test_task_no_run_can_use_is_a_parse_error(tmp_path, capsys, body, where,
+                                              message):
+    text = f"ring Q[x,y];\n{body}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_session(text)
+    assert str(exc.value) == f"{where}: {message}"
+    # run, and the replay of any report of the session, refuse it alike
+    assert _run_and_replay(tmp_path, text, _report_of(text, [])) == [2, 2]
+    assert capsys.readouterr().err == f"error: {where}: {message}\n" * 2
+
+
+_EMPTY_ENTRY = {"cycle": [], "preimage_chain": [], "relation_lift": [],
+                "cycle_relation_lift": []}
+
+# Records that an earlier replay verified for tasks that run refuses: a
+# pass beyond the sequence's length, and exhausted searches from stage 0
+# and over a zero entry.
+_FORGED = {
+    "degree-above-length": (
+        "ring Q[x,y];\nsequence s = (x, y);\n",
+        "task prozero s degree 3 from 1 cap 2;", "pass",
+        {"degree": 3, "from": 1, "cap": 2, "witness_m": 1},
+        {"entries": [_EMPTY_ENTRY]}, "3:23: degree 3 out of range 0..2"),
+    "from-0": (
+        "ring Q[x,y];\nsequence s = (x, y);\n",
+        "task prozero s degree 5 from 0 cap 0 allow-exhausted;", "exhausted",
+        {"degree": 5, "from": 0, "cap": 0}, {},
+        "3:23: degree 5 out of range 0..2"),
+    "zero-entry": (
+        "ring Q[x,y];\nsequence s = (x, y - y);\n",
+        "task prozero s degree 5 from 0 cap 0 allow-exhausted;", "exhausted",
+        {"degree": 5, "from": 0, "cap": 0}, {},
+        "2:18: sequence entries must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("head, task, outcome, bounds, certificate, error",
+                         list(_FORGED.values()), ids=list(_FORGED))
+def test_replay_refuses_forged_report_of_refused_task(
+        tmp_path, capsys, head, task, outcome, bounds, certificate, error):
+    text = f"{head}{task}\n"
+    record = _claimed(task, outcome, bounds, certificate)
+    assert _run_and_replay(tmp_path, text, _report_of(text, [record])) == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n" * 2
 
 
 @pytest.mark.parametrize("nested", ["(" * 5000 + "x" + ")" * 5000,
@@ -870,7 +985,8 @@ FIELD_REASONS = {
     "in-torsion-zero": "sample 1: in_torsion: 0 is not a boolean",
     "null-sample": "sample 1: certificate.samples: None is not an object",
     "null-probe": "sample 0, probe 0: probes: None is not an object",
-    "sigma-list": "sample 0, probe 0: sigma: ['x'] is not an object",
+    "sigma-list": "sample 0, probe 0: sigma: a list of length 1 is not an "
+                  "object",
     "null-glued": "sample 1: glued: None is not an object",
     "recovers-element-one": "sample 0: glued.recover_certificate: 1 is not "
                             "an object",
@@ -885,6 +1001,29 @@ def test_replay_reason_names_the_field(report, name):
     index, mutate = FORGERIES[name]
     out = replay_report(GOOD, session, _forge(rep, index, mutate))
     assert out["results"][index]["reason"] == FIELD_REASONS[name]
+
+
+def _entries_as_certificate(rec):
+    rec["certificate"] = rec["certificate"]["entries"]
+
+
+def _long_witness_m(rec):
+    rec["bounds"]["witness_m"] = "9" * 5000
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (_entries_as_certificate,
+     "certificate: a list of length 1 is not an object"),
+    (_long_witness_m,
+     f"bounds.witness_m: '{'9' * 36}... is not an integer"),
+], ids=["list", "scalar"])
+def test_wrong_type_reason_has_bounded_length(report, mutate, reason):
+    # a reason names a list by its length and cuts a scalar, so it is as
+    # long for a large value as for a small one
+    rep, session = report
+    out = replay_report(GOOD, session, _forge(rep, 0, mutate))
+    assert out["results"][0]["reason"] == reason
+    assert len(reason) < 80
 
 
 # the word a location gives an index of each list of a record, and the
@@ -923,9 +1062,10 @@ def _set_at(path, value):
 
 def test_every_mutated_field_is_named_by_its_reason(report):
     """Each node of each GOOD record but its digest and time, set to each
-    kind of JSON value and re-digested, replays without an exception, and
-    a record it makes fail has a reason that names a key or an index of
-    the node's path, or a top-level field."""
+    kind of JSON value and re-digested, makes ``decide`` raise nothing but
+    ValueError, the one exception ``replay_record`` catches, and a record
+    it makes fail has a reason that names a key or an index of the node's
+    path, or a top-level field."""
     rep, session = report
     rejected = 0
     for index, record in enumerate(rep["records"]):
@@ -935,6 +1075,11 @@ def test_every_mutated_field_is_named_by_its_reason(report):
             names = _path_names(path) | TOP_FIELDS
             for value in (None, 7, "q", [], {}, True):
                 forged = _forge(rep, index, _set_at(path, value))
+                try:
+                    check.decide(forged["records"][index],
+                                 session.tasks[index], session)
+                except ValueError:
+                    pass
                 result = replay_report(GOOD, session, forged)["results"][index]
                 if result["verified"]:
                     continue

@@ -244,9 +244,8 @@ def test_transition_identity_at_equal_stages(R1):
     xs = SequenceSpec((x, x))
     M = FpModule.free(R1, 1)
     tr = homology_transition(xs, 1, 3, 3, M)
-    pres = tr.source.presentation
-    for i, e in enumerate(pres.basis_elements()):
-        assert tr.hom.apply(e) == tr.target.presentation.basis_elements()[i]
+    for i, e in enumerate(tr.source.basis_elements()):
+        assert tr.apply(e) == tr.target.basis_elements()[i]
 
 
 def test_transition_rejects_bad_stages(R1):
@@ -279,8 +278,8 @@ def test_transition_functorial(R):
         t_mn = homology_transition(xs, 1, m, n, M)
         t_lm = homology_transition(xs, 1, l, m, M)
         t_ln = homology_transition(xs, 1, l, n, M)
-        for b in t_lm.source.presentation.basis_elements():
-            assert t_ln.hom.apply(b) == t_mn.hom.apply(t_lm.hom.apply(b))
+        for b in t_lm.source.basis_elements():
+            assert t_ln.apply(b) == t_mn.apply(t_lm.apply(b))
 
 
 # ---------------------------------------------------------------- pro-zero
